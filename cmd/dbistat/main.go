@@ -17,8 +17,9 @@
 // `diff` compares two recordings with Welch's t-test: deltas beyond
 // the threshold that are statistically significant in the bad
 // direction are regressions and make the exit status non-zero; noisy
-// deltas only warn. CI records every commit and gates against the
-// committed bench/baseline.json.
+// deltas only warn; a benchmark or metric only one recording has is
+// listed under the table as "not compared". CI records every commit
+// and gates against the committed bench/baseline.json.
 package main
 
 import (
@@ -136,6 +137,7 @@ func diff(args []string) {
 		fatalf("recordings share no benchmarks/metrics to compare")
 	}
 	perfstat.WriteTable(os.Stdout, deltas)
+	perfstat.WriteUncompared(os.Stdout, oldRep, newRep)
 
 	regs := perfstat.Regressions(deltas)
 	noisy := 0

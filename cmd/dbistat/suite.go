@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"time"
 
@@ -44,6 +45,7 @@ func suite(kind string, seed int64) []perfstat.Target {
 			perfstat.Target{Name: "micro/dbi.isdirty", Kind: perfstat.KindMicro, Run: dbiIsDirty},
 			perfstat.Target{Name: "micro/dbi.region", Kind: perfstat.KindMicro, Run: dbiRegion},
 			perfstat.Target{Name: "micro/cache.lookup", Kind: perfstat.KindMicro, Run: cacheLookup},
+			perfstat.Target{Name: "micro/cache.ssv", Kind: perfstat.KindMicro, Run: cacheSSV},
 			perfstat.Target{Name: "micro/trace.next", Kind: perfstat.KindMicro, Run: func() (perfstat.Counts, error) {
 				return traceNext(seed)
 			}},
@@ -188,6 +190,36 @@ func cacheLookup() (perfstat.Counts, error) {
 	}
 	for i := 0; i < microOps; i++ {
 		c.Access(addr.BlockAddr((i*37)&(blocks-1)), 0)
+	}
+	return perfstat.Counts{Ops: microOps}, nil
+}
+
+// cacheSSV measures the Virtual Write Queue's Set State Vector query
+// (mirrors cache.BenchmarkDirtyInLowRanks): Figure 6's VWQ L3 (1 MiB,
+// 16-way TA-DIP) warmed with twice its capacity of fills, half of them
+// dirty, plus a round of random hits, then queried over every set in
+// turn for a dirty block in its two LRU ways.
+func cacheSSV() (perfstat.Counts, error) {
+	c, err := cache.New(config.Scaled(1, config.VWQ).L3, 1, 1)
+	if err != nil {
+		return perfstat.Counts{}, err
+	}
+	rng := rand.New(rand.NewSource(1))
+	blocks := c.Params().Blocks()
+	for i := 0; i < 2*blocks; i++ {
+		c.Insert(addr.BlockAddr(i), 0, rng.Intn(2) == 0)
+	}
+	for i := 0; i < blocks; i++ {
+		c.Access(addr.BlockAddr(rng.Intn(2*blocks)), 0)
+	}
+	hits := 0
+	for i := 0; i < microOps; i++ {
+		if c.DirtyInLowRanks(i&(c.Sets()-1), 2) {
+			hits++
+		}
+	}
+	if hits == 0 {
+		return perfstat.Counts{}, fmt.Errorf("cache.ssv: warm-up left no dirty block in any set's LRU ways")
 	}
 	return perfstat.Counts{Ops: microOps}, nil
 }

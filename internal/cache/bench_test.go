@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"dbisim/internal/addr"
@@ -54,6 +55,31 @@ func BenchmarkLookup(b *testing.B) {
 		c.Lookup(addr.BlockAddr((i * 37) & (blocks - 1)))
 	}
 }
+
+// BenchmarkDirtyInLowRanks measures the Virtual Write Queue's Set State
+// Vector query on Figure 6's VWQ L3 (1 MiB, 16-way TA-DIP), warmed with
+// twice its capacity of fills, half of them dirty, plus a round of
+// random hits: every set in turn, two LRU ways, as the VWQ harvest asks.
+func BenchmarkDirtyInLowRanks(b *testing.B) {
+	c, err := New(config.Scaled(1, config.VWQ).L3, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	blocks := c.Params().Blocks()
+	for i := 0; i < 2*blocks; i++ {
+		c.Insert(addr.BlockAddr(i), 0, rng.Intn(2) == 0)
+	}
+	for i := 0; i < blocks; i++ {
+		c.Access(addr.BlockAddr(rng.Intn(2*blocks)), 0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ssvSink = c.DirtyInLowRanks(i&(c.Sets()-1), 2)
+	}
+}
+
+var ssvSink bool
 
 // BenchmarkMSHRRegisterComplete measures the miss-file probe over the
 // dense key column: register a miss, merge a second waiter, complete.

@@ -1,30 +1,20 @@
 package cache
 
-import "dbisim/internal/replacement"
+import "math/bits"
 
-// RankOf returns the eviction rank of (set, way): 0 = next victim.
-// It returns -1 when the policy cannot rank ways.
-func (c *Cache) RankOf(set, way int) int {
-	r, ok := c.policy.(replacement.Ranker)
-	if !ok {
-		return -1
-	}
-	return r.Rank(set, way)
-}
+// LowRanks returns the mask (bit w = way w) of the set's k ways closest
+// to eviction under the replacement policy, valid or not.
+func (c *Cache) LowRanks(set, k int) uint64 { return c.policy.LowRanks(set, k) }
 
 // DirtyInLowRanks reports whether the set holds a valid dirty block among
 // its k lowest-rank (closest-to-eviction) ways. This is the Set State
 // Vector query of the Virtual Write Queue: a cheap per-set summary that
 // filters tag lookups for proactive writebacks.
 func (c *Cache) DirtyInLowRanks(set, k int) bool {
-	r, ok := c.policy.(replacement.Ranker)
-	if !ok {
-		return false
-	}
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.validAt(i) && c.dirty[i] != 0 && r.Rank(set, w) < k {
+	for m := c.policy.LowRanks(set, k); m != 0; m &= m - 1 {
+		i := base + bits.TrailingZeros64(m)
+		if c.validAt(i) && c.dirty[i] != 0 {
 			return true
 		}
 	}

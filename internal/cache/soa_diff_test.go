@@ -230,7 +230,8 @@ func TestCacheDifferentialSoAvsAoS(t *testing.T) {
 }
 
 // TestTagProbeDoesNotAllocate pins the zero-allocation contract of the
-// rewritten tag-store hot paths and the MSHR probe.
+// rewritten tag-store hot paths, the Set State Vector query and the
+// MSHR probe.
 func TestTagProbeDoesNotAllocate(t *testing.T) {
 	c := mustNew(t, smallParams())
 	b := addr.BlockAddr(0x40)
@@ -250,6 +251,11 @@ func TestTagProbeDoesNotAllocate(t *testing.T) {
 		c.IsDirty(b)
 	}); n != 0 {
 		t.Fatalf("IsDirty allocates %.1f per op", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		c.DirtyInLowRanks(c.SetOf(b), 2)
+	}); n != 0 {
+		t.Fatalf("DirtyInLowRanks allocates %.1f per op", n)
 	}
 
 	// Conflict-insert steady state: same set, rotating tags.

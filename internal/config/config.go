@@ -162,6 +162,10 @@ func (c CacheParams) AccessLatency() uint64 {
 	return c.TagLatency
 }
 
+// MaxWays is the widest set a cache may have: the tag probe and the
+// replacement policies' LowRanks hold one bit per way in a uint64.
+const MaxWays = 64
+
 // Validate reports configuration errors.
 func (c CacheParams) Validate() error {
 	switch {
@@ -169,6 +173,8 @@ func (c CacheParams) Validate() error {
 		return fmt.Errorf("config: cache block size %d not a power of two", c.BlockSize)
 	case c.Ways <= 0:
 		return fmt.Errorf("config: cache ways %d", c.Ways)
+	case c.Ways > MaxWays:
+		return fmt.Errorf("config: cache ways %d above the %d-way limit", c.Ways, MaxWays)
 	case c.SizeBytes%(c.BlockSize*uint64(c.Ways)) != 0:
 		return fmt.Errorf("config: cache size %d not divisible into %d-way sets of %dB blocks",
 			c.SizeBytes, c.Ways, c.BlockSize)

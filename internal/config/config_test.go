@@ -77,6 +77,7 @@ func TestCacheParamsValidate(t *testing.T) {
 		{SizeBytes: 1 << 20, Ways: 0, BlockSize: 64},
 		{SizeBytes: 1000, Ways: 8, BlockSize: 64},
 		{SizeBytes: 3 * 64 * 8 * 4, Ways: 8, BlockSize: 64}, // 3 sets: not pow2
+		{SizeBytes: 2 * 128 * 64, Ways: 128, BlockSize: 64}, // 128 ways: above MaxWays
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

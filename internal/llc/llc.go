@@ -297,7 +297,7 @@ func (l *LLC) bindCallbacks() {
 		l.Stat.FillerLookups.Inc()
 		way, hit := l.Cache.Lookup(mate)
 		if hit && l.Cache.IsDirty(mate) &&
-			l.Cache.RankOf(l.Cache.SetOf(mate), way) < l.vwqDepth {
+			l.Cache.LowRanks(l.Cache.SetOf(mate), l.vwqDepth)&(1<<uint(way)) != 0 {
 			l.Cache.SetDirty(mate, false)
 			l.Stat.ProactiveWBs.Inc()
 			l.Attr.Charge(telemetry.ABytesWBProactive, l.Geo.BlockSize)

@@ -67,7 +67,7 @@ func (o DiffOptions) threshold() float64 {
 // Diff compares every benchmark×metric present in both reports and
 // returns the deltas sorted by benchmark then metric name. Benchmarks
 // or metrics present on only one side are skipped: the gate judges
-// common ground, the caller can report coverage separately.
+// common ground, and WriteUncompared reports what it left out.
 func Diff(base, head *Report, opt DiffOptions) []Delta {
 	var out []Delta
 	for _, nb := range head.Benchmarks {
@@ -136,6 +136,32 @@ func WriteTable(w io.Writer, deltas []Delta) {
 			d.Benchmark, d.Metric,
 			formatMean(d.Old), formatMean(d.New),
 			100*d.Pct, d.P, d.Verdict)
+	}
+}
+
+// WriteUncompared prints one "not compared: <benchmark>/<metric> (only
+// in old|new)" line, in sorted order, for each pair Diff skipped
+// because only one of the two reports has it.
+func WriteUncompared(w io.Writer, base, head *Report) {
+	var lines []string
+	only := func(a, b *Report, side string) {
+		for _, ab := range a.Benchmarks {
+			bb := b.Benchmark(ab.Name)
+			for metric := range ab.Metrics {
+				if bb != nil {
+					if _, ok := bb.Metrics[metric]; ok {
+						continue
+					}
+				}
+				lines = append(lines, fmt.Sprintf("not compared: %s/%s (only in %s)", ab.Name, metric, side))
+			}
+		}
+	}
+	only(base, head, "old")
+	only(head, base, "new")
+	sort.Strings(lines)
+	for _, l := range lines {
+		fmt.Fprintln(w, l)
 	}
 }
 

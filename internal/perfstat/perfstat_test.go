@@ -188,6 +188,41 @@ func TestDiffVerdicts(t *testing.T) {
 	}
 }
 
+// TestWriteUncompared pins the coverage report under the diff table:
+// one line per benchmark×metric pair that only one side recorded,
+// whether the whole benchmark or just the metric is missing.
+func TestWriteUncompared(t *testing.T) {
+	mk := func(name string, metrics ...string) Benchmark {
+		b := Benchmark{Name: name, Kind: KindMicro, Metrics: map[string]Summary{}}
+		for _, m := range metrics {
+			b.Metrics[m] = Summarize([]float64{1, 2})
+		}
+		return b
+	}
+	base := &Report{Schema: Schema, Benchmarks: []Benchmark{
+		mk("micro/cache.lookup", "ops_per_sec", "wall_ns"),
+		mk("macro/gone", "wall_ns"),
+	}}
+	head := &Report{Schema: Schema, Benchmarks: []Benchmark{
+		mk("micro/cache.lookup", "ops_per_sec", "allocs_per_op"),
+		mk("micro/cache.ssv", "ops_per_sec"),
+	}}
+	var sb strings.Builder
+	WriteUncompared(&sb, base, head)
+	want := "not compared: macro/gone/wall_ns (only in old)\n" +
+		"not compared: micro/cache.lookup/allocs_per_op (only in new)\n" +
+		"not compared: micro/cache.lookup/wall_ns (only in old)\n" +
+		"not compared: micro/cache.ssv/ops_per_sec (only in new)\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("WriteUncompared:\n%s\nwant:\n%s", got, want)
+	}
+	sb.Reset()
+	WriteUncompared(&sb, base, base)
+	if sb.Len() != 0 {
+		t.Fatalf("a report against itself left pairs uncompared:\n%s", sb.String())
+	}
+}
+
 func TestReportRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/BENCH_test.json"

@@ -26,6 +26,12 @@ type Policy interface {
 	OnMiss(set, thread int)
 	// Victim returns the way to evict from a full set.
 	Victim(set int) int
+	// LowRanks returns the mask (bit w = way w) of the set's k ways
+	// closest to eviction, invalid ways included. LRU and TA-DIP order
+	// ways by recency stamp, oldest first; DRRIP by RRPV, largest
+	// first; equal values go to the lower way. It is the Virtual Write
+	// Queue's Set State Vector query. Sets are at most 64 ways wide.
+	LowRanks(set, k int) uint64
 	// Reset returns the policy to the state a fresh construction with the
 	// given seed would have, reusing its arrays. Recency stamps and RRPVs
 	// are restored to their exact power-on values (not merely offset):
