@@ -6,7 +6,8 @@
 // A Policy manages recency state for a set-associative structure with a
 // fixed number of sets and ways. The owning cache calls Touch on hits,
 // Insert on fills, OnMiss on demand misses (for set-dueling counters) and
-// Victim to choose an eviction way when a set is full.
+// Victim to choose an eviction way when a set is full; the Virtual Write
+// Queue asks LowRanks for the ways closest to eviction.
 package replacement
 
 import (
@@ -28,7 +29,7 @@ type Policy interface {
 	Victim(set int) int
 	// LowRanks returns the mask (bit w = way w) of the set's k ways
 	// closest to eviction, invalid ways included. LRU and TA-DIP order
-	// ways by recency stamp, oldest first; DRRIP by RRPV, largest
+	// ways by recency stamp, smallest first; DRRIP by RRPV, largest
 	// first; equal values go to the lower way. It is the Virtual Write
 	// Queue's Set State Vector query. Sets are at most 64 ways wide.
 	LowRanks(set, k int) uint64
