@@ -41,10 +41,11 @@ package dbi
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 
 	"dbisim/internal/addr"
 	"dbisim/internal/config"
+	"dbisim/internal/simrand"
 	"dbisim/internal/stats"
 	"dbisim/internal/telemetry"
 )
@@ -109,8 +110,8 @@ type DBI struct {
 	wpe   int // words per entry: ceil(granularity/64)
 
 	clock uint64
-	rng   *rand.Rand
-	src   rand.Source // rng's source, retained for state capture
+	pcg   rand.PCG   // rng's state, held by value so Snapshot copies it
+	rng   *rand.Rand // draws from pcg
 
 	Stat Stats
 }
@@ -153,7 +154,6 @@ func New(opts ...Option) (*DBI, error) {
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
-	src := rand.NewSource(o.seed)
 	n := sets * prm.Associativity
 	wpe := (prm.Granularity + 63) / 64
 	d := &DBI{
@@ -169,9 +169,9 @@ func New(opts ...Option) (*DBI, error) {
 		rwpv:        make([]uint8, n),
 		words:       make([]uint64, n*wpe),
 		wpe:         wpe,
-		rng:         rand.New(src),
-		src:         src,
 	}
+	simrand.Seed(&d.pcg, o.seed)
+	d.rng = rand.New(&d.pcg)
 	d.regionShift = log2(uint64(prm.Granularity))
 	if prm.BIPEpsilonDen <= 0 {
 		d.prm.BIPEpsilonDen = 64
@@ -189,7 +189,7 @@ func New(opts ...Option) (*DBI, error) {
 func (d *DBI) Reset(seed int64) {
 	d.gen++
 	d.clock = 0
-	d.rng.Seed(seed)
+	simrand.Seed(&d.pcg, seed)
 	st := &d.Stat
 	st.Lookups, st.Writes, st.Cleans = 0, 0, 0
 	st.EntryInserts, st.Evictions, st.EvictionBlocks = 0, 0, 0
@@ -414,7 +414,7 @@ func (d *DBI) insertMetadata(e int) {
 		// Bimodal insertion: mostly insert at the LRW position so a
 		// single burst of writes to a cold row cannot displace the hot
 		// write working set.
-		if d.rng.Intn(d.prm.BIPEpsilonDen) != 0 {
+		if d.rng.IntN(d.prm.BIPEpsilonDen) != 0 {
 			d.lastWrite[e] = 0
 			return
 		}

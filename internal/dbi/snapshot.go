@@ -1,7 +1,8 @@
 package dbi
 
 import (
-	"dbisim/internal/randstate"
+	"math/rand/v2"
+
 	"dbisim/internal/stats"
 )
 
@@ -19,7 +20,7 @@ type State struct {
 	rwpv      []uint8
 	words     []uint64
 	clock     uint64
-	rng       randstate.State
+	pcg       rand.PCG
 
 	lookups, writes, cleans               stats.Counter
 	entryInserts, evictions, evictionBlks stats.Counter
@@ -42,7 +43,7 @@ func (d *DBI) Snapshot(st *State) {
 	copy(st.rwpv, d.rwpv)
 	copy(st.words, d.words)
 	st.clock = d.clock
-	randstate.MustSave(d.src, &st.rng)
+	st.pcg = d.pcg
 	s := &d.Stat
 	st.lookups, st.writes, st.cleans = s.Lookups, s.Writes, s.Cleans
 	st.entryInserts, st.evictions, st.evictionBlks = s.EntryInserts, s.Evictions, s.EvictionBlocks
@@ -62,7 +63,7 @@ func (d *DBI) Restore(st *State) {
 	copy(d.rwpv, st.rwpv)
 	copy(d.words, st.words)
 	d.clock = st.clock
-	randstate.MustRestore(d.src, &st.rng)
+	d.pcg = st.pcg
 	s := &d.Stat
 	s.Lookups, s.Writes, s.Cleans = st.lookups, st.writes, st.cleans
 	s.EntryInserts, s.Evictions, s.EvictionBlocks = st.entryInserts, st.evictions, st.evictionBlks

@@ -12,10 +12,12 @@ package dbi
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 
 	"dbisim/internal/addr"
 	"dbisim/internal/config"
+	"dbisim/internal/simrand"
 )
 
 // refDBIEntry is the old AoS layout: one record per entry, dirty bits
@@ -37,7 +39,7 @@ type refDBI struct {
 	repl        config.DBIReplacement
 	epsDen      int
 	clock       uint64
-	rng         *rand.Rand
+	rng         *randv2.Rand
 	entries     []refDBIEntry
 
 	inserts, evictions, evictionBlocks uint64
@@ -46,6 +48,8 @@ type refDBI struct {
 // newRefDBI mirrors the live DBI's geometry so both see the same sets,
 // ways and hash, and seeds an independent rng with the same seed.
 func newRefDBI(d *DBI, seed int64) *refDBI {
+	var pcg randv2.PCG
+	simrand.Seed(&pcg, seed)
 	r := &refDBI{
 		sets: d.Sets(), ways: d.Ways(),
 		granularity: d.Granularity(),
@@ -53,7 +57,7 @@ func newRefDBI(d *DBI, seed int64) *refDBI {
 		wpe:         (d.Granularity() + 63) / 64,
 		repl:        d.prm.Replacement,
 		epsDen:      d.prm.BIPEpsilonDen,
-		rng:         rand.New(rand.NewSource(seed)),
+		rng:         randv2.New(&pcg),
 		entries:     make([]refDBIEntry, d.Sets()*d.Ways()),
 	}
 	for i := range r.entries {
@@ -193,7 +197,7 @@ func (r *refDBI) setDirty(b addr.BlockAddr) (ev Eviction, evicted bool) {
 	e.setBit(r.offsetOf(b))
 	switch r.repl {
 	case config.DBILRWBIP:
-		if r.rng.Intn(r.epsDen) != 0 {
+		if r.rng.IntN(r.epsDen) != 0 {
 			e.lastWrite = 0
 		} else {
 			e.lastWrite = r.clock

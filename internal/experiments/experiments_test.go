@@ -177,29 +177,29 @@ func TestFlushExperiment(t *testing.T) {
 	}
 }
 
-// heapEngineCLBGolden holds the CLBSensitivity(tiny()) results captured
-// on the seed checkout's container/heap scheduler, before the timing
-// wheel replaced it. TestParallelMatchesSequential checks the current
-// engine against these values, extending the parallel==sequential
-// identity to a heap-vs-wheel identity: the scheduler rewrite must not
-// perturb a single bit of any experiment's results.
+// heapEngineCLBGolden holds the results of a sequential
+// CLBSensitivity(tiny()) on the math/rand/v2 PCG random sources.
+// TestParallelMatchesSequential checks both sweep paths against these
+// values, extending the parallel==sequential identity to an identity
+// across changes: no scheduler, pool or checkpoint change may perturb
+// a single bit of any experiment's results.
 var heapEngineCLBGolden = struct {
 	ipc    map[float64]float64
 	spread float64
 }{
 	ipc: map[float64]float64{
-		0.50: 0.3521072965004075,
-		0.75: 0.367866969931133,
-		0.95: 0.367720995425422,
+		0.50: 0.3519080732599452,
+		0.75: 0.3685359206310932,
+		0.95: 0.36862736146563135,
 	},
-	spread: 0.04475815635563585,
+	spread: 0.04751038545607922,
 }
 
 // TestParallelMatchesSequential is the harness's core invariant: a
 // sweep fanned out over many workers must produce bit-identical
 // results to the sequential path, because per-cell seeds depend only
 // on cell identity, never on scheduling. It also pins both paths to
-// the heap-scheduler golden above (heap-vs-wheel identity).
+// the golden above.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -228,16 +228,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("spread differs: %v vs %v", a.Spread, b.Spread)
 	}
 	if len(a.IPC) != len(heapEngineCLBGolden.ipc) {
-		t.Fatalf("cell count %d differs from heap-engine golden %d",
+		t.Fatalf("cell count %d differs from golden %d",
 			len(a.IPC), len(heapEngineCLBGolden.ipc))
 	}
 	for th, want := range heapEngineCLBGolden.ipc {
 		if got := a.IPC[th]; got != want {
-			t.Errorf("threshold %.2f: IPC %v differs from heap-engine golden %v", th, got, want)
+			t.Errorf("threshold %.2f: IPC %v differs from golden %v", th, got, want)
 		}
 	}
 	if a.Spread != heapEngineCLBGolden.spread {
-		t.Errorf("spread %v differs from heap-engine golden %v", a.Spread, heapEngineCLBGolden.spread)
+		t.Errorf("spread %v differs from golden %v", a.Spread, heapEngineCLBGolden.spread)
 	}
 }
 

@@ -12,7 +12,9 @@ package replacement
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
+
+	"dbisim/internal/simrand"
 )
 
 // Policy is the replacement interface shared by all cache levels.
@@ -128,8 +130,8 @@ type TADIP struct {
 	psel       []int
 	pselMax    int
 	epsilonDen int
-	rng        *rand.Rand
-	src        rand.Source // rng's source, retained for state capture
+	pcg        rand.PCG   // rng's state, held by value so Snapshot copies it
+	rng        *rand.Rand // draws from pcg
 }
 
 // TADIPConfig configures TA-DIP.
@@ -169,17 +171,17 @@ func NewTADIP(c TADIPConfig) *TADIP {
 	for i := range psel {
 		psel[i] = max / 2
 	}
-	src := rand.NewSource(c.Seed)
-	return &TADIP{
+	d := &TADIP{
 		s:          newLRUState(c.Sets, c.Ways),
 		sets:       c.Sets,
 		period:     period,
 		psel:       psel,
 		pselMax:    max,
 		epsilonDen: c.EpsilonDen,
-		rng:        rand.New(src),
-		src:        src,
 	}
+	simrand.Seed(&d.pcg, c.Seed)
+	d.rng = rand.New(&d.pcg)
+	return d
 }
 
 // Name implements Policy.
@@ -233,7 +235,7 @@ func (d *TADIP) useBIP(set, thread int) bool {
 // Insert implements Policy: MRU insertion under LRU, LRU insertion with
 // 1/epsilon MRU promotion under BIP.
 func (d *TADIP) Insert(set, way, thread int) {
-	if d.useBIP(set, thread) && d.rng.Intn(d.epsilonDen) != 0 {
+	if d.useBIP(set, thread) && d.rng.IntN(d.epsilonDen) != 0 {
 		d.s.demote(set, way)
 		return
 	}
@@ -250,7 +252,7 @@ func (d *TADIP) Reset(seed int64) {
 	for i := range d.psel {
 		d.psel[i] = d.pselMax / 2
 	}
-	d.rng.Seed(seed)
+	simrand.Seed(&d.pcg, seed)
 }
 
 // PSEL exposes the selector value for a thread (for tests/diagnostics).
@@ -300,8 +302,8 @@ type DRRIP struct {
 	psel       []int
 	pselMax    int
 	epsilonDen int
-	rng        *rand.Rand
-	src        rand.Source // rng's source, retained for state capture
+	pcg        rand.PCG   // rng's state, held by value so Snapshot copies it
+	rng        *rand.Rand // draws from pcg
 }
 
 // NewDRRIP returns a DRRIP policy with 2-bit RRPVs.
@@ -327,16 +329,16 @@ func NewDRRIP(c TADIPConfig) *DRRIP {
 	for i := range psel {
 		psel[i] = max / 2
 	}
-	src := rand.NewSource(c.Seed)
-	return &DRRIP{
+	d := &DRRIP{
 		r:          newRRIPState(c.Sets, c.Ways, 2),
 		period:     period,
 		psel:       psel,
 		pselMax:    max,
 		epsilonDen: c.EpsilonDen,
-		rng:        rand.New(src),
-		src:        src,
 	}
+	simrand.Seed(&d.pcg, c.Seed)
+	d.rng = rand.New(&d.pcg)
+	return d
 }
 
 // Name implements Policy.
@@ -385,7 +387,7 @@ func (d *DRRIP) Insert(set, way, thread int) {
 		useBRRIP = d.psel[t] > d.pselMax/2
 	}
 	v := d.r.max - 1
-	if useBRRIP && d.rng.Intn(d.epsilonDen) != 0 {
+	if useBRRIP && d.rng.IntN(d.epsilonDen) != 0 {
 		v = d.r.max
 	}
 	d.r.rrpv[set*d.r.ways+way] = v
@@ -400,7 +402,7 @@ func (d *DRRIP) Reset(seed int64) {
 	for i := range d.psel {
 		d.psel[i] = d.pselMax / 2
 	}
-	d.rng.Seed(seed)
+	simrand.Seed(&d.pcg, seed)
 }
 
 // Config bundles what caches need to construct a policy by kind.

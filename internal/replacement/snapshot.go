@@ -1,6 +1,6 @@
 package replacement
 
-import "dbisim/internal/randstate"
+import "math/rand/v2"
 
 // PolicyState is a checkpoint container shared by every policy: each
 // policy fills the fields it owns and ignores the rest. One shared
@@ -12,7 +12,7 @@ type PolicyState struct {
 	clock  uint64
 	rrpv   []uint8 // (D)RRIP re-reference values
 	psel   []int   // set-dueling selectors
-	rng    randstate.State
+	pcg    rand.PCG
 }
 
 func copyU64(dst []uint64, src []uint64) []uint64 {
@@ -56,7 +56,7 @@ func (d *TADIP) Snapshot(st *PolicyState) {
 	st.stamps = copyU64(st.stamps, d.s.stamps)
 	st.clock = d.s.clock
 	st.psel = copyInt(st.psel, d.psel)
-	randstate.MustSave(d.src, &st.rng)
+	st.pcg = d.pcg
 }
 
 // Restore implements Policy.
@@ -64,19 +64,19 @@ func (d *TADIP) Restore(st *PolicyState) {
 	copy(d.s.stamps, st.stamps)
 	d.s.clock = st.clock
 	copy(d.psel, st.psel)
-	randstate.MustRestore(d.src, &st.rng)
+	d.pcg = st.pcg
 }
 
 // Snapshot implements Policy.
 func (d *DRRIP) Snapshot(st *PolicyState) {
 	st.rrpv = copyU8(st.rrpv, d.r.rrpv)
 	st.psel = copyInt(st.psel, d.psel)
-	randstate.MustSave(d.src, &st.rng)
+	st.pcg = d.pcg
 }
 
 // Restore implements Policy.
 func (d *DRRIP) Restore(st *PolicyState) {
 	copy(d.r.rrpv, st.rrpv)
 	copy(d.psel, st.psel)
-	randstate.MustRestore(d.src, &st.rng)
+	d.pcg = st.pcg
 }

@@ -110,16 +110,15 @@ func TestAttributionSurvivesReset(t *testing.T) {
 // process-wide toggle routes the ledger into the pool's internally
 // constructed machines.
 func TestAttributionForkMatchesScratch(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable on this runtime")
-	}
 	t.Setenv(NoPoolEnv, "")
 	t.Setenv(NoForkEnv, "")
 	SetAttributionEnabled(true)
 	defer SetAttributionEnabled(false)
 	var pool ForkPool
-	for _, mech := range []config.Mechanism{config.Baseline, config.DBIAWBCLB} {
-		for _, measure := range []uint64{3000, 6000} {
+	mechs := []config.Mechanism{config.Baseline, config.DBIAWBCLB}
+	before := PoolStat.Snapshot()
+	for _, mech := range mechs {
+		for _, measure := range forkMeasures {
 			cfg := config.Scaled(2, mech)
 			cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, measure
 			benches := []string{"stream", "mcf"}
@@ -141,14 +140,12 @@ func TestAttributionForkMatchesScratch(t *testing.T) {
 			}
 		}
 	}
+	wantForked(t, before, len(mechs))
 }
 
 // TestAttributionSnapshotAllowed: unlike tracers and samplers, an
 // attached ledger must not make Snapshot/Restore refuse.
 func TestAttributionSnapshotAllowed(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable on this runtime")
-	}
 	cfg := smallCfg(1, config.TADIP)
 	cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, 4000
 	sys, err := New(cfg, []string{"stream"}, 5, WithAttribution())

@@ -199,12 +199,8 @@ func (p *ForkPool) insert(sys *System, sig config.SystemConfig) *forkMachine {
 // Run executes one cell, forking from a warmup checkpoint when one is
 // available and taking one when it is not.
 func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (Results, error) {
-	if os.Getenv(NoForkEnv) != "" || !Forkable() ||
+	if os.Getenv(NoForkEnv) != "" || os.Getenv(NoPoolEnv) != "" ||
 		cfg.WarmupInstructions == 0 || cfg.MeasureInstructions == 0 {
-		PoolStat.RefusedDisabled.Add(1)
-		return p.plain.Run(cfg, benches, seed)
-	}
-	if os.Getenv(NoPoolEnv) != "" {
 		PoolStat.RefusedDisabled.Add(1)
 		return p.plain.Run(cfg, benches, seed)
 	}

@@ -11,13 +11,10 @@ import (
 // TestForkedGoldenReplay replays the whole golden grid through a single
 // ForkPool twice — the first pass warms machines and takes checkpoints,
 // the second forks every cell from them — and asserts each cell's
-// Results remain bit-identical to the pinned seed-checkout values both
+// Results remain bit-identical to the pinned golden values both
 // times. This is the tentpole guarantee: fork-then-measure ≡
 // run-from-scratch.
 func TestForkedGoldenReplay(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable on this runtime")
-	}
 	t.Setenv(NoPoolEnv, "")
 	t.Setenv(NoForkEnv, "")
 	cells := loadGoldenCells(t)
@@ -37,42 +34,75 @@ func TestForkedGoldenReplay(t *testing.T) {
 	}
 }
 
+// forkMeasures are the measurement budgets the fork ≡ scratch
+// differentials give each config after a 4000-instruction warmup. They
+// exceed what the stream core issues while mcf is still warming, so
+// no cell is refused for overhang and every cell after a config's
+// first forks from its checkpoint.
+var forkMeasures = []uint64{20000, 30000, 40000}
+
+// wantForked fails t unless, since before, the pool forked every cell
+// but the first of each config and refused none for overhang: a
+// differential whose cells fall back to scratch runs compares scratch
+// with scratch.
+func wantForked(t *testing.T, before PoolSnapshot, configs int) {
+	t.Helper()
+	d := PoolStat.Snapshot().Sub(before)
+	want := uint64(configs * (len(forkMeasures) - 1))
+	if d.CkptHits != want || d.RefusedOverhang != 0 {
+		t.Errorf("pool forked %d cells (want %d) and refused %d for overhang (want 0)",
+			d.CkptHits, want, d.RefusedOverhang)
+	}
+}
+
 // TestForkMatchesScratchDifferential exercises the restore path
 // directly: for every mechanism, several cells share one warmup
 // identity (same config but for the measurement budget, same benches,
 // same seed) so every cell after the first forks from the group's
 // checkpoint — and each must equal a fresh scratch machine's Run
-// bit for bit.
+// bit for bit. The DRRIP L3 and the LRW-BIP DBI draw random numbers
+// mid-run, so they pin that the checkpoint carries their RNG state.
+// The DRRIP L3 is shrunk to 512 KiB: at full size it never evicts in
+// these windows, and its insertion draws could not change a result.
 func TestForkMatchesScratchDifferential(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable on this runtime")
-	}
 	t.Setenv(NoPoolEnv, "")
 	t.Setenv(NoForkEnv, "")
-	var pool ForkPool
-	mechs := []config.Mechanism{
+	var cfgs []config.SystemConfig
+	for _, mech := range []config.Mechanism{
 		config.Baseline, config.TADIP, config.DAWB, config.VWQ,
 		config.SkipCache, config.DBIAWB, config.DBICLB, config.DBIAWBCLB,
+	} {
+		cfgs = append(cfgs, config.Scaled(2, mech))
 	}
-	for _, mech := range mechs {
-		for _, measure := range []uint64{3000, 5000, 8000} {
-			cfg := config.Scaled(2, mech)
+	drrip := config.Scaled(2, config.DAWB)
+	drrip.L3.Replacement = config.ReplDRRIP
+	drrip.L3.SizeBytes = 512 << 10
+	bip := config.Scaled(2, config.DBIAWBCLB)
+	bip.DBI.Replacement = config.DBILRWBIP
+	cfgs = append(cfgs, drrip, bip)
+
+	var pool ForkPool
+	before := PoolStat.Snapshot()
+	for _, cfg := range cfgs {
+		for _, measure := range forkMeasures {
 			cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, measure
 			benches := []string{"stream", "mcf"}
 			forked, err := pool.Run(cfg, benches, 11)
 			if err != nil {
-				t.Fatalf("%v measure=%d: forked: %v", mech, measure, err)
+				t.Fatalf("%v/%v/%v measure=%d: forked: %v",
+					cfg.Mechanism, cfg.L3.Replacement, cfg.DBI.Replacement, measure, err)
 			}
 			fresh, err := New(cfg, benches, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := fresh.Run(); !reflect.DeepEqual(forked, want) {
-				t.Errorf("%v measure=%d: forked vs scratch diverge\nforked:  %+v\nscratch: %+v",
-					mech, measure, forked, want)
+				t.Errorf("%v/%v/%v measure=%d: forked vs scratch diverge\nforked:  %+v\nscratch: %+v",
+					cfg.Mechanism, cfg.L3.Replacement, cfg.DBI.Replacement, measure, forked, want)
 			}
 		}
 	}
+	wantForked(t, before, len(cfgs))
 }
 
 // TestNoForkEnvDisablesForking verifies the DBISIM_NO_FORK escape
@@ -94,9 +124,6 @@ func TestNoForkEnvDisablesForking(t *testing.T) {
 	}
 
 	t.Setenv(NoForkEnv, "")
-	if !Forkable() {
-		return
-	}
 	var forking ForkPool
 	for i := 0; i < 2; i++ {
 		got, err := forking.Run(cfg, benches, 21)
@@ -114,9 +141,6 @@ func TestNoForkEnvDisablesForking(t *testing.T) {
 // requires bit-identical outcome sets; under -race it also proves the
 // Release/adopt handoff shares no mutable state between live workers.
 func TestForkedParallelSweep(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable on this runtime")
-	}
 	t.Setenv(NoPoolEnv, "")
 	t.Setenv(NoForkEnv, "")
 	mechs := []config.Mechanism{config.Baseline, config.DBIAWBCLB}

@@ -10,12 +10,13 @@ import (
 )
 
 // TestGoldenResults replays the committed golden grid —
-// testdata/golden_results.json, captured from the seed checkout's
-// container/heap scheduler before the timing-wheel rewrite — and
-// asserts the current engine reproduces every cell's Results
-// bit-identically. This is the heap-vs-wheel identity guarantee in
-// executable form: any scheduler change that perturbs event order or
-// timing fails here first.
+// testdata/golden_results.json: 11 cells across every mechanism and
+// 1/2/4-core mixes, each the Results of a fresh New(cfg, benches,
+// seed).Run() on the math/rand/v2 PCG random sources — and asserts the
+// simulator reproduces every cell bit-identically. Any change that
+// perturbs event order, timing or a random stream fails here first;
+// the pooled and forked replays hold the other paths to the same
+// values.
 func TestGoldenResults(t *testing.T) {
 	type cell struct {
 		Mech    string   `json:"mech"`
@@ -54,7 +55,7 @@ func TestGoldenResults(t *testing.T) {
 		}
 		got := sys.Run()
 		if !reflect.DeepEqual(got, c.Results) {
-			t.Errorf("%s/%v: Results diverge from the seed checkout\n got: %+v\nwant: %+v",
+			t.Errorf("%s/%v: Results diverge from the golden grid\n got: %+v\nwant: %+v",
 				c.Mech, c.Benches, got, c.Results)
 		}
 	}

@@ -55,8 +55,8 @@ type PoolCounters struct {
 	// Refusal reasons, by kind. Each counts cells the fork scheduler
 	// could not serve from a checkpoint and why:
 	//
-	//   - Disabled: forking was off for the cell (DBISIM_NO_FORK, an
-	//     unforkable runtime, or a zero warmup/measure budget).
+	//   - Disabled: forking was off for the cell (DBISIM_NO_FORK or
+	//     DBISIM_NO_POOL set, or a zero warmup/measure budget).
 	//   - Restore: a retained checkpoint failed to restore or measure
 	//     and was dropped.
 	//   - Snapshot: the warmup boundary could not be captured.

@@ -58,7 +58,7 @@ func goldenConfig(t *testing.T, c goldenCell) config.SystemConfig {
 // Pool — so most cells execute on a machine dirtied by a previous cell
 // (reset path), and every mechanism/core-count transition exercises the
 // rebuild path — and asserts each cell's Results remain bit-identical to
-// the pinned seed-checkout values. This is the tentpole guarantee:
+// the pinned golden values. This is the tentpole guarantee:
 // reset-then-run ≡ fresh-construction-then-run.
 func TestPooledGoldenReplay(t *testing.T) {
 	t.Setenv(NoPoolEnv, "")

@@ -8,7 +8,6 @@ import (
 	"dbisim/internal/dram"
 	"dbisim/internal/event"
 	"dbisim/internal/llc"
-	"dbisim/internal/randstate"
 	"dbisim/internal/telemetry"
 	"dbisim/internal/trace"
 )
@@ -62,12 +61,6 @@ func WarmupSignature(cfg config.SystemConfig) config.SystemConfig {
 func WarmupKey(cfg config.SystemConfig, benches []string, seed int64) string {
 	return fmt.Sprintf("%+v|%v|%d", WarmupSignature(cfg), benches, seed)
 }
-
-// Forkable reports whether this build can checkpoint machines at all:
-// it requires the runtime-probed rand.Source mirror (see
-// internal/randstate) that lets generator and policy RNGs travel with
-// the checkpoint.
-func Forkable() bool { return randstate.Supported() }
 
 // RunWarmup executes only the warmup phase and parks the machine at the
 // warmup→measure boundary, leaving it in exactly the state a scratch
@@ -148,24 +141,11 @@ func (s *System) RunMeasure() (Results, error) {
 // Snapshot deep-copies the machine into ck. It is legal at any
 // quiescent point (the engine must not be mid-Run); the fork scheduler
 // always takes it at the warmup→measure boundary. Systems with
-// telemetry attached refuse — tracers and samplers accumulate host-side
-// state a restore cannot unwind — as do builds where the RNG mirror is
-// unavailable or a generator cannot checkpoint itself. On error ck is
-// unchanged except for its owner binding.
+// telemetry attached refuse: tracers and samplers accumulate host-side
+// state a restore cannot unwind. On error ck is unchanged.
 func (s *System) Snapshot(ck *Checkpoint) error {
 	if s.tracer != nil || s.sampler != nil {
 		return fmt.Errorf("system: cannot snapshot with telemetry attached")
-	}
-	if !randstate.Supported() {
-		return fmt.Errorf("system: rand.Source mirror unavailable on this runtime")
-	}
-	snaps := make([]trace.Snapshotter, len(s.gens))
-	for i, g := range s.gens {
-		sn, ok := g.(trace.Snapshotter)
-		if !ok {
-			return fmt.Errorf("system: core %d generator is not snapshottable", i)
-		}
-		snaps[i] = sn
 	}
 	ck.owner = s
 	ck.cfg = s.Cfg
@@ -177,7 +157,7 @@ func (s *System) Snapshot(ck *Checkpoint) error {
 	}
 	for i, c := range s.Cores {
 		c.Snapshot(&ck.cores[i])
-		snaps[i].Snapshot(&ck.gens[i])
+		s.gens[i].Snapshot(&ck.gens[i])
 	}
 	s.LLC.Snapshot(&ck.llc)
 	s.Mem.Snapshot(&ck.mem)
@@ -207,19 +187,11 @@ func (s *System) Restore(cfg config.SystemConfig, ck *Checkpoint) error {
 	if s.tracer != nil || s.sampler != nil {
 		return fmt.Errorf("system: cannot restore with telemetry attached")
 	}
-	snaps := make([]trace.Snapshotter, len(s.gens))
-	for i, g := range s.gens {
-		sn, ok := g.(trace.Snapshotter)
-		if !ok {
-			return fmt.Errorf("system: core %d generator is not snapshottable", i)
-		}
-		snaps[i] = sn
-	}
 	s.Cfg = cfg
 	s.Eng.Restore(&ck.eng)
 	for i, c := range s.Cores {
 		c.Restore(&ck.cores[i])
-		snaps[i].Restore(&ck.gens[i])
+		s.gens[i].Restore(&ck.gens[i])
 	}
 	s.LLC.Restore(&ck.llc)
 	s.Mem.Restore(&ck.mem)

@@ -76,9 +76,6 @@ func snapshotReplayCheck(t *testing.T, s *System) {
 // queued in the scan state machine (the evict-buffer/AWB drain in
 // flight) and proves a snapshot/restore replays the drain identically.
 func TestSnapshotMidDrain(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable on this runtime")
-	}
 	cfg := config.Scaled(1, config.DBIAWB)
 	cfg.WarmupInstructions, cfg.MeasureInstructions = 1000, 1000
 	s, err := New(cfg, []string{"stream"}, 5)
@@ -93,9 +90,6 @@ func TestSnapshotMidDrain(t *testing.T) {
 // merged misses (MSHR waiters parked on in-flight fills) and proves the
 // waiter callbacks survive the round trip.
 func TestSnapshotWithOccupiedMSHR(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable on this runtime")
-	}
 	cfg := config.Scaled(2, config.Baseline)
 	cfg.WarmupInstructions, cfg.MeasureInstructions = 1000, 1000
 	s, err := New(cfg, []string{"mcf", "milc"}, 6)
@@ -110,9 +104,6 @@ func TestSnapshotWithOccupiedMSHR(t *testing.T) {
 // error-before-mutation contract (same as Reset): a refused restore
 // leaves the machine untouched and still usable.
 func TestRestoreRefusals(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable on this runtime")
-	}
 	cfg := config.Scaled(1, config.DBIAWBCLB)
 	cfg.WarmupInstructions, cfg.MeasureInstructions = 2000, 3000
 	benches := []string{"stream"}

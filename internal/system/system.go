@@ -32,7 +32,7 @@ type System struct {
 	Cores []*cpu.Core
 
 	benchNames []string
-	gens       []trace.Generator // per-core generators, kept for Reset
+	gens       []*trace.Synth // per-core generators, kept for Reset and Snapshot
 	snap       snapshot
 
 	// attr is the machine's attribution ledger (nil when attribution
@@ -185,10 +185,9 @@ func Signature(cfg config.SystemConfig) config.SystemConfig {
 // construction), so a reset-then-Run is bit-identical to a fresh
 // System's Run. cfg may differ from the construction config only in its
 // warmup/measure budgets (Signature must match); benches may change
-// freely. Systems with telemetry options attached refuse to reset —
+// freely. Systems with telemetry options attached refuse to reset:
 // tracers and samplers accumulate host-side state a reset cannot
-// unwind — as do systems whose cores were built with a non-resettable
-// trace generator. On error the system is untouched.
+// unwind. On error the system is untouched.
 func (s *System) Reset(cfg config.SystemConfig, benches []string, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -210,20 +209,12 @@ func (s *System) Reset(cfg config.SystemConfig, benches []string, seed int64) er
 		}
 		profiles[i] = p
 	}
-	resetters := make([]trace.Resetter, len(s.gens))
-	for i, g := range s.gens {
-		r, ok := g.(trace.Resetter)
-		if !ok {
-			return fmt.Errorf("system: core %d generator is not resettable", i)
-		}
-		resetters[i] = r
-	}
 	s.Cfg = cfg
 	s.Eng.Reset()
 	s.Mem.Reset()
 	s.LLC.Reset(seed)
 	for i, c := range s.Cores {
-		resetters[i].Reset(profiles[i], addr.Addr(uint64(i+1)<<36), seed+int64(i)*131)
+		s.gens[i].Reset(profiles[i], addr.Addr(uint64(i+1)<<36), seed+int64(i)*131)
 		c.Reset(seed + int64(i)*977)
 	}
 	s.benchNames = append(s.benchNames[:0], benches...)

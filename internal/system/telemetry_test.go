@@ -221,9 +221,6 @@ func TestTelemetrySplitPhaseMatchesMonolithic(t *testing.T) {
 // be bit-identical to fresh monolithic runs with telemetry attached —
 // i.e. the two "observation must not perturb" invariants compose.
 func TestForkPoolMatchesTelemetryRun(t *testing.T) {
-	if !Forkable() {
-		t.Skip("rand.Source mirror unavailable; forking disabled on this runtime")
-	}
 	cfg, benches := telemetryCfg()
 	var pool ForkPool
 

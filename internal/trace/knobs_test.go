@@ -11,7 +11,7 @@ import (
 // property the DBI exploits.
 func TestStoreHotBiasConcentratesWrites(t *testing.T) {
 	p, _ := ByName("bzip2") // StoreHotBias 0.97
-	g := New(p, 0, 3).(*synth)
+	g := New(p, 0, 3)
 	hotVBlocks := g.hotBlocks
 	// Track virtual blocks via reverse page map.
 	rev := func(a addr.Addr) uint64 {
@@ -52,7 +52,7 @@ func TestRepeatRunsSurviveBiasedStores(t *testing.T) {
 		StoreFraction: 0.3, SeqWeight: 1, SeqRepeat: 4,
 		HotFraction: 0.01, HotAccessFraction: 0, StoreHotBias: 1,
 	}
-	g := New(p, 0, 9).(*synth)
+	g := New(p, 0, 9)
 	// Collect the virtual blocks of loads only: they must be sequential
 	// runs of length SeqRepeat.
 	var loads []uint64

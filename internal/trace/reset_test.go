@@ -27,7 +27,7 @@ func TestGeneratorResetMatchesFresh(t *testing.T) {
 			for i := 0; i < 50_000; i++ {
 				g.Next()
 			}
-			g.(Resetter).Reset(pTo, addr.Addr(2<<36), 23)
+			g.Reset(pTo, addr.Addr(2<<36), 23)
 			fresh := New(pTo, addr.Addr(2<<36), 23)
 			for i := 0; i < 50_000; i++ {
 				if got, want := g.Next(), fresh.Next(); got != want {

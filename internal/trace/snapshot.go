@@ -1,19 +1,10 @@
 package trace
 
 import (
-	"dbisim/internal/addr"
-	"dbisim/internal/randstate"
-)
+	"math/rand/v2"
 
-// Snapshotter is a Resetter whose mid-stream state can be captured into
-// a GenState and restored later, so a warmed generator can be forked:
-// the restored generator produces exactly the stream the captured one
-// would have produced next. All generators built by New implement it.
-type Snapshotter interface {
-	Resetter
-	Snapshot(st *GenState)
-	Restore(st *GenState)
-}
+	"dbisim/internal/addr"
+)
 
 // ptSlot is one live page-table entry: its probe position plus the
 // mapping, enough to rebuild translation behavior exactly. Stale slots
@@ -47,11 +38,13 @@ type GenState struct {
 	pt    []ptSlot
 	used  []uint64
 
-	rng randstate.State
+	pcg rand.PCG
 }
 
-// Snapshot captures the generator's full mid-stream state into st.
-func (s *synth) Snapshot(st *GenState) {
+// Snapshot captures the generator's full mid-stream state into st, so a
+// warmed generator can be forked: after Restore(st) it produces exactly
+// the stream it would have produced next.
+func (s *Synth) Snapshot(st *GenState) {
 	st.p = s.p
 	st.base = s.base
 	st.spanPages = s.spanPages
@@ -76,14 +69,13 @@ func (s *synth) Snapshot(st *GenState) {
 	st.used = st.used[:words]
 	copy(st.used, s.used.words[:words])
 
-	randstate.MustSave(s.src, &st.rng)
+	st.pcg = s.pcg
 }
 
-// Restore rewinds the generator to the captured state. The generator
-// must be one built by New; its tables are resized when the checkpoint
-// was taken under a different profile, and the rng resumes the exact
-// captured stream.
-func (s *synth) Restore(st *GenState) {
+// Restore rewinds the generator to the captured state. Its tables are
+// resized when the checkpoint was taken under a different profile, and
+// the rng resumes the exact captured stream.
+func (s *Synth) Restore(st *GenState) {
 	s.p = st.p
 	s.base = st.base
 	s.spanPages = st.spanPages
@@ -125,5 +117,5 @@ func (s *synth) Restore(st *GenState) {
 		s.used.words[i] = 0
 	}
 
-	randstate.MustRestore(s.src, &st.rng)
+	s.pcg = st.pcg
 }

@@ -11,7 +11,7 @@ func TestGeneratorSnapshotRestoreContinuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(p, addr.Addr(1<<36), 42).(Snapshotter)
+	g := New(p, addr.Addr(1<<36), 42)
 	for i := 0; i < 5000; i++ {
 		g.Next()
 	}
@@ -40,7 +40,7 @@ func TestGeneratorRestoreAcrossProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(pm, addr.Addr(1<<36), 7).(Snapshotter)
+	g := New(pm, addr.Addr(1<<36), 7)
 	for i := 0; i < 3000; i++ {
 		g.Next()
 	}

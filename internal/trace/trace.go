@@ -12,9 +12,10 @@ package trace
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"dbisim/internal/addr"
+	"dbisim/internal/simrand"
 )
 
 // Kind distinguishes loads from stores.
@@ -49,15 +50,6 @@ type Generator interface {
 	Name() string
 	// Next returns the next access record.
 	Next() Record
-}
-
-// Resetter is a Generator whose state can be returned to power-on for a
-// new profile, base and seed without reallocating its internal tables.
-// A reset generator produces the exact stream a freshly constructed one
-// would — the contract the sweep worker pool's reuse rests on.
-type Resetter interface {
-	Generator
-	Reset(p Profile, base addr.Addr, seed int64)
 }
 
 // Pattern describes one component of a benchmark's access mix.
@@ -146,7 +138,7 @@ func (i Intensity) String() string {
 // pageBlocks is the number of 64B blocks in a 4KB page.
 const pageBlocks = 64
 
-// synth is the deterministic generator built from a Profile.
+// Synth is the deterministic generator built from a Profile.
 //
 // The generator works in the benchmark's virtual address space and
 // translates to physical addresses through a randomized page table, the
@@ -155,11 +147,11 @@ const pageBlocks = 64
 // in unrelated DRAM rows, so dirty blocks of one physical row reach the
 // cache at unrelated times and are evicted far apart — writing them back
 // in eviction order produces mostly row misses (Section 3.1).
-type synth struct {
+type Synth struct {
 	p    Profile
-	rng  *rand.Rand
-	src  rand.Source // rng's source, retained for state capture
-	base addr.Addr   // base of this core's physical range
+	pcg  rand.PCG   // rng's state, held by value so Snapshot copies it
+	rng  *rand.Rand // draws from pcg
+	base addr.Addr  // base of this core's physical range
 
 	pt        pageTable // virtual page -> physical page index
 	used      bitset    // physical pages already handed out
@@ -240,8 +232,9 @@ func (b *bitset) set(i uint64)       { b.words[i>>6] |= 1 << (i & 63) }
 // New returns a deterministic generator for the profile. base offsets the
 // stream in physical memory (distinct cores get disjoint footprints) and
 // seed fixes the random components.
-func New(p Profile, base addr.Addr, seed int64) Generator {
-	s := &synth{}
+func New(p Profile, base addr.Addr, seed int64) *Synth {
+	s := &Synth{}
+	s.rng = rand.New(&s.pcg)
 	s.Reset(p, base, seed)
 	return s
 }
@@ -252,7 +245,7 @@ func New(p Profile, base addr.Addr, seed int64) Generator {
 // resulting stream is bit-identical to New(p, base, seed)'s: the rng is
 // reseeded identically and translation behavior depends only on table
 // hit/miss, which the generation bump resets exactly like fresh maps.
-func (s *synth) Reset(p Profile, base addr.Addr, seed int64) {
+func (s *Synth) Reset(p Profile, base addr.Addr, seed int64) {
 	blocks := p.FootprintBytes / 64
 	if blocks == 0 {
 		blocks = 1
@@ -285,17 +278,14 @@ func (s *synth) Reset(p Profile, base addr.Addr, seed int64) {
 	s.gapCarry = 0
 	s.pt.grow(vpages)
 	s.used.grow(s.spanPages)
-	if s.rng == nil {
-		s.src = rand.NewSource(seed)
-		s.rng = rand.New(s.src)
-	} else {
-		s.rng.Seed(seed)
-	}
+	simrand.Seed(&s.pcg, seed)
 }
 
-func (s *synth) Name() string { return s.p.Name }
+// Name implements Generator.
+func (s *Synth) Name() string { return s.p.Name }
 
-func (s *synth) Next() Record {
+// Next implements Generator.
+func (s *Synth) Next() Record {
 	rec := Record{Gap: s.gap()}
 	if s.rng.Float64() < s.p.StoreFraction {
 		rec.Kind = Store
@@ -308,7 +298,7 @@ func (s *synth) Next() Record {
 // process's randomized page table, allocating on first touch. The probe
 // loop doubles as the insertion scan: when it falls off the end of a
 // cluster (stale slot), vpage is absent and that very slot receives it.
-func (s *synth) translate(vblock uint64) uint64 {
+func (s *Synth) translate(vblock uint64) uint64 {
 	vpage := vblock / pageBlocks
 	t := &s.pt
 	i := (vpage * fibMix) & t.mask
@@ -320,7 +310,7 @@ func (s *synth) translate(vblock uint64) uint64 {
 	}
 	var ppage uint64
 	for {
-		ppage = uint64(s.rng.Int63n(int64(s.spanPages)))
+		ppage = uint64(s.rng.Int64N(int64(s.spanPages)))
 		if !s.used.test(ppage) {
 			break
 		}
@@ -331,7 +321,7 @@ func (s *synth) translate(vblock uint64) uint64 {
 }
 
 // gap draws a geometric-ish instruction gap with mean meanGap.
-func (s *synth) gap() uint32 {
+func (s *Synth) gap() uint32 {
 	if s.meanGap <= 0 {
 		return 0
 	}
@@ -351,12 +341,12 @@ func (s *synth) gap() uint32 {
 // re-accessed SeqRepeat times in a row before the next choice — the
 // word/field-granularity reuse within a 64B line that the L1 absorbs
 // (sequential array walks and pointer-chased structs alike).
-func (s *synth) pickBlock(k Kind) uint64 {
+func (s *Synth) pickBlock(k Kind) uint64 {
 	if k == Store && s.p.StoreHotBias > 0 && s.rng.Float64() < s.p.StoreHotBias {
 		// Biased stores interleave with the current read run without
 		// disturbing it (read an array element, update a hot
 		// accumulator), so the streamed blocks themselves stay clean.
-		return uint64(s.rng.Int63n(int64(s.hotBlocks)))
+		return uint64(s.rng.Int64N(int64(s.hotBlocks)))
 	}
 	if s.repLeft > 0 {
 		s.repLeft--
@@ -384,9 +374,9 @@ func (s *synth) pickBlock(k Kind) uint64 {
 		s.strideCursor = (s.strideCursor + stride) % s.blocks
 	default:
 		if s.rng.Float64() < s.p.HotAccessFraction {
-			b = uint64(s.rng.Int63n(int64(s.hotBlocks)))
+			b = uint64(s.rng.Int64N(int64(s.hotBlocks)))
 		} else {
-			b = uint64(s.rng.Int63n(int64(s.blocks)))
+			b = uint64(s.rng.Int64N(int64(s.blocks)))
 		}
 	}
 	s.curBlock = b

@@ -109,7 +109,7 @@ func TestGeneratorRespectsFootprintAndBase(t *testing.T) {
 
 func TestPageTranslationStableAndPageAligned(t *testing.T) {
 	p, _ := ByName("stream")
-	g := New(p, 0, 7).(*synth)
+	g := New(p, 0, 7)
 	a := g.translate(3)
 	if g.translate(3) != a {
 		t.Fatal("translation not stable")

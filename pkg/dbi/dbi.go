@@ -13,18 +13,16 @@
 // as write-back work the caller must perform — exactly a DBI eviction
 // (Section 2.2.4), reframed as back-pressure.
 //
-// Two implementations:
+// The one implementation, Sharded, hashes rows across N lock-striped
+// internal/dbi cores, each behind its own mutex; New builds it with one
+// shard. A whole row always lands in one shard, so row queries and
+// flushes stay single-lock and the AWB batch never spans shards.
 //
-//   - Single: one internal/dbi core behind one mutex — the reference
-//     implementation and the per-shard building block.
-//   - Sharded: rows hashed across N lock-striped cores. A whole row
-//     always lands in one shard, so row queries and flushes stay
-//     single-lock and the AWB batch never spans shards.
-//
-// Both inherit the core's struct-of-arrays layout: row entries live in
-// dense region/stamp probe columns and all dirty bits in one flat
-// backing array, so the steady-state SetDirty/IsDirty/row-query paths
-// touch a couple of cache lines and allocate nothing (DESIGN.md §12).
+// Each shard inherits the core's struct-of-arrays layout: row entries
+// live in dense region/stamp probe columns and all dirty bits in one
+// flat backing array, so the steady-state SetDirty/IsDirty/row-query
+// paths touch a couple of cache lines and allocate nothing (DESIGN.md
+// §12).
 package dbi
 
 import (

@@ -147,77 +147,10 @@ func (c cfg) geom() geom {
 	return g
 }
 
-// Single is a Tracker over one core behind one lock — the reference
-// implementation, and what each shard of a Sharded tracker is.
-type Single struct {
-	g  geom
-	sh shard
-}
-
-// New builds a single-core tracker.
-func New(opts ...Option) (*Single, error) {
-	c := defaults()
-	for _, fn := range opts {
-		fn(&c)
-	}
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	d, err := c.build(c.rows, c.seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Single{g: c.geom(), sh: shard{d: d}}, nil
-}
-
-// RowOf returns the row containing k.
-func (t *Single) RowOf(k Key) Row { return t.g.rowOf(k) }
-
-// RowSize returns keys per row.
-func (t *Single) RowSize() int { return t.g.rowSize }
-
-// SetDirty implements Tracker.
-func (t *Single) SetDirty(k Key) []Key { return t.sh.setDirty(addr.BlockAddr(k), nil) }
-
-// IsDirty implements Tracker.
-func (t *Single) IsDirty(k Key) bool { return t.sh.isDirty(addr.BlockAddr(k)) }
-
-// DirtyBlocksInRegion implements Tracker.
-func (t *Single) DirtyBlocksInRegion(k Key) []Key { return t.sh.region(addr.BlockAddr(k), nil) }
-
-// FlushRow implements Tracker.
-func (t *Single) FlushRow(k Key) []Key { return t.sh.flushRow(addr.BlockAddr(k), nil) }
-
-// SetDirtyBatch implements Batcher.
-func (t *Single) SetDirtyBatch(keys []Key, dst []Key) []Key {
-	for _, k := range keys {
-		dst = t.sh.setDirty(addr.BlockAddr(k), dst)
-	}
-	return dst
-}
-
-// IsDirtyBatch implements Batcher.
-func (t *Single) IsDirtyBatch(keys []Key, dst []bool) []bool {
-	for _, k := range keys {
-		dst = append(dst, t.sh.isDirty(addr.BlockAddr(k)))
-	}
-	return dst
-}
-
-// FlushRowsInto implements Batcher.
-func (t *Single) FlushRowsInto(keys []Key, dst []Key) []Key {
-	for _, k := range keys {
-		dst = t.sh.flushRow(addr.BlockAddr(k), dst)
-	}
-	return dst
-}
-
-// Stats implements Tracker.
-func (t *Single) Stats() Stats {
-	st := Stats{Shards: 1, Rows: t.sh.d.Entries(), RowSize: t.g.rowSize}
-	t.sh.addStats(&st)
-	return st
-}
+// New builds a one-shard tracker: one core behind one lock. It is
+// NewSharded(1, opts...), so its answers are those of a single core
+// seeded with WithSeed's seed.
+func New(opts ...Option) (*Sharded, error) { return NewSharded(1, opts...) }
 
 // fibMix is the 64-bit Fibonacci-hashing multiplier (2^64/φ, odd).
 const fibMix = 0x9E3779B97F4A7C15

@@ -108,9 +108,9 @@ func TestEvictionReturnsDisplacedKeys(t *testing.T) {
 }
 
 // TestShardedMatchesSingle drives an identical random workload through
-// a Single and a Sharded tracker and requires identical answers to
-// every query. Evictions differ (capacity is partitioned), so capacity
-// is kept large enough that neither evicts.
+// New's one-shard tracker and an 8-shard tracker and requires identical
+// answers to every query. Evictions differ (capacity is partitioned),
+// so capacity is kept large enough that neither evicts.
 func TestShardedMatchesSingle(t *testing.T) {
 	single, err := New(WithRows(1<<14), WithRowSize(64))
 	if err != nil {
