@@ -43,7 +43,7 @@ func BenchmarkInsertEvict(b *testing.B) {
 }
 
 // BenchmarkLookup measures the pure branchless tag probe: a full-set
-// scan over the dense addr/gen columns with no replacement update.
+// scan over the dense address column with no replacement update.
 func BenchmarkLookup(b *testing.B) {
 	c := benchCache(b)
 	blocks := c.Params().Blocks()

@@ -43,27 +43,25 @@ type Stats struct {
 // Cache is the structural model.
 //
 // The tag store is struct-of-arrays: instead of a slab of
-// entry{gen, addr, dirty, thread} records, each field lives in its own
-// dense column indexed by set*ways+way. The probe loop touches only the
-// two hot columns — the validity stamps and the block addresses — so a
-// 16-way set's probe plane is 2×128 contiguous bytes (two cache lines
-// per column) instead of 16 records dragging the cold dirty/thread
-// bytes through the scan. Validity is a generation stamp: a slot is
-// live iff gens[i] equals the cache's current generation, so Reset
-// invalidates the whole store by bumping one counter, and every read
-// path folds the stamp check into the tag compare.
+// entry{addr, dirty, thread} records, each field lives in its own dense
+// column indexed by set*ways+way. The probe loop touches only the hot
+// column of block addresses, so a 16-way set's probe plane is 128
+// contiguous bytes (two cache lines) instead of 16 records dragging the
+// cold dirty/thread bytes through the scan. Validity lives in that
+// column too: an empty slot holds the address empty, which no block
+// can have, so the tag compare alone decides a hit.
 type Cache struct {
 	params config.CacheParams
 	sets   int
 	ways   int
-	gen    uint64 // current validity generation (starts at 1; 0 = never valid)
 
-	// Hot probe plane: one stamp and one address per slot.
-	gens  []uint64
+	// Hot probe plane: one block address per slot (empty when invalid).
 	addrs []uint64
 	// Cold payload columns, touched only on hits and state changes.
+	// A thread is a core index, so a byte holds it (New enforces the
+	// bound).
 	dirty   []uint8
-	threads []int32
+	threads []uint8
 
 	policy replacement.Policy
 
@@ -71,11 +69,23 @@ type Cache struct {
 	Stats Stats
 }
 
+// empty is the address an invalid slot holds. The simulator's block
+// addresses are byte addresses shifted right by the 64-byte block
+// offset, so none reaches it.
+const empty = ^uint64(0)
+
+// maxThreads is the most threads a cache tracks: one byte per slot.
+const maxThreads = 1 << 8
+
 // New builds a cache from validated parameters. threads sizes the
-// thread-aware policies; seed fixes their random components.
+// thread-aware policies (at most maxThreads); seed fixes their random
+// components.
 func New(p config.CacheParams, threads int, seed int64) (*Cache, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if threads > maxThreads {
+		return nil, fmt.Errorf("cache: %d threads exceed the %d a thread byte holds", threads, maxThreads)
 	}
 	kind := replacement.KindLRU
 	switch p.Replacement {
@@ -95,29 +105,24 @@ func New(p config.CacheParams, threads int, seed int64) (*Cache, error) {
 		return nil, err
 	}
 	n := p.Sets() * p.Ways
-	return &Cache{
+	c := &Cache{
 		params:  p,
 		sets:    p.Sets(),
 		ways:    p.Ways,
-		gen:     1,
-		gens:    make([]uint64, n),
 		addrs:   make([]uint64, n),
 		dirty:   make([]uint8, n),
-		threads: make([]int32, n),
+		threads: make([]uint8, n),
 		policy:  pol,
-	}, nil
+	}
+	for i := range c.addrs {
+		c.addrs[i] = empty
+	}
+	return c, nil
 }
 
-// Reset returns the cache to power-on state: every block invalid (one
-// generation bump), replacement state re-derived from seed exactly as
-// New would, statistics zeroed. The tag columns and policy arrays are
-// retained, so a reset cache behaves bit-identically to a fresh one
-// without reallocating.
-func (c *Cache) Reset(seed int64) {
-	c.gen++
-	c.policy.Reset(seed)
-	c.Stats = Stats{}
-}
+// Seed restarts the replacement policy's random stream as New would
+// with seed.
+func (c *Cache) Seed(seed int64) { c.policy.Seed(seed) }
 
 // Params returns the configured parameters.
 func (c *Cache) Params() config.CacheParams { return c.params }
@@ -136,9 +141,8 @@ func (c *Cache) SetOf(b addr.BlockAddr) int {
 // slot returns the column index of (set, way).
 func (c *Cache) slot(set, way int) int { return set*c.ways + way }
 
-// validAt reports whether the slot's contents belong to the current
-// generation.
-func (c *Cache) validAt(i int) bool { return c.gens[i] == c.gen }
+// validAt reports whether the slot holds a block.
+func (c *Cache) validAt(i int) bool { return c.addrs[i] != empty }
 
 // BlockAt exposes the tag entry at (set, way) for diagnostics and for
 // mechanisms (VWQ, DAWB) that scan sets. Invalid slots read as the zero
@@ -168,21 +172,20 @@ func b2u(b bool) uint64 {
 
 // find locates a block without touching statistics or recency.
 //
-// The way scan is branchless: every way's tag and stamp are compared
-// (XOR-fold, so validity costs no extra compare) and the per-way match
-// bits accumulate into one mask — no early exit, so the loop's trip
-// count is data-independent and the branch predictor has nothing to
-// mispredict. At most one way can match (the insert path never admits
-// duplicates), making TrailingZeros the unique hit way.
+// The way scan is branchless: every way's tag is compared (an empty
+// slot never equals a block address, so validity costs no extra
+// compare) and the per-way match bits accumulate into one mask — no
+// early exit, so the loop's trip count is data-independent and the
+// branch predictor has nothing to mispredict. At most one way can match
+// (the insert path never admits duplicates), making TrailingZeros the
+// unique hit way.
 func (c *Cache) find(b addr.BlockAddr) (way int, ok bool) {
 	base := c.SetOf(b) * c.ways
-	gens := c.gens[base : base+c.ways]
 	addrs := c.addrs[base : base+c.ways : base+c.ways]
-	key, gen := uint64(b), c.gen
+	key := uint64(b)
 	var mask uint64
 	for w := range addrs {
-		miss := (addrs[w] ^ key) | (gens[w] ^ gen)
-		mask |= b2u(miss == 0) << uint(w)
+		mask |= b2u(addrs[w] == key) << uint(w)
 	}
 	if mask == 0 {
 		return 0, false
@@ -242,7 +245,7 @@ func (c *Cache) Insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) 
 	way := -1
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
-		if c.gens[base+w] != c.gen {
+		if !c.validAt(base + w) {
 			way = w
 			break
 		}
@@ -256,10 +259,9 @@ func (c *Cache) Insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) 
 		}
 	}
 	i := base + way
-	c.gens[i] = c.gen
 	c.addrs[i] = uint64(b)
 	c.dirty[i] = b2u8(dirty)
-	c.threads[i] = int32(thread)
+	c.threads[i] = uint8(thread)
 	c.policy.Insert(set, way, thread)
 	c.Stats.Inserts.Inc()
 	return victim
@@ -280,7 +282,7 @@ func (c *Cache) Invalidate(b addr.BlockAddr) (old Block, ok bool) {
 	}
 	set := c.SetOf(b)
 	old = c.BlockAt(set, way)
-	c.gens[c.slot(set, way)] = 0
+	c.addrs[c.slot(set, way)] = empty
 	return old, true
 }
 
@@ -306,7 +308,7 @@ func (c *Cache) IsDirty(b addr.BlockAddr) bool {
 // returns the extended slice, letting scan-heavy callers (flush loops,
 // AWB harvests) reuse one scratch buffer instead of allocating per call.
 func (c *Cache) DirtyBlocksInto(dst []addr.BlockAddr) []addr.BlockAddr {
-	for i := range c.gens {
+	for i := range c.addrs {
 		if c.validAt(i) && c.dirty[i] != 0 {
 			dst = append(dst, addr.BlockAddr(c.addrs[i]))
 		}
@@ -324,7 +326,7 @@ func (c *Cache) DirtyBlocks() []addr.BlockAddr {
 // CountValid returns the number of valid blocks (diagnostics).
 func (c *Cache) CountValid() int {
 	n := 0
-	for i := range c.gens {
+	for i := range c.addrs {
 		if c.validAt(i) {
 			n++
 		}

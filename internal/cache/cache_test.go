@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,45 @@ func TestBlockAt(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("inserted block not found via BlockAt")
+	}
+}
+
+// TestDirtyBlocksInto checks the scratch-reuse variant appends into the
+// provided buffer and agrees with DirtyBlocks.
+func TestDirtyBlocksInto(t *testing.T) {
+	c := mustNew(t, smallParams())
+	for i := 0; i < 32; i++ {
+		c.Insert(addr.BlockAddr(i), 0, i%2 == 0)
+	}
+	want := c.DirtyBlocks()
+	scratch := make([]addr.BlockAddr, 0, 64)
+	got := c.DirtyBlocksInto(scratch)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("DirtyBlocksInto = %v, want %v", got, want)
+	}
+	if cap(got) != cap(scratch) {
+		t.Errorf("DirtyBlocksInto reallocated: cap %d, scratch cap %d", cap(got), cap(scratch))
+	}
+	// Reuse with stale contents must not leak them.
+	got2 := c.DirtyBlocksInto(got[:0])
+	if !reflect.DeepEqual(got2, want) {
+		t.Errorf("reused DirtyBlocksInto = %v, want %v", got2, want)
+	}
+}
+
+// TestThreadBound pins the byte-wide thread column: the highest thread
+// index New admits reads back intact, and one thread more is refused.
+func TestThreadBound(t *testing.T) {
+	c, err := New(smallParams(), maxThreads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Insert(3, maxThreads-1, false)
+	way, _ := c.find(3)
+	if got := c.BlockAt(c.SetOf(3), way).Thread; got != maxThreads-1 {
+		t.Errorf("thread %d read back as %d", maxThreads-1, got)
+	}
+	if _, err := New(smallParams(), maxThreads+1, 1); err == nil {
+		t.Error("New accepted more threads than a byte holds")
 	}
 }

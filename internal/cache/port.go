@@ -102,19 +102,6 @@ func (p *Port) complete() {
 	p.dispatch()
 }
 
-// Reset returns the port to idle power-on state: no operation in
-// flight, queues emptied (capacity retained), counters zeroed. The
-// caller is responsible for resetting the engine first so no completion
-// event for a dropped in-flight op can still fire.
-func (p *Port) Reset() {
-	p.busy = false
-	p.demand = p.demand[:0]
-	p.background = p.background[:0]
-	p.curDone = nil
-	p.BusyCycles, p.DemandOps = 0, 0
-	p.BackgroundOps, p.QueueDelay = 0, 0
-}
-
 // RegisterMetrics adds the port's contention probes under the given
 // name prefix (e.g. "llc.port").
 func (p *Port) RegisterMetrics(reg *telemetry.Registry, prefix string) {
@@ -178,29 +165,6 @@ func NewMSHR(capacity int) *MSHR {
 		m.freeHead = 0
 	}
 	return m
-}
-
-// Reset empties the MSHR, rebuilding the free list and recycling waiter
-// slices. The probe table is cleared directly — it is a few cache lines
-// for realistic capacities.
-func (m *MSHR) Reset() {
-	for i := range m.table {
-		m.table[i] = 0
-		m.keys[i] = 0
-	}
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.waiters != nil {
-			m.wsFree = append(m.wsFree, e.waiters[:0])
-			e.waiters = nil
-		}
-		e.next = int32(i) + 1
-	}
-	if m.capacity > 0 {
-		m.entries[m.capacity-1].next = -1
-		m.freeHead = 0
-	}
-	m.n = 0
 }
 
 // findSlot probes for block. It returns the matching table slot and

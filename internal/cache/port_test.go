@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"dbisim/internal/event"
@@ -171,5 +172,59 @@ func TestMSHRCollisionChains(t *testing.T) {
 	}
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after draining, want 0", m.Len())
+	}
+}
+
+// TestMSHRChurn soaks the open-addressed table: a long random
+// register/complete mix cross-checked against a map model, exercising
+// collision chains and backward-shift deletion.
+func TestMSHRChurn(t *testing.T) {
+	m := NewMSHR(16)
+	model := map[uint64]int{}
+	rng := rand.New(rand.NewSource(3))
+	fired := map[uint64]int{}
+	for i := 0; i < 20000; i++ {
+		b := uint64(rng.Intn(64)) * 0x10000 // clustered keys: force collisions
+		if out := m.Outstanding(b); out != (model[b] > 0) {
+			t.Fatalf("step %d: Outstanding(%#x)=%v, model %v", i, b, out, model[b] > 0)
+		}
+		if model[b] > 0 || (!m.Full() && rng.Intn(2) == 0) {
+			if model[b] == 0 && m.Full() {
+				continue
+			}
+			b := b
+			m.Register(b, func() { fired[b]++ })
+			model[b]++
+		} else if model[b] > 0 {
+			m.Complete(b)
+			if fired[b] != model[b] {
+				t.Fatalf("step %d: %d waiters fired for %#x, want %d", i, fired[b], b, model[b])
+			}
+			fired[b] = 0
+			model[b] = 0
+		}
+		if rng.Intn(4) == 0 {
+			// Complete a random outstanding block.
+			for k, n := range model {
+				if n > 0 {
+					m.Complete(k)
+					if fired[k] != n {
+						t.Fatalf("step %d: %d waiters fired for %#x, want %d", i, fired[k], k, n)
+					}
+					fired[k] = 0
+					model[k] = 0
+					break
+				}
+			}
+		}
+		live := 0
+		for _, n := range model {
+			if n > 0 {
+				live++
+			}
+		}
+		if m.Len() != live {
+			t.Fatalf("step %d: Len=%d, model %d", i, m.Len(), live)
+		}
 	}
 }

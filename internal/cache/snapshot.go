@@ -5,33 +5,27 @@ import (
 	"dbisim/internal/stats"
 )
 
-// CacheState is a checkpoint of a Cache: the tag-store columns (with
-// their validity generation, so stale-slot semantics survive verbatim),
-// the statistics and the replacement policy state. The columns mirror
-// the live struct-of-arrays layout one-to-one, so capture and restore
-// are four flat copies. The zero value is ready; buffers are reused
-// across captures. A CacheState only makes sense for a cache of
-// identical geometry — the system layer enforces that.
+// CacheState is a checkpoint of a Cache: the tag-store columns, the
+// statistics and the replacement policy state. The columns mirror the
+// live struct-of-arrays layout one-to-one, so capture and restore are
+// three flat copies. The zero value is ready; buffers are reused across
+// captures. A CacheState only makes sense for a cache of identical
+// geometry — the system layer enforces that.
 type CacheState struct {
-	gen     uint64
-	gens    []uint64
 	addrs   []uint64
 	dirty   []uint8
-	threads []int32
+	threads []uint8
 	stats   Stats
 	pol     replacement.PolicyState
 }
 
 // Snapshot captures the cache into st.
 func (c *Cache) Snapshot(st *CacheState) {
-	st.gen = c.gen
-	if len(st.gens) != len(c.gens) {
-		st.gens = make([]uint64, len(c.gens))
+	if len(st.addrs) != len(c.addrs) {
 		st.addrs = make([]uint64, len(c.addrs))
 		st.dirty = make([]uint8, len(c.dirty))
-		st.threads = make([]int32, len(c.threads))
+		st.threads = make([]uint8, len(c.threads))
 	}
-	copy(st.gens, c.gens)
 	copy(st.addrs, c.addrs)
 	copy(st.dirty, c.dirty)
 	copy(st.threads, c.threads)
@@ -39,12 +33,10 @@ func (c *Cache) Snapshot(st *CacheState) {
 	c.policy.Snapshot(&st.pol)
 }
 
-// Restore writes st back. Every slot is restored — including stale
-// (older-generation) contents, which read paths never observe — so the
-// tag store is bitwise the captured one.
+// Restore writes st back. Every slot is restored — including the stale
+// payload of empty slots, which read paths never observe — so the tag
+// store is bitwise the captured one.
 func (c *Cache) Restore(st *CacheState) {
-	c.gen = st.gen
-	copy(c.gens, st.gens)
 	copy(c.addrs, st.addrs)
 	copy(c.dirty, st.dirty)
 	copy(c.threads, st.threads)

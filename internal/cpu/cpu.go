@@ -207,20 +207,6 @@ func (c *Core) getShared(b addr.BlockAddr) *sharedReq {
 	return r
 }
 
-// putShared detaches and recycles a record's waiter slice (dropping the
-// closure references it holds) and returns the record to the free list.
-func (c *Core) putShared(r *sharedReq) {
-	if r.waiters != nil {
-		for i := range r.waiters {
-			r.waiters[i] = sharedWaiter{}
-		}
-		c.swFree = append(c.swFree, r.waiters[:0])
-		r.waiters = nil
-	}
-	r.next = c.sharedFree
-	c.sharedFree = r
-}
-
 // Start begins execution: the core will call onDone once after issuing
 // budget instructions, then keep running (to preserve contention for
 // other cores) until Stop.
@@ -259,30 +245,11 @@ func (c *Core) MeasuredSince() uint64 { return c.issued - c.issuedAtStart }
 // Stop halts the core after its current event.
 func (c *Core) Stop() { c.stopped = true }
 
-// Reset returns the core and its private caches to power-on state with
-// fresh replacement seeds (the same derivation New uses: L1 gets seed,
-// L2 seed+1). The caller must reset the engine first so no stale advance
-// or load-completion event can fire into the new run, and must reset the
-// core's trace generator separately (the core does not own it).
-func (c *Core) Reset(seed int64) {
-	c.l1.Reset(seed)
-	c.l2.Reset(seed + 1)
-	c.issued, c.issuedAtStart = 0, 0
-	for _, s := range c.inflight {
-		c.putSlot(s)
-	}
-	c.inflight = c.inflight[:0]
-	c.stalled = false
-	c.stallAt = 0
-	c.deferred = trace.Record{}
-	c.stopped = false
-	for _, r := range c.outstanding {
-		c.putShared(r)
-	}
-	clear(c.outstanding)
-	c.budget, c.onDone, c.done = 0, nil, false
-	c.startCycle, c.doneCycle = 0, 0
-	c.Stat = Stats{}
+// Seed restarts the private caches' random streams with the seed
+// derivation New uses: L1 gets seed, L2 seed+1.
+func (c *Core) Seed(seed int64) {
+	c.l1.Seed(seed)
+	c.l2.Seed(seed + 1)
 }
 
 // Done reports whether the budget has been reached.

@@ -33,9 +33,8 @@
 // loop touches only the stamp and region columns — for a 4-way set that
 // is 2×32 contiguous bytes — scanning the region tags first and
 // confirming the validity stamp only on a tag match. An entry is valid
-// iff its stamp equals the DBI's current generation (stamp 0 = never
-// valid), which is also what lets the simulator's Reset path invalidate
-// everything by bumping one counter.
+// iff its stamp is 1 (0 = empty). The stamp is a flag, not a sentinel
+// region: service keys reach every region value.
 package dbi
 
 import (
@@ -95,9 +94,8 @@ type DBI struct {
 	granularity int
 	regionShift uint
 
-	gen uint64 // current validity generation (starts at 1; 0 = never valid)
-
-	// Hot probe plane: one stamp and one region tag per entry.
+	// Hot probe plane: one validity stamp (1 = live, 0 = empty) and one
+	// region tag per entry.
 	stamps  []uint64
 	regions []RegionID
 	// Replacement metadata columns.
@@ -162,7 +160,6 @@ func New(opts ...Option) (*DBI, error) {
 		sets:        sets,
 		ways:        prm.Associativity,
 		granularity: prm.Granularity,
-		gen:         1,
 		stamps:      make([]uint64, n),
 		regions:     make([]RegionID, n),
 		lastWrite:   make([]uint64, n),
@@ -180,21 +177,9 @@ func New(opts ...Option) (*DBI, error) {
 	return d, nil
 }
 
-// Reset returns the DBI to power-on state for a new run with the given
-// seed, reusing every allocation. Validity is a generation stamp, so
-// the whole index invalidates with one counter bump; the metadata
-// columns and bit words of stale entries are rewritten on their next
-// insert before any read path can observe them, which is what makes a
-// reset DBI behave bit-identically to the DBI New would build.
-func (d *DBI) Reset(seed int64) {
-	d.gen++
-	d.clock = 0
-	simrand.Seed(&d.pcg, seed)
-	st := &d.Stat
-	st.Lookups, st.Writes, st.Cleans = 0, 0, 0
-	st.EntryInserts, st.Evictions, st.EvictionBlocks = 0, 0, 0
-	st.DirtyAtEviction.Reset()
-}
+// Seed restarts the LRW-BIP insertion stream as New would with
+// WithSeed(seed).
+func (d *DBI) Seed(seed int64) { simrand.Seed(&d.pcg, seed) }
 
 func log2(v uint64) uint {
 	var n uint
@@ -241,10 +226,10 @@ func (d *DBI) setOf(r RegionID) int {
 	return int((h >> 32) & uint64(d.sets-1))
 }
 
-// validAt reports whether entry e is live in the current generation.
-func (d *DBI) validAt(e int) bool { return d.stamps[e] == d.gen }
+// validAt reports whether entry e is live.
+func (d *DBI) validAt(e int) bool { return d.stamps[e] != 0 }
 
-// invalidate marks entry e never-valid (stamp 0, like a fresh slot).
+// invalidate marks entry e empty (stamp 0, like a fresh slot).
 func (d *DBI) invalidate(e int) { d.stamps[e] = 0 }
 
 // bit vector accessors over the flat backing store.
@@ -281,9 +266,9 @@ func (d *DBI) find(r RegionID) int {
 	base := d.setOf(r) * d.ways
 	stamps := d.stamps[base : base+d.ways]
 	regions := d.regions[base : base+d.ways : base+d.ways]
-	key, gen := uint64(r), d.gen
+	key := uint64(r)
 	for w := range regions {
-		if uint64(regions[w]) == key && stamps[w] == gen {
+		if uint64(regions[w]) == key && stamps[w] != 0 {
 			return base + w
 		}
 	}
@@ -342,7 +327,7 @@ func (d *DBI) SetDirtyInto(b addr.BlockAddr, scratch []addr.BlockAddr) (ev Evict
 		evicted = true
 	}
 	e := set*d.ways + way
-	d.stamps[e] = d.gen
+	d.stamps[e] = 1
 	d.regions[e] = r
 	d.clearWords(e)
 	d.setBit(e, d.offsetOf(b))

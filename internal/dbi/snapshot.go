@@ -13,7 +13,6 @@ import (
 // included). The zero value is ready; buffers are reused across
 // captures.
 type State struct {
-	gen       uint64
 	stamps    []uint64
 	regions   []RegionID
 	lastWrite []uint64
@@ -36,7 +35,6 @@ func (d *DBI) Snapshot(st *State) {
 		st.rwpv = make([]uint8, len(d.rwpv))
 		st.words = make([]uint64, len(d.words))
 	}
-	st.gen = d.gen
 	copy(st.stamps, d.stamps)
 	copy(st.regions, d.regions)
 	copy(st.lastWrite, d.lastWrite)
@@ -52,11 +50,10 @@ func (d *DBI) Snapshot(st *State) {
 
 // Restore writes st back into the DBI that produced it (identical
 // parameters; the system layer enforces the geometry match). Every
-// column is restored verbatim — stale (older-generation) slots
+// column is restored verbatim — the stale metadata of empty slots
 // included, which read paths never observe — so the index is bitwise
 // the captured one.
 func (d *DBI) Restore(st *State) {
-	d.gen = st.gen
 	copy(d.stamps, st.stamps)
 	copy(d.regions, st.regions)
 	copy(d.lastWrite, st.lastWrite)

@@ -210,42 +210,6 @@ func New(eng *event.Engine, geo addr.Geometry, p config.DRAMParams) (*Controller
 	return c, nil
 }
 
-// Reset returns the controller to power-on state, reusing its queues
-// and transaction pool. The engine must have been Reset first: any
-// in-flight completion events are gone by then, so no stale callback
-// can observe the cleared state. Because New schedules the periodic
-// refresh as its first event, Reset re-schedules it here — immediately
-// after the engine reset — so the event sequence numbering of a reset
-// system matches a freshly constructed one exactly.
-func (c *Controller) Reset() {
-	for i := range c.banks {
-		c.banks[i] = bankState{}
-	}
-	c.readQ = c.readQ[:0]
-	c.writeQ = c.writeQ[:0]
-	c.inflight = 0
-	c.draining = false
-	c.drainBurst = 0
-	c.busFreeAt = 0
-	c.kickAt = 0
-	// Reclaim transactions that were in flight when the engine dropped
-	// their completion events: rebuild the free list from the registry.
-	c.txnFree = nil
-	for i := len(c.txnAll) - 1; i >= 0; i-- {
-		t := c.txnAll[i]
-		t.live = false
-		t.r = request{}
-		t.next = c.txnFree
-		c.txnFree = t
-	}
-	h := c.Stat.DrainBurst
-	c.Stat = Stats{DrainBurst: h}
-	h.Reset()
-	if c.Prm.RefreshInterval > 0 {
-		c.Eng.After(event.Cycle(c.Prm.RefreshInterval), c.refreshFn)
-	}
-}
-
 // Read enqueues a demand read for a block; done fires when data arrives.
 // A read that matches a buffered write is forwarded without a DRAM
 // access.

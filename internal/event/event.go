@@ -245,15 +245,16 @@ func (e *Engine) After(delta Cycle, fn Func) Handle {
 	return e.At(e.now+delta, fn)
 }
 
-// Reset returns the engine to its power-on state in O(pending) time:
-// every queued record (live or canceled) is recycled into the free list
-// with its generation bumped, so stale Handles held by clients become
-// inert, and the clock, sequence counter, fired count and wheel cursor
-// return to zero. The record arena and scratch buffers are retained, so
-// a reset engine schedules with zero allocations from the first event.
-// Only occupied wheel slots are visited (found via the occupancy
-// bitmaps); the 768 empty buckets of a drained wheel cost nothing.
-func (e *Engine) Reset() {
+// drain returns the engine to its power-on state in O(pending) time —
+// the first step of Restore: every queued record (live or canceled) is
+// recycled into the free list with its generation bumped, so stale
+// Handles held by clients become inert, and the clock, sequence
+// counter, fired count and wheel cursor return to zero. The record
+// arena and scratch buffers are retained, so a drained engine schedules
+// with zero allocations from the first event. Only occupied wheel slots
+// are visited (found via the occupancy bitmaps); the 768 empty buckets
+// of a drained wheel cost nothing.
+func (e *Engine) drain() {
 	for level := 0; level < wheelLevels; level++ {
 		for w := range e.occ[level] {
 			word := e.occ[level][w]

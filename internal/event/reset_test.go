@@ -32,9 +32,10 @@ func script(e *Engine) []int {
 }
 
 // TestEngineResetReplaysIdentically fills an engine with events across
-// every internal structure, resets it mid-flight, and requires the
-// replayed script to fire in exactly the order a factory-fresh engine
-// produces — with zeroed clock, fired counter, and pending count.
+// every internal structure, drains it mid-flight (the first step of
+// Restore), and requires the replayed script to fire in exactly the
+// order a factory-fresh engine produces — with zeroed clock, fired
+// counter, and pending count.
 func TestEngineResetReplaysIdentically(t *testing.T) {
 	var fresh Engine
 	want := script(&fresh)
@@ -47,26 +48,26 @@ func TestEngineResetReplaysIdentically(t *testing.T) {
 	e.At(50_000_000, func() {})
 	e.RunUntil(100)
 
-	e.Reset()
+	e.drain()
 	if e.Now() != 0 || e.Fired() != 0 || e.Pending() != 0 {
-		t.Fatalf("after Reset: now=%d fired=%d pending=%d, want all zero",
+		t.Fatalf("after drain: now=%d fired=%d pending=%d, want all zero",
 			e.Now(), e.Fired(), e.Pending())
 	}
 	if got := script(&e); !reflect.DeepEqual(got, want) {
-		t.Errorf("replay after Reset fired %v, fresh engine fired %v", got, want)
+		t.Errorf("replay after drain fired %v, fresh engine fired %v", got, want)
 	}
 }
 
 // TestEngineResetTwice guards the trivial but easy-to-break case:
-// resetting an already-reset (or never-used) engine is a no-op.
+// draining an already-drained (or never-used) engine is a no-op.
 func TestEngineResetTwice(t *testing.T) {
 	var e Engine
-	e.Reset()
-	e.Reset()
+	e.drain()
+	e.drain()
 	fired := false
 	e.After(1, func() { fired = true })
 	e.Run()
 	if !fired {
-		t.Error("event did not fire after double Reset")
+		t.Error("event did not fire after double drain")
 	}
 }

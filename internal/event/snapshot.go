@@ -65,15 +65,14 @@ func (e *Engine) Snapshot(st *EngineState) {
 }
 
 // Restore rewinds the engine to the checkpoint: the current schedule is
-// drained (recycling its records exactly like Reset, so stale Handles
-// go inert), the clock, sequence and fired counters come back, and the
+// drained (its records recycled, so stale Handles go inert), the clock, sequence and fired counters come back, and the
 // saved events re-enter the wheel against the saved cursor with their
 // original sequence numbers. Because events fire in global (at, seq)
 // order regardless of which wheel structure holds them, the restored
 // engine fires the identical event sequence the snapshotted one would
 // have — the property the fork-vs-scratch differential tests pin.
 func (e *Engine) Restore(st *EngineState) {
-	e.Reset()
+	e.drain()
 	e.now, e.seq, e.fired = st.now, st.seq, st.fired
 	e.stopped = st.stopped
 	e.wheelBase = st.wheelBase

@@ -59,10 +59,9 @@ func (o Options) multiCell(exp string, mech config.Mechanism, mixName string, be
 // also pushed to the Recorder for the -json report. Each worker keeps
 // one system.ForkPool: cells are grouped by warmup identity, so a group
 // warms one machine, checkpoints it at the warmup→measure boundary and
-// forks every sibling cell from the snapshot — and falls back to the
-// plain reset path otherwise (results stay bit-identical either way —
-// set DBISIM_NO_FORK to force reset-per-cell, DBISIM_NO_POOL to force
-// fresh construction per cell).
+// forks every sibling cell from the snapshot — and otherwise runs the
+// cell whole on a pooled machine reset to power-on (results stay
+// bit-identical either way; set DBISIM_NO_FORK to reset per cell).
 func (o Options) runCells(cells []simCell) ([]system.Results, error) {
 	sc := make([]sweep.StateCell[system.Results, system.ForkPool], len(cells))
 	seeds := make([]int64, len(cells))

@@ -774,49 +774,11 @@ func (l *LLC) Flush() int {
 	return n
 }
 
-// Reset returns the LLC and everything it owns — tag store, port, DBI,
-// miss predictor, MSHR file, scan machinery — to power-on state, with
-// the same seed derivation New uses (the cache takes seed, the DBI
-// seed+1). The caller must reset the engine first so no port-completion
-// or scan-wake event from the previous run can fire. Pooled scratch
-// (tag requests, harvest buffers, MSHR waiter slices) is retained.
-func (l *LLC) Reset(seed int64) {
-	l.Cache.Reset(seed)
-	l.Port.Reset()
+// Seed restarts the LLC's random streams with the seed derivation New
+// uses: the cache takes seed, the DBI seed+1.
+func (l *LLC) Seed(seed int64) {
+	l.Cache.Seed(seed)
 	if l.DBI != nil {
-		l.DBI.Reset(seed + 1)
+		l.DBI.Seed(seed + 1)
 	}
-	if l.Pred != nil {
-		l.Pred.Reset()
-	}
-	l.mshr.Reset()
-	for i := range l.scanQ {
-		l.putMates(l.scanQ[i].blocks)
-		l.scanQ[i] = scanJob{}
-	}
-	l.scanQ = l.scanQ[:0]
-	l.scanning = false
-	l.nextScanAt = 0
-	l.scanWake = false
-	l.curScanBlock = 0
-	l.curScanVisit = nil
-	// Reclaim records that were in flight when the engine dropped their
-	// completion events: rebuild both free lists from the registries.
-	l.tagFree = nil
-	for i := len(l.tagAll) - 1; i >= 0; i-- {
-		rr := l.tagAll[i]
-		rr.live = false
-		rr.done = nil
-		rr.next = l.tagFree
-		l.tagFree = rr
-	}
-	l.fillFree = nil
-	for i := len(l.fillAll) - 1; i >= 0; i-- {
-		r := l.fillAll[i]
-		r.live = false
-		r.done = nil
-		r.next = l.fillFree
-		l.fillFree = r
-	}
-	l.Stat = Stats{}
 }

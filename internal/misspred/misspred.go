@@ -64,16 +64,6 @@ func New(prm config.MissPredictorParams, llcSets, threads int) (*Predictor, erro
 	}, nil
 }
 
-// Reset returns the predictor to power-on state: all threads out of
-// bypass mode, sample counters and statistics zeroed.
-func (p *Predictor) Reset() {
-	p.epochStart = 0
-	for i := range p.threads {
-		p.threads[i] = threadState{}
-	}
-	p.Stat.Predictions, p.Stat.Epochs = 0, 0
-}
-
 // Sampled reports whether a set is a monitored sample set. Accesses to
 // sampled sets are never bypassed.
 func (p *Predictor) Sampled(set int) bool { return set%p.samplePer == 0 }

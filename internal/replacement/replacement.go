@@ -35,12 +35,11 @@ type Policy interface {
 	// first; equal values go to the lower way. It is the Virtual Write
 	// Queue's Set State Vector query. Sets are at most 64 ways wide.
 	LowRanks(set, k int) uint64
-	// Reset returns the policy to the state a fresh construction with the
-	// given seed would have, reusing its arrays. Recency stamps and RRPVs
-	// are restored to their exact power-on values (not merely offset):
-	// stale values would leak through tie-breaks and demotion minima and
-	// break the fresh-vs-reset bit-identity the sweep pool depends on.
-	Reset(seed int64)
+	// Seed restarts the policy's random stream as construction with
+	// seed would; recency and dueling state are left alone. Restoring a
+	// power-on Snapshot and then calling Seed reproduces a fresh policy
+	// built with that seed.
+	Seed(seed int64)
 	// Snapshot captures the policy's full state (recency/RRPV arrays,
 	// dueling selectors, rng) into st; Restore writes it back, so a
 	// restored policy makes exactly the decisions the captured one would
@@ -79,13 +78,6 @@ func (s *lruState) demote(set, way int) {
 	s.stamps[set*s.ways+way] = min - 1
 }
 
-func (s *lruState) reset() {
-	for i := range s.stamps {
-		s.stamps[i] = 0
-	}
-	s.clock = 0
-}
-
 func (s *lruState) victim(set int) int {
 	best, bestStamp := 0, s.stamps[set*s.ways]
 	for w := 1; w < s.ways; w++ {
@@ -117,8 +109,8 @@ func (l *LRU) OnMiss(set, thread int) {}
 // Victim implements Policy.
 func (l *LRU) Victim(set int) int { return l.s.victim(set) }
 
-// Reset implements Policy (seed unused: LRU has no random component).
-func (l *LRU) Reset(seed int64) { l.s.reset() }
+// Seed implements Policy (LRU has no random component).
+func (l *LRU) Seed(seed int64) {}
 
 // TADIP is the thread-aware dynamic insertion policy [Jaleel+, PACT'08;
 // Qureshi+, ISCA'07]: each thread duels LRU insertion against bimodal
@@ -245,15 +237,8 @@ func (d *TADIP) Insert(set, way, thread int) {
 // Victim implements Policy.
 func (d *TADIP) Victim(set int) int { return d.s.victim(set) }
 
-// Reset implements Policy: recency cleared, selectors back to neutral,
-// rng reseeded to the same stream construction with seed yields.
-func (d *TADIP) Reset(seed int64) {
-	d.s.reset()
-	for i := range d.psel {
-		d.psel[i] = d.pselMax / 2
-	}
-	simrand.Seed(&d.pcg, seed)
-}
+// Seed implements Policy.
+func (d *TADIP) Seed(seed int64) { simrand.Seed(&d.pcg, seed) }
 
 // PSEL exposes the selector value for a thread (for tests/diagnostics).
 func (d *TADIP) PSEL(thread int) int { return d.psel[thread%len(d.psel)] }
@@ -272,12 +257,6 @@ func newRRIPState(sets, ways int, bits int) *rripState {
 		r.rrpv[i] = max
 	}
 	return r
-}
-
-func (r *rripState) reset() {
-	for i := range r.rrpv {
-		r.rrpv[i] = r.max
-	}
 }
 
 func (r *rripState) victim(set int) int {
@@ -396,14 +375,8 @@ func (d *DRRIP) Insert(set, way, thread int) {
 // Victim implements Policy.
 func (d *DRRIP) Victim(set int) int { return d.r.victim(set) }
 
-// Reset implements Policy.
-func (d *DRRIP) Reset(seed int64) {
-	d.r.reset()
-	for i := range d.psel {
-		d.psel[i] = d.pselMax / 2
-	}
-	simrand.Seed(&d.pcg, seed)
-}
+// Seed implements Policy.
+func (d *DRRIP) Seed(seed int64) { simrand.Seed(&d.pcg, seed) }
 
 // Config bundles what caches need to construct a policy by kind.
 type Config struct {

@@ -127,16 +127,6 @@ func (h *Histogram) Observe(v int) {
 	h.buckets[v]++
 }
 
-// Reset discards all observed samples, keeping the bucket layout. It is
-// the histogram half of the simulator-wide Reset protocol: components
-// zero their counters and Reset their histograms instead of reallocating.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.count, h.sum = 0, 0
-}
-
 // CopyFrom makes h an exact copy of src — bucket contents, count and
 // sum — reallocating h's bucket array only when the layouts differ. It
 // is the histogram half of the checkpoint protocol: Snapshot copies a

@@ -110,7 +110,6 @@ func TestAttributionSurvivesReset(t *testing.T) {
 // process-wide toggle routes the ledger into the pool's internally
 // constructed machines.
 func TestAttributionForkMatchesScratch(t *testing.T) {
-	t.Setenv(NoPoolEnv, "")
 	t.Setenv(NoForkEnv, "")
 	SetAttributionEnabled(true)
 	defer SetAttributionEnabled(false)

@@ -8,9 +8,9 @@ import (
 )
 
 // NoForkEnv, when set to any non-empty value, disables checkpoint
-// forking: ForkPool degrades to the plain reset Pool (which itself
-// honors DBISIM_NO_POOL). It is the escape hatch for bisecting a
-// suspected checkpoint bug and the lever CI uses to smoke both paths.
+// forking: ForkPool runs every cell whole on a pooled machine reset to
+// power-on. It is the escape hatch for bisecting a suspected checkpoint
+// bug and the lever CI uses to smoke both paths.
 const NoForkEnv = "DBISIM_NO_FORK"
 
 const (
@@ -95,7 +95,7 @@ func (m *forkMachine) take(key string, clock uint64) *forkCkpt {
 // O(N·(warmup+measure)) sweeps into O(warmup + N·measure). Results are
 // bit-identical to New(cfg, benches, seed).Run() regardless of history;
 // whenever a checkpoint cannot be taken, restored, or measured from,
-// the pool falls back to the plain reset path.
+// the pool runs the cell whole on a machine reset in place.
 //
 // A ForkPool is NOT safe for concurrent use: each sweep worker owns its
 // own. The zero value is ready. Call Release when the worker is done to
@@ -111,15 +111,26 @@ func (m *forkMachine) take(key string, clock uint64) *forkCkpt {
 type ForkPool struct {
 	machines []*forkMachine
 	clock    uint64
-	plain    Pool
 	adopted  bool
+
+	// worker is the owning sweep worker's index, carried into the
+	// ops-plane pool events.
+	worker    int
+	workerSet bool
 }
 
-// SetWorker labels the pool (and its plain fallback) with the owning
-// sweep worker's index for ops-plane event attribution.
-func (p *ForkPool) SetWorker(w int) { p.plain.SetWorker(w) }
+// SetWorker labels the pool with its owning sweep worker's index, so
+// ops-plane events attribute decisions to worker lanes. The sweep
+// scheduler calls it once per worker state; it has no effect on
+// simulation.
+func (p *ForkPool) SetWorker(w int) { p.worker, p.workerSet = w, true }
 
-func (p *ForkPool) workerID() int { return p.plain.workerID() }
+func (p *ForkPool) workerID() int {
+	if !p.workerSet {
+		return -1
+	}
+	return p.worker
+}
 
 // sharedPools carries released machine sets across ForkPool lifetimes.
 var (
@@ -196,19 +207,42 @@ func (p *ForkPool) insert(sys *System, sig config.SystemConfig) *forkMachine {
 	return m
 }
 
+// ready returns a pooled machine at New(cfg, benches, seed)'s power-on
+// state: m (the pool's machine for cfg's signature, or nil) reset in
+// place, or a new machine when there is none.
+func (p *ForkPool) ready(m *forkMachine, cfg config.SystemConfig, benches []string, seed int64) (*forkMachine, error) {
+	if m != nil {
+		if err := m.sys.Reset(cfg, benches, seed); err != nil {
+			return nil, err
+		}
+		PoolStat.Resets.Add(1)
+		poolEvent(p.workerID(), "reset", "")
+		return m, nil
+	}
+	sys, err := New(cfg, benches, seed)
+	if err != nil {
+		return nil, err
+	}
+	PoolStat.Rebuilds.Add(1)
+	poolEvent(p.workerID(), "rebuild", "")
+	return p.insert(sys, Signature(cfg)), nil
+}
+
 // Run executes one cell, forking from a warmup checkpoint when one is
 // available and taking one when it is not.
 func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (Results, error) {
-	if os.Getenv(NoForkEnv) != "" || os.Getenv(NoPoolEnv) != "" ||
-		cfg.WarmupInstructions == 0 || cfg.MeasureInstructions == 0 {
-		PoolStat.RefusedDisabled.Add(1)
-		return p.plain.Run(cfg, benches, seed)
-	}
 	p.adopt()
-
 	sig := Signature(cfg)
-	key := WarmupKey(cfg, benches, seed)
 	m := p.machine(sig)
+	if os.Getenv(NoForkEnv) != "" || cfg.WarmupInstructions == 0 || cfg.MeasureInstructions == 0 {
+		PoolStat.RefusedDisabled.Add(1)
+		m, err := p.ready(m, cfg, benches, seed)
+		if err != nil {
+			return Results{}, err
+		}
+		return m.sys.Run(), nil
+	}
+	key := WarmupKey(cfg, benches, seed)
 
 	// Fast path: restore the group's checkpoint and measure.
 	if m != nil {
@@ -233,20 +267,9 @@ func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (R
 
 	// Slow path: get a machine at this cell's run state, warm it,
 	// checkpoint the boundary, then measure.
-	if m == nil {
-		sys, err := New(cfg, benches, seed)
-		if err != nil {
-			return Results{}, err
-		}
-		m = p.insert(sys, sig)
-		PoolStat.Rebuilds.Add(1)
-		poolEvent(p.workerID(), "rebuild", "new fork machine")
-	} else {
-		if err := m.sys.Reset(cfg, benches, seed); err != nil {
-			return Results{}, err
-		}
-		PoolStat.Resets.Add(1)
-		poolEvent(p.workerID(), "reset", "warming for checkpoint")
+	m, err := p.ready(m, cfg, benches, seed)
+	if err != nil {
+		return Results{}, err
 	}
 	if err := m.sys.RunWarmup(); err != nil {
 		// Phase-split refused (zero warmup is excluded above, so this
@@ -272,10 +295,9 @@ func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (R
 		// overhang; only a scratch run reproduces that cell.
 		PoolStat.RefusedOverhang.Add(1)
 		poolEvent(p.workerID(), "refuse:overhang", err.Error())
-		if rerr := m.sys.Reset(cfg, benches, seed); rerr != nil {
-			return Results{}, rerr
+		if m, err = p.ready(m, cfg, benches, seed); err != nil {
+			return Results{}, err
 		}
-		PoolStat.Resets.Add(1)
 		return m.sys.Run(), nil
 	}
 	return res, err

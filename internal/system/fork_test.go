@@ -15,7 +15,6 @@ import (
 // times. This is the tentpole guarantee: fork-then-measure ≡
 // run-from-scratch.
 func TestForkedGoldenReplay(t *testing.T) {
-	t.Setenv(NoPoolEnv, "")
 	t.Setenv(NoForkEnv, "")
 	cells := loadGoldenCells(t)
 	var pool ForkPool
@@ -55,17 +54,28 @@ func wantForked(t *testing.T, before PoolSnapshot, configs int) {
 	}
 }
 
+// llcRNGConfigs are the 2-core configs whose LLC draws random numbers
+// mid-run: a DAWB machine with a DRRIP L3 and a DBI+AWB+CLB machine
+// with an LRW-BIP DBI. The DRRIP L3 is shrunk to 512 KiB: at full size
+// it never evicts in short windows, and its insertion draws could not
+// change a result.
+func llcRNGConfigs() []config.SystemConfig {
+	drrip := config.Scaled(2, config.DAWB)
+	drrip.L3.Replacement = config.ReplDRRIP
+	drrip.L3.SizeBytes = 512 << 10
+	bip := config.Scaled(2, config.DBIAWBCLB)
+	bip.DBI.Replacement = config.DBILRWBIP
+	return []config.SystemConfig{drrip, bip}
+}
+
 // TestForkMatchesScratchDifferential exercises the restore path
 // directly: for every mechanism, several cells share one warmup
 // identity (same config but for the measurement budget, same benches,
 // same seed) so every cell after the first forks from the group's
 // checkpoint — and each must equal a fresh scratch machine's Run
-// bit for bit. The DRRIP L3 and the LRW-BIP DBI draw random numbers
-// mid-run, so they pin that the checkpoint carries their RNG state.
-// The DRRIP L3 is shrunk to 512 KiB: at full size it never evicts in
-// these windows, and its insertion draws could not change a result.
+// bit for bit. The llcRNGConfigs pin that the checkpoint carries the
+// DRRIP and LRW-BIP RNG state.
 func TestForkMatchesScratchDifferential(t *testing.T) {
-	t.Setenv(NoPoolEnv, "")
 	t.Setenv(NoForkEnv, "")
 	var cfgs []config.SystemConfig
 	for _, mech := range []config.Mechanism{
@@ -74,12 +84,7 @@ func TestForkMatchesScratchDifferential(t *testing.T) {
 	} {
 		cfgs = append(cfgs, config.Scaled(2, mech))
 	}
-	drrip := config.Scaled(2, config.DAWB)
-	drrip.L3.Replacement = config.ReplDRRIP
-	drrip.L3.SizeBytes = 512 << 10
-	bip := config.Scaled(2, config.DBIAWBCLB)
-	bip.DBI.Replacement = config.DBILRWBIP
-	cfgs = append(cfgs, drrip, bip)
+	cfgs = append(cfgs, llcRNGConfigs()...)
 
 	var pool ForkPool
 	before := PoolStat.Snapshot()
@@ -106,8 +111,9 @@ func TestForkMatchesScratchDifferential(t *testing.T) {
 }
 
 // TestNoForkEnvDisablesForking verifies the DBISIM_NO_FORK escape
-// hatch: with it set the pool keeps no fork machines, still returns
-// correct results, and matches the forked path bit for bit.
+// hatch: with it set the pool takes no checkpoint (it still keeps its
+// machine, reset per cell), returns correct results, and matches the
+// forked path bit for bit.
 func TestNoForkEnvDisablesForking(t *testing.T) {
 	cfg := config.Scaled(1, config.DBIAWBCLB)
 	cfg.WarmupInstructions, cfg.MeasureInstructions = 3000, 5000
@@ -115,12 +121,18 @@ func TestNoForkEnvDisablesForking(t *testing.T) {
 
 	t.Setenv(NoForkEnv, "1")
 	var plain ForkPool
+	before := PoolStat.Snapshot()
 	first, err := plain.Run(cfg, benches, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.machines) != 0 {
-		t.Error("ForkPool retained fork machines with DBISIM_NO_FORK set")
+	if again, err := plain.Run(cfg, benches, 21); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(first, again) {
+		t.Error("NO_FORK run on a reset machine diverges from the first")
+	}
+	if d := PoolStat.Snapshot().Sub(before); d.CkptTaken != 0 {
+		t.Errorf("pool took %d checkpoints with DBISIM_NO_FORK set, want 0", d.CkptTaken)
 	}
 
 	t.Setenv(NoForkEnv, "")
@@ -141,7 +153,6 @@ func TestNoForkEnvDisablesForking(t *testing.T) {
 // requires bit-identical outcome sets; under -race it also proves the
 // Release/adopt handoff shares no mutable state between live workers.
 func TestForkedParallelSweep(t *testing.T) {
-	t.Setenv(NoPoolEnv, "")
 	t.Setenv(NoForkEnv, "")
 	mechs := []config.Mechanism{config.Baseline, config.DBIAWBCLB}
 	var cells []sweep.StateCell[Results, ForkPool]

@@ -6,10 +6,10 @@ import (
 	"dbisim/internal/telemetry"
 )
 
-// PoolCounters aggregates the pool/fork schedulers' decisions
-// process-wide. Pools are per-worker and short-lived, so the usable
-// ops-plane signal is the sum over all of them: every Pool and ForkPool
-// increments these shared atomics as it runs cells. Increments are one
+// PoolCounters aggregates the fork scheduler's decisions process-wide.
+// Pools are per-worker and short-lived, so the usable ops-plane signal
+// is the sum over all of them: every ForkPool increments these shared
+// atomics as it runs cells. Increments are one
 // atomic add per cell-level decision — never on a simulated hot path —
 // so they are always on: zero allocation, no measurable cost, and no
 // effect on simulated Results.
@@ -21,14 +21,16 @@ import (
 // exactly an eviction storm these would have shown live); and why the
 // fork scheduler refuses cells when it does.
 type PoolCounters struct {
-	// Resets counts cells run by resetting a pooled machine in place
-	// (the plain Pool fast path, and the ForkPool's warm-from-reset).
+	// Resets counts cells that reset a pooled machine to power-on in
+	// place: to warm it for a checkpoint, to run an unforked cell, or
+	// to rerun an overhang-refused cell.
 	Resets atomic.Uint64
-	// Rebuilds counts cells that constructed a fresh System — first use
-	// of a worker's pool, geometry mismatch, or reset refusal.
+	// Rebuilds counts cells that constructed a fresh System because
+	// the pool held no machine of the cell's geometry signature.
 	Rebuilds atomic.Uint64
-	// ResetRefusals counts reset attempts that failed and fell back to
-	// a rebuild.
+	// ResetRefusals is kept for its readers; nothing increments it any
+	// more (a pooled machine's Reset only fails on a cell that New
+	// would refuse too, and that error is returned).
 	ResetRefusals atomic.Uint64
 
 	// CkptHits counts cells measured from a restored warmup checkpoint
@@ -55,8 +57,9 @@ type PoolCounters struct {
 	// Refusal reasons, by kind. Each counts cells the fork scheduler
 	// could not serve from a checkpoint and why:
 	//
-	//   - Disabled: forking was off for the cell (DBISIM_NO_FORK or
-	//     DBISIM_NO_POOL set, or a zero warmup/measure budget).
+	//   - Disabled: forking was off for the cell (DBISIM_NO_FORK set,
+	//     or a zero warmup/measure budget); it ran whole on a reset
+	//     pooled machine.
 	//   - Restore: a retained checkpoint failed to restore or measure
 	//     and was dropped.
 	//   - Snapshot: the warmup boundary could not be captured.
@@ -79,7 +82,7 @@ var PoolStat PoolCounters
 type PoolSnapshot struct {
 	Resets           uint64 `json:"resets"`
 	Rebuilds         uint64 `json:"rebuilds"`
-	ResetRefusals    uint64 `json:"reset_refusals"`
+	ResetRefusals    uint64 `json:"reset_refusals"` // nothing increments it any more
 	CkptHits         uint64 `json:"ckpt_hits"`
 	CkptMisses       uint64 `json:"ckpt_misses"`
 	CkptTaken        uint64 `json:"ckpts_taken"`

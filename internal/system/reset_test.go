@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dbisim/internal/config"
-	"dbisim/internal/sweep"
 )
 
 // goldenCells loads the committed golden grid (shared with
@@ -54,36 +53,59 @@ func goldenConfig(t *testing.T, c goldenCell) config.SystemConfig {
 	return cfg
 }
 
-// TestPooledGoldenReplay replays the whole golden grid through a single
-// Pool — so most cells execute on a machine dirtied by a previous cell
-// (reset path), and every mechanism/core-count transition exercises the
-// rebuild path — and asserts each cell's Results remain bit-identical to
-// the pinned golden values. This is the tentpole guarantee:
-// reset-then-run ≡ fresh-construction-then-run.
-func TestPooledGoldenReplay(t *testing.T) {
-	t.Setenv(NoPoolEnv, "")
-	cells := loadGoldenCells(t)
-	var pool Pool
-	for _, c := range cells {
-		cfg := goldenConfig(t, c)
-		got, err := pool.Run(cfg, c.Benches, c.Seed)
-		if err != nil {
-			t.Fatalf("%s/%v: %v", c.Mech, c.Benches, err)
+// machines keeps one System per geometry signature, as ForkPool does:
+// the first cell of a signature builds its machine, every later cell
+// resets it.
+type machines map[config.SystemConfig]*System
+
+// run executes one cell on the signature's machine.
+func (ms machines) run(t *testing.T, cfg config.SystemConfig, benches []string, seed int64) Results {
+	t.Helper()
+	sys := ms[Signature(cfg)]
+	if sys == nil {
+		var err error
+		if sys, err = New(cfg, benches, seed); err != nil {
+			t.Fatalf("%v/%v: %v", cfg.Mechanism, benches, err)
 		}
-		if !reflect.DeepEqual(got, c.Results) {
-			t.Errorf("%s/%v: pooled Results diverge from golden\n got: %+v\nwant: %+v",
-				c.Mech, c.Benches, got, c.Results)
+		ms[Signature(cfg)] = sys
+	} else if err := sys.Reset(cfg, benches, seed); err != nil {
+		t.Fatalf("%v/%v: %v", cfg.Mechanism, benches, err)
+	}
+	return sys.Run()
+}
+
+// TestResetGoldenReplay replays the whole golden grid twice on one
+// machine per signature — the first pass resets every cell after its
+// signature's first, the second resets every cell onto a machine
+// dirtied by a previous one — and asserts each cell's Results remain
+// bit-identical to the pinned golden values. This is Reset's guarantee:
+// reset-then-run ≡ fresh-construction-then-run.
+func TestResetGoldenReplay(t *testing.T) {
+	cells := loadGoldenCells(t)
+	ms := machines{}
+	for pass := 0; pass < 2; pass++ {
+		for _, c := range cells {
+			got := ms.run(t, goldenConfig(t, c), c.Benches, c.Seed)
+			if !reflect.DeepEqual(got, c.Results) {
+				t.Errorf("pass %d %s/%v: reset Results diverge from golden\n got: %+v\nwant: %+v",
+					pass, c.Mech, c.Benches, got, c.Results)
+			}
 		}
 	}
 }
 
 // TestResetMatchesFreshRandomized interleaves cells in a shuffled order
-// through one Pool and checks every cell against a fresh System built
-// from scratch, with varied seeds and budgets layered on top of the
-// golden grid's geometries. Unlike the golden replay this also covers
-// (cfg, seed) points the pinned file never saw.
+// on one machine per signature and checks every cell against a fresh
+// System built from scratch, with varied seeds and budgets layered on
+// top of the golden grid's geometries. Unlike the golden replay this
+// also covers (cfg, seed) points the pinned file never saw.
+//
+// Three more configs pin that Reset restarts every random stream: the
+// llcRNGConfigs (a DRRIP L3 and an LRW-BIP DBI) and TA-DIP in both
+// private levels, which no shipped config uses. Each runs seeds 11–13
+// on one machine, with budgets long enough that each of those streams
+// changes a result.
 func TestResetMatchesFreshRandomized(t *testing.T) {
-	t.Setenv(NoPoolEnv, "")
 	cells := loadGoldenCells(t)
 	rng := rand.New(rand.NewSource(7))
 	// Sample a manageable subset: full golden replay is covered above.
@@ -104,56 +126,28 @@ func TestResetMatchesFreshRandomized(t *testing.T) {
 		}
 		pts = append(pts, point{cfg, c.Benches, seed})
 	}
-	var pool Pool
-	for i, p := range pts {
-		pooled, err := pool.Run(p.cfg, p.benches, p.seed)
-		if err != nil {
-			t.Fatalf("point %d: pooled: %v", i, err)
+	private := config.Scaled(2, config.Baseline)
+	private.L1.Replacement = config.ReplTADIP
+	private.L2.Replacement = config.ReplTADIP
+	for _, cfg := range append(llcRNGConfigs(), private) {
+		cfg.WarmupInstructions, cfg.MeasureInstructions = 20000, 100000
+		for seed := int64(11); seed <= 13; seed++ {
+			pts = append(pts, point{cfg, []string{"stream", "mcf"}, seed})
 		}
+	}
+	ms := machines{}
+	for i, p := range pts {
+		reset := ms.run(t, p.cfg, p.benches, p.seed)
 		fresh, err := New(p.cfg, p.benches, p.seed)
 		if err != nil {
 			t.Fatalf("point %d: fresh: %v", i, err)
 		}
-		if got := fresh.Run(); !reflect.DeepEqual(pooled, got) {
-			t.Errorf("point %d (%s/%v seed %d): pooled vs fresh diverge\npooled: %+v\n fresh: %+v",
-				i, p.cfg.Mechanism, p.benches, p.seed, pooled, got)
+		if got := fresh.Run(); !reflect.DeepEqual(reset, got) {
+			t.Errorf("point %d (%s L1 %v L3 %v DBI %v, %v seed %d): reset vs fresh diverge\nreset: %+v\nfresh: %+v",
+				i, p.cfg.Mechanism, p.cfg.L1.Replacement, p.cfg.L3.Replacement, p.cfg.DBI.Replacement,
+				p.benches, p.seed, reset, got)
 		}
 	}
-}
-
-// TestPoolGeometryMismatchRebuilds drives a Pool across a geometry
-// change (core count, then mechanism) and verifies it silently falls
-// back to fresh construction with correct results, then resumes
-// resetting once geometries match again.
-func TestPoolGeometryMismatchRebuilds(t *testing.T) {
-	t.Setenv(NoPoolEnv, "")
-	var pool Pool
-	run := func(cores int, mech config.Mechanism, seed int64) Results {
-		t.Helper()
-		cfg := config.Scaled(cores, mech)
-		cfg.WarmupInstructions, cfg.MeasureInstructions = 2000, 4000
-		benches := make([]string, cores)
-		for i := range benches {
-			benches[i] = "stream"
-		}
-		got, err := pool.Run(cfg, benches, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(cfg, benches, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fresh.Run(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d cores %v seed %d: pooled vs fresh diverge", cores, mech, seed)
-		}
-		return got
-	}
-	run(1, config.Baseline, 1)  // build
-	run(1, config.Baseline, 2)  // reset (same signature)
-	run(2, config.Baseline, 3)  // rebuild: core count changed
-	run(2, config.DBIAWBCLB, 4) // rebuild: mechanism changed
-	run(2, config.DBIAWBCLB, 5) // reset again
 }
 
 // TestResetRefusals pins the error paths: telemetry-armed systems and
@@ -190,61 +184,35 @@ func TestResetRefusals(t *testing.T) {
 	plain.Run()
 }
 
-// TestPooledParallelSweep runs a mixed-mechanism cell grid through
-// sweep.RunState with per-worker Pools, sequentially and on four
-// workers, and requires bit-identical outcome sets. Under -race this is
-// also the proof that pooled workers share no mutable state.
-func TestPooledParallelSweep(t *testing.T) {
-	t.Setenv(NoPoolEnv, "")
-	mechs := []config.Mechanism{config.Baseline, config.DAWB, config.DBIAWBCLB}
-	benches := []string{"stream", "mcf", "lbm", "milc"}
-	var cells []sweep.StateCell[Results, Pool]
-	for _, m := range mechs {
-		for i, b := range benches {
-			cfg := config.Scaled(1, m)
-			cfg.WarmupInstructions, cfg.MeasureInstructions = 2000, 4000
-			bench, seed := b, int64(100+i)
-			cells = append(cells, sweep.StateCell[Results, Pool]{
-				Key: sweep.Key{Experiment: "t", Benchmark: b, Mechanism: m.String()},
-				Run: func(p *Pool) (Results, error) { return p.Run(cfg, []string{bench}, seed) },
-			})
+// TestResetAllocations pins Reset's zero-rebuild property: on a machine
+// that has already run both mixes, alternating Reset between them
+// allocates only the profile slice Reset resolves benches into. The
+// machine is built on the mix with the smaller footprint (sphinx3), so
+// a Reset that restored the generators' construction-time tables would
+// reallocate them on every switch.
+func TestResetAllocations(t *testing.T) {
+	mixes := [][]string{{"lbm", "sphinx3"}, {"stream", "mcf"}}
+	for _, mech := range []config.Mechanism{config.Baseline, config.VWQ, config.DBIAWBCLB} {
+		cfg := config.Scaled(2, mech)
+		cfg.WarmupInstructions, cfg.MeasureInstructions = 2000, 4000
+		sys, err := New(cfg, mixes[0], 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	seq, err := sweep.RunState(cells, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := sweep.RunState(cells, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if !reflect.DeepEqual(seq[i].Value, par[i].Value) {
-			t.Errorf("cell %s: sequential vs 4-worker pooled results diverge", seq[i].Key)
+		sys.Run()
+		if err := sys.Reset(cfg, mixes[1], 2); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestNoPoolEnvDisablesReuse verifies the DBISIM_NO_POOL escape hatch:
-// with it set, the pool builds fresh machines (and still returns
-// correct results).
-func TestNoPoolEnvDisablesReuse(t *testing.T) {
-	t.Setenv(NoPoolEnv, "1")
-	cfg := config.Scaled(1, config.Baseline)
-	cfg.WarmupInstructions, cfg.MeasureInstructions = 1000, 2000
-	var pool Pool
-	first, err := pool.Run(cfg, []string{"stream"}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.sys != nil {
-		t.Error("pool retained a System with DBISIM_NO_POOL set")
-	}
-	second, err := pool.Run(cfg, []string{"stream"}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("same-seed runs diverge under DBISIM_NO_POOL")
+		sys.Run()
+		i := 0
+		n := testing.AllocsPerRun(20, func() {
+			if err := sys.Reset(cfg, mixes[i%2], int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if n > 1 {
+			t.Errorf("%v: Reset allocates %.1f objects, want at most 1", mech, n)
+		}
 	}
 }

@@ -187,11 +187,20 @@ func (s *System) Restore(cfg config.SystemConfig, ck *Checkpoint) error {
 	if s.tracer != nil || s.sampler != nil {
 		return fmt.Errorf("system: cannot restore with telemetry attached")
 	}
+	s.restore(cfg, ck, true)
+	return nil
+}
+
+// restore is the body Restore and Reset share: it writes ck into the
+// machine under cfg, the trace generators only when gens is set.
+func (s *System) restore(cfg config.SystemConfig, ck *Checkpoint, gens bool) {
 	s.Cfg = cfg
 	s.Eng.Restore(&ck.eng)
 	for i, c := range s.Cores {
 		c.Restore(&ck.cores[i])
-		s.gens[i].Restore(&ck.gens[i])
+		if gens {
+			s.gens[i].Restore(&ck.gens[i])
+		}
 	}
 	s.LLC.Restore(&ck.llc)
 	s.Mem.Restore(&ck.mem)
@@ -200,5 +209,4 @@ func (s *System) Restore(cfg config.SystemConfig, ck *Checkpoint) error {
 	s.snap = ck.snap
 	s.snap.coreIssued = append(issued[:0], ck.snap.coreIssued...)
 	s.attr.SetValues(ck.attr)
-	return nil
 }

@@ -34,6 +34,7 @@ type System struct {
 	benchNames []string
 	gens       []*trace.Synth // per-core generators, kept for Reset and Snapshot
 	snap       snapshot
+	powerOn    Checkpoint // the machine as New built it, before options; Reset restores it
 
 	// attr is the machine's attribution ledger (nil when attribution
 	// is off). Unlike tracer/sampler it is plain simulated-counter
@@ -157,6 +158,11 @@ func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) 
 		s.gens = append(s.gens, gen)
 		s.Cores = append(s.Cores, core)
 	}
+	// Snapshot refuses once a tracer or sampler is attached, so the
+	// power-on checkpoint is taken before the options are applied.
+	if err := s.Snapshot(&s.powerOn); err != nil {
+		return nil, err
+	}
 	var o options
 	for _, opt := range opts {
 		if opt != nil {
@@ -178,16 +184,16 @@ func Signature(cfg config.SystemConfig) config.SystemConfig {
 	return cfg
 }
 
-// Reset returns the whole machine to power-on state for a new run
-// without reallocating any of its structures, exactly as if it had been
-// freshly built by New(cfg, benches, seed): same seed derivations, same
-// event numbering (the DRAM refresh is re-armed first, as in
-// construction), so a reset-then-Run is bit-identical to a fresh
-// System's Run. cfg may differ from the construction config only in its
-// warmup/measure budgets (Signature must match); benches may change
-// freely. Systems with telemetry options attached refuse to reset:
-// tracers and samplers accumulate host-side state a reset cannot
-// unwind. On error the system is untouched.
+// Reset returns the machine to the state New(cfg, benches, seed) would
+// build, without reallocating any of its structures: it restores the
+// power-on checkpoint New took, restarts every random stream with New's
+// seed derivations and rebinds the trace generators to benches, so a
+// reset-then-Run is bit-identical to a fresh System's Run. cfg may
+// differ from the construction config only in its warmup/measure
+// budgets (Signature must match); benches may change freely. Systems
+// with telemetry options attached refuse to reset: tracers and samplers
+// accumulate host-side state a reset cannot unwind. On error the system
+// is untouched.
 func (s *System) Reset(cfg config.SystemConfig, benches []string, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -209,23 +215,20 @@ func (s *System) Reset(cfg config.SystemConfig, benches []string, seed int64) er
 		}
 		profiles[i] = p
 	}
-	s.Cfg = cfg
-	s.Eng.Reset()
-	s.Mem.Reset()
-	s.LLC.Reset(seed)
+	// The generators are skipped: Synth.Reset rebinds them below, and
+	// restoring them first would shrink their tables back to the
+	// construction profile's, to be regrown for a larger one.
+	s.restore(cfg, &s.powerOn, false)
+	s.LLC.Seed(seed)
 	for i, c := range s.Cores {
 		s.gens[i].Reset(profiles[i], addr.Addr(uint64(i+1)<<36), seed+int64(i)*131)
-		c.Reset(seed + int64(i)*977)
+		c.Seed(seed + int64(i)*977)
 	}
 	s.benchNames = append(s.benchNames[:0], benches...)
-	s.snap = snapshot{}
-	// Attribution is counter state, not host-side telemetry: reset
-	// returns it to power-on zero rather than refusing. A machine
-	// built before the process-wide toggle flipped on gains its ledger
-	// here, so pooled machines honor the toggle from their next run.
-	if s.attr != nil {
-		s.attr.Reset()
-	} else if AttributionEnabled() {
+	// The restore zeroed an attached ledger. A machine built before the
+	// process-wide toggle flipped on gains its ledger here, so pooled
+	// machines honor the toggle from their next run.
+	if s.attr == nil && AttributionEnabled() {
 		s.attachAttr(&telemetry.Attribution{})
 	}
 	return nil

@@ -240,14 +240,6 @@ func (a *Attribution) ChargeDomain(d Domain, n uint64) {
 	a.v.Doms[d] += n
 }
 
-// Reset zeroes the ledger (power-on state, used by System.Reset).
-func (a *Attribution) Reset() {
-	if a == nil {
-		return
-	}
-	a.v = AttrValues{}
-}
-
 // Values returns a copy of the ledger state, for snapshots.
 func (a *Attribution) Values() AttrValues {
 	if a == nil {

@@ -9,7 +9,6 @@ func TestAttrNilReceiverIsNoOp(t *testing.T) {
 	var a *Attribution
 	a.Charge(ACPUIssue, 10)
 	a.ChargeDomain(DomDRAMBus, 64)
-	a.Reset()
 	a.SetValues(AttrValues{})
 	if v := a.Values(); v != (AttrValues{}) {
 		t.Fatalf("nil Attribution returned nonzero values: %+v", v)
@@ -42,9 +41,9 @@ func TestAttrChargeAndValues(t *testing.T) {
 	if v.Cats[ADRAMBankService] != 12 || v.Doms[DomDRAMBank] != 12 {
 		t.Fatalf("values = %+v", v)
 	}
-	a.Reset()
+	a.SetValues(AttrValues{})
 	if a.Values() != (AttrValues{}) {
-		t.Fatal("Reset did not zero the ledger")
+		t.Fatal("SetValues did not zero the ledger")
 	}
 	a.SetValues(v)
 	if a.Values() != v {
