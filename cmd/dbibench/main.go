@@ -245,7 +245,7 @@ func main() {
 		}
 		ran = append(ran, r.id)
 		pd := system.PoolStat.Snapshot().Sub(poolBefore)
-		fmt.Printf("[pool: %d forked, %d reset, %d rebuilt", pd.CkptHits, pd.Resets, pd.Rebuilds)
+		fmt.Printf("[pool: %d forked, %d reset, %d rebuilt, %d skipped", pd.CkptHits, pd.Resets, pd.Rebuilds, pd.CkptSkipped)
 		if pd.CkptHits+pd.CkptMisses > 0 {
 			fmt.Printf(", ckpt hit %.0f%%", 100*pd.CkptHitRate())
 		}

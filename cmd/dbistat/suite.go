@@ -67,10 +67,13 @@ func suite(kind string, seed int64) []perfstat.Target {
 				return err
 			}),
 			macroTarget("macro/forked_clbsens", seed, func(o experiments.Options) error {
-				// Two passes per round: the first warms machines and
-				// takes warmup checkpoints, the second forks every cell
-				// from them (workers release their pools between sweeps,
-				// so the second pass adopts the first's warmed machines).
+				// Two passes per round. Workers release their pools
+				// between sweeps, so each pass adopts the machines the
+				// sweep before it warmed, and a machine checkpoints a
+				// key the second time it runs it. In round 1,
+				// macro/clbsens has just run these cells once, so the
+				// first pass here takes the checkpoints and the second
+				// forks every cell; from round 2 on both passes fork.
 				// The gate on this target is what pins the fork
 				// scheduler's warmup-amortization win.
 				for i := 0; i < 2; i++ {

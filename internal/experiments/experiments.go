@@ -86,6 +86,17 @@ func weightedSpeedup(r system.Results, alone map[string]float64) float64 {
 // runs are independent, so they go through the worker pool like any
 // other sweep cells.
 func (o Options) aloneIPC(exp string, benches []string) (map[string]float64, error) {
+	cells := o.aloneCells(exp, benches)
+	rs, err := o.runCells(cells)
+	if err != nil {
+		return nil, err
+	}
+	return aloneIPCs(cells, rs), nil
+}
+
+// aloneCells builds one baseline single-core cell per distinct
+// benchmark, for aloneIPC.
+func (o Options) aloneCells(exp string, benches []string) []simCell {
 	var cells []simCell
 	seen := map[string]bool{}
 	for _, b := range benches {
@@ -95,15 +106,16 @@ func (o Options) aloneIPC(exp string, benches []string) (map[string]float64, err
 		seen[b] = true
 		cells = append(cells, o.singleCell(exp+"/alone", config.Baseline, b))
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+// aloneIPCs maps each alone cell's benchmark to its measured IPC.
+func aloneIPCs(cells []simCell, rs []system.Results) map[string]float64 {
 	out := map[string]float64{}
 	for i, c := range cells {
 		out[c.key.Benchmark] = rs[i].PerCore[0].IPC
 	}
-	return out, nil
+	return out
 }
 
 // uniqueBenches flattens mixes into the set of distinct benchmarks.

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dbisim/internal/config"
 	"dbisim/internal/sweep"
+	"dbisim/internal/system"
 )
 
 // tiny returns options with the smallest budgets that still exercise the
@@ -292,5 +294,36 @@ func TestUniqueBenches(t *testing.T) {
 	got := uniqueBenches([][]string{{"a", "b"}, {"b", "c"}})
 	if len(got) != 3 {
 		t.Fatalf("unique = %v", got)
+	}
+}
+
+// TestRunCellsForksEveryRepeat pins the sweep plan: within one runCells
+// call, the first cell of a repeated warmup key takes a checkpoint and
+// every repeat forks from it, while a key that appears once takes
+// none. Results of a key's cells are identical whichever way they ran.
+func TestRunCellsForksEveryRepeat(t *testing.T) {
+	t.Setenv(system.NoForkEnv, "")
+	o := Options{Seed: 977, Parallel: 2}
+	var cells []simCell
+	for _, b := range []string{"stream", "mcf", "stream", "lbm", "mcf", "stream"} {
+		c := o.singleCell("plan", config.Baseline, b)
+		c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = 20000, 20000
+		cells = append(cells, c)
+	}
+	before := system.PoolStat.Snapshot()
+	rs, err := o.runCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three repeats: stream twice, mcf once. Machines an earlier
+	// sweep released may hold these keys already and fork more.
+	if d := system.PoolStat.Snapshot().Sub(before); d.CkptHits < 3 {
+		t.Errorf("sweep forked %d cells (took %d checkpoints, skipped %d), want every repeat (3) forked",
+			d.CkptHits, d.CkptTaken, d.CkptSkipped)
+	}
+	for _, same := range [][2]int{{0, 2}, {0, 5}, {1, 4}} {
+		if !reflect.DeepEqual(rs[same[0]], rs[same[1]]) {
+			t.Errorf("cells %d and %d share a warmup key but their results differ", same[0], same[1])
+		}
 	}
 }

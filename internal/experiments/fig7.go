@@ -46,34 +46,33 @@ func Fig7(o Options) (*Fig7Result, error) {
 		Mechanisms: fig7Mechanisms(),
 		AvgWS:      map[int]map[config.Mechanism]float64{},
 	}
-	w := o.out()
-	for _, cores := range res.Cores {
-		mixes := o.mixesFor(cores)
-		alone, err := o.aloneIPC("fig7", uniqueBenches(mixBenches(mixes)))
-		if err != nil {
-			return nil, err
-		}
-		var cells []simCell
+	subs := make([]*mixSweep, len(res.Cores))
+	for i, cores := range res.Cores {
+		sub := o.newMixSweep("fig7", o.mixesFor(cores))
 		for _, mech := range res.Mechanisms {
-			for _, mix := range mixes {
-				cells = append(cells, o.multiCell("fig7", mech, mix.Name, mix.Benches))
+			for _, mix := range sub.mixes {
+				sub.cells = append(sub.cells, o.multiCell("fig7", mech, mix.Name, mix.Benches))
 			}
 		}
-		rs, err := o.runCells(cells)
-		if err != nil {
-			return nil, err
-		}
+		subs[i] = sub
+	}
+	if err := o.runMixSweeps(subs); err != nil {
+		return nil, err
+	}
+	for ci, cores := range res.Cores {
+		sub := subs[ci]
 		res.AvgWS[cores] = map[config.Mechanism]float64{}
 		i := 0
 		for _, mech := range res.Mechanisms {
 			var wss []float64
-			for range mixes {
-				wss = append(wss, system.WeightedSpeedup(rs[i].PerCore, alone))
+			for range sub.mixes {
+				wss = append(wss, system.WeightedSpeedup(sub.rs[i].PerCore, sub.alone))
 				i++
 			}
 			res.AvgWS[cores][mech] = stats.Mean(wss)
 		}
 	}
+	w := o.out()
 	fprintf(w, "\nFigure 7: Multi-core weighted speedup (mean over mixes)\n")
 	fprintf(w, "%-12s", "mechanism")
 	for _, c := range res.Cores {
@@ -181,23 +180,23 @@ func Table3(o Options) (*Table3Result, error) {
 		HSImprovement: map[int]float64{},
 		MSReduction:   map[int]float64{},
 	}
-	for _, cores := range res.Cores {
-		mixes := o.mixesFor(cores)
-		alone, err := o.aloneIPC("tab3", uniqueBenches(mixBenches(mixes)))
-		if err != nil {
-			return nil, err
+	subs := make([]*mixSweep, len(res.Cores))
+	for i, cores := range res.Cores {
+		sub := o.newMixSweep("tab3", o.mixesFor(cores))
+		for _, mix := range sub.mixes {
+			sub.cells = append(sub.cells,
+				o.multiCell("tab3", config.Baseline, mix.Name, mix.Benches),
+				o.multiCell("tab3", config.DBIAWBCLB, mix.Name, mix.Benches))
 		}
-		var cells []simCell
-		for _, mix := range mixes {
-			cells = append(cells, o.multiCell("tab3", config.Baseline, mix.Name, mix.Benches))
-			cells = append(cells, o.multiCell("tab3", config.DBIAWBCLB, mix.Name, mix.Benches))
-		}
-		rs, err := o.runCells(cells)
-		if err != nil {
-			return nil, err
-		}
+		subs[i] = sub
+	}
+	if err := o.runMixSweeps(subs); err != nil {
+		return nil, err
+	}
+	for ci, cores := range res.Cores {
+		rs, alone := subs[ci].rs, subs[ci].alone
 		var wsB, wsD, itB, itD, hsB, hsD, msB, msD []float64
-		for i := range mixes {
+		for i := range subs[ci].mixes {
 			rb, rd := rs[2*i], rs[2*i+1]
 			wsB = append(wsB, system.WeightedSpeedup(rb.PerCore, alone))
 			wsD = append(wsD, system.WeightedSpeedup(rd.PerCore, alone))

@@ -57,24 +57,35 @@ func (o Options) multiCell(exp string, mech config.Mechanism, mixName string, be
 // results in cell order. Per-cell seeds come from sweep.CellSeed, so
 // the result set is identical for every worker count; each outcome is
 // also pushed to the Recorder for the -json report. Each worker keeps
-// one system.ForkPool: cells are grouped by warmup identity, so a group
-// warms one machine, checkpoints it at the warmup→measure boundary and
-// forks every sibling cell from the snapshot — and otherwise runs the
-// cell whole on a pooled machine reset to power-on (results stay
-// bit-identical either way; set DBISIM_NO_FORK to reset per cell).
+// one system.ForkPool, and cells are grouped by warmup identity, so a
+// group's cells run in order on one worker. The run is planned: a cell
+// that a later cell of the same group will fork from warms a machine,
+// checkpoints it at the warmup→measure boundary and measures; the
+// later cells fork from the snapshot. A cell with no later sibling runs
+// whole on a pooled machine reset to power-on, unless that machine ran
+// its key in an earlier sweep. Results stay bit-identical either way;
+// set DBISIM_NO_FORK to reset per cell. Experiments whose sub-sweeps
+// repeat cells run them as one runCells call, so every repeat is a
+// planned sibling.
 func (o Options) runCells(cells []simCell) ([]system.Results, error) {
 	sc := make([]sweep.StateCell[system.Results, system.ForkPool], len(cells))
 	seeds := make([]int64, len(cells))
-	for i := range cells {
+	// Plan back to front: later holds the warmup keys of the cells
+	// after i, so a cell knows whether a sibling will fork from it.
+	later := map[string]bool{}
+	for i := len(cells) - 1; i >= 0; i-- {
 		c := cells[i]
 		seed := sweep.CellSeed(o.seed(), c.key.Benchmark, c.key.Mechanism, c.key.Run)
+		key := system.WarmupKey(c.cfg, c.benches, seed)
+		sibling := later[key]
+		later[key] = true
 		seeds[i] = seed
 		sc[i] = sweep.StateCell[system.Results, system.ForkPool]{
 			Key: c.key,
 			Run: func(p *system.ForkPool) (system.Results, error) {
-				return p.Run(c.cfg, c.benches, seed)
+				return p.Run(c.cfg, c.benches, seed, sibling)
 			},
-			Group: system.WarmupKey(c.cfg, c.benches, seed),
+			Group: key,
 		}
 	}
 	outs, err := sweep.RunState(sc, o.workers(), o.Progress)
@@ -99,6 +110,45 @@ func (o Options) runCells(cells []simCell) ([]system.Results, error) {
 		})
 	}
 	return res, nil
+}
+
+// mixSweep is one sub-sweep of a multi-core experiment: its workload
+// mixes, the alone-IPC cells they need and its own mix cells.
+// runMixSweeps fills alone and rs.
+type mixSweep struct {
+	mixes      []workloads.Mix
+	aloneCells []simCell
+	cells      []simCell
+
+	alone map[string]float64
+	rs    []system.Results
+}
+
+// newMixSweep starts a sub-sweep over mixes; the caller appends its mix
+// cells.
+func (o Options) newMixSweep(exp string, mixes []workloads.Mix) *mixSweep {
+	return &mixSweep{mixes: mixes, aloneCells: o.aloneCells(exp, uniqueBenches(mixBenches(mixes)))}
+}
+
+// runMixSweeps runs the sub-sweeps as one sweep, in order, with each
+// one's alone cells before its mix cells. An alone cell that several
+// sub-sweeps repeat is then a planned sibling in one run and forks,
+// where separate runs would warm it again each time.
+func (o Options) runMixSweeps(subs []*mixSweep) error {
+	var cells []simCell
+	for _, s := range subs {
+		cells = append(cells, s.aloneCells...)
+		cells = append(cells, s.cells...)
+	}
+	rs, err := o.runCells(cells)
+	if err != nil {
+		return err
+	}
+	for _, s := range subs {
+		n, m := len(s.aloneCells), len(s.aloneCells)+len(s.cells)
+		s.alone, s.rs, rs = aloneIPCs(s.aloneCells, rs[:n]), rs[n:m], rs[m:]
+	}
+	return nil
 }
 
 // mixBenches flattens mixes into per-mix benchmark lists for alone-IPC

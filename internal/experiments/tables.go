@@ -133,35 +133,37 @@ func Table7(o Options) (*Table7Result, error) {
 	}
 	sizes := []uint64{1 << 20, 2 << 20} // scaled analogues of 2MB/4MB per core
 	warm, meas := o.multiBudgets()
+	var subs []*mixSweep
 	for _, size := range sizes {
-		res.Improvement[size] = map[int]float64{}
 		for _, cores := range res.Cores {
 			mixes := o.mixesFor(cores)
 			if o.Quick {
 				mixes = mixes[:2]
 			}
-			alone, err := o.aloneIPC("tab7", uniqueBenches(mixBenches(mixes)))
-			if err != nil {
-				return nil, err
-			}
-			var cells []simCell
+			sub := o.newMixSweep("tab7", mixes)
 			for _, mix := range mixes {
 				for _, mech := range []config.Mechanism{config.Baseline, config.DBIAWBCLB} {
 					c := o.multiCell("tab7", mech, mix.Name, mix.Benches)
 					c.cfg.L3.SizeBytes = size * uint64(cores)
 					c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = warm, meas
 					c.key.Param = fmt.Sprintf("llc=%dKB/core", size>>10)
-					cells = append(cells, c)
+					sub.cells = append(sub.cells, c)
 				}
 			}
-			rs, err := o.runCells(cells)
-			if err != nil {
-				return nil, err
-			}
+			subs = append(subs, sub)
+		}
+	}
+	if err := o.runMixSweeps(subs); err != nil {
+		return nil, err
+	}
+	for si, size := range sizes {
+		res.Improvement[size] = map[int]float64{}
+		for ci, cores := range res.Cores {
+			sub := subs[si*len(res.Cores)+ci]
 			var base, dbi []float64
-			for i := range mixes {
-				base = append(base, weightedSpeedup(rs[2*i], alone))
-				dbi = append(dbi, weightedSpeedup(rs[2*i+1], alone))
+			for i := range sub.mixes {
+				base = append(base, weightedSpeedup(sub.rs[2*i], sub.alone))
+				dbi = append(dbi, weightedSpeedup(sub.rs[2*i+1], sub.alone))
 			}
 			res.Improvement[size][cores] = stats.Mean(dbi)/stats.Mean(base) - 1
 		}

@@ -117,11 +117,11 @@ func TestAttributionForkMatchesScratch(t *testing.T) {
 	mechs := []config.Mechanism{config.Baseline, config.DBIAWBCLB}
 	before := PoolStat.Snapshot()
 	for _, mech := range mechs {
-		for _, measure := range forkMeasures {
+		for i, measure := range forkMeasures {
 			cfg := config.Scaled(2, mech)
 			cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, measure
 			benches := []string{"stream", "mcf"}
-			forked, err := pool.Run(cfg, benches, 11)
+			forked, err := pool.Run(cfg, benches, 11, i < len(forkMeasures)-1)
 			if err != nil {
 				t.Fatalf("%v measure=%d: %v", mech, measure, err)
 			}

@@ -16,10 +16,10 @@ const NoForkEnv = "DBISIM_NO_FORK"
 const (
 	// forkMachineCap bounds how many distinct-geometry machines one
 	// ForkPool keeps alive. It must cover the signature working set of
-	// the recorded macro sweeps (casestudy cycles 6, fig6 cycles 8, the
-	// clbsens thresholds 3) or the LRU thrashes: every round then
-	// repays full construction plus a checkpoint that is evicted before
-	// it can ever be forked.
+	// the recorded macro sweeps (casestudy cycles 6, the clbsens
+	// thresholds 3) or the LRU thrashes: every round then repays full
+	// construction, and forgets the keys and checkpoints that let the
+	// next round fork. fig6 cycles 7 machines but checkpoints none.
 	forkMachineCap = 12
 	// forkCkptCap bounds the checkpoints retained per machine (one per
 	// warmup identity).
@@ -42,6 +42,11 @@ type forkMachine struct {
 	sig   config.SystemConfig
 	ckpts []*forkCkpt
 	stamp uint64
+	// ran holds the warmup key of every cell this machine ran on a
+	// checkpoint miss. A key found here recurs across sweeps, so its
+	// next miss takes a checkpoint even when no later cell of its own
+	// sweep shares it.
+	ran map[string]bool
 }
 
 func (m *forkMachine) ckpt(key string) *forkCkpt {
@@ -92,10 +97,12 @@ func (m *forkMachine) take(key string, clock uint64) *forkCkpt {
 // a warmup group warms a machine, snapshots it at the warmup→measure
 // boundary, and measures; every later cell with the same warmup
 // identity restores the snapshot and measures only — turning
-// O(N·(warmup+measure)) sweeps into O(warmup + N·measure). Results are
-// bit-identical to New(cfg, benches, seed).Run() regardless of history;
-// whenever a checkpoint cannot be taken, restored, or measured from,
-// the pool runs the cell whole on a machine reset in place.
+// O(N·(warmup+measure)) sweeps into O(warmup + N·measure). A checkpoint
+// is taken only for a key that will fork: one the sweep plan repeats,
+// or one the machine has run before. Results are bit-identical to
+// New(cfg, benches, seed).Run() regardless of history; whenever a
+// checkpoint is not wanted or cannot be taken, restored, or measured
+// from, the pool runs the cell whole on a machine reset in place.
 //
 // A ForkPool is NOT safe for concurrent use: each sweep worker owns its
 // own. The zero value is ready. Call Release when the worker is done to
@@ -191,7 +198,7 @@ func (p *ForkPool) machine(sig config.SystemConfig) *forkMachine {
 // insert adds a machine, evicting the least-recently-used at capacity.
 func (p *ForkPool) insert(sys *System, sig config.SystemConfig) *forkMachine {
 	p.clock++
-	m := &forkMachine{sys: sys, sig: sig, stamp: p.clock}
+	m := &forkMachine{sys: sys, sig: sig, stamp: p.clock, ran: map[string]bool{}}
 	if len(p.machines) >= forkMachineCap {
 		lru := 0
 		for i, mm := range p.machines {
@@ -229,8 +236,10 @@ func (p *ForkPool) ready(m *forkMachine, cfg config.SystemConfig, benches []stri
 }
 
 // Run executes one cell, forking from a warmup checkpoint when one is
-// available and taking one when it is not.
-func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (Results, error) {
+// retained. Otherwise it takes one if the key will fork — sibling
+// reports that a later cell of the sweep has the same WarmupKey, or
+// the machine ran this key before — and runs the cell whole if not.
+func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64, sibling bool) (Results, error) {
 	p.adopt()
 	sig := Signature(cfg)
 	m := p.machine(sig)
@@ -265,11 +274,19 @@ func (p *ForkPool) Run(cfg config.SystemConfig, benches []string, seed int64) (R
 	}
 	PoolStat.CkptMisses.Add(1)
 
-	// Slow path: get a machine at this cell's run state, warm it,
-	// checkpoint the boundary, then measure.
+	// Slow path: get a machine at this cell's run state. Warm it and
+	// checkpoint the boundary only if a later cell will fork from it;
+	// otherwise run the cell whole.
 	m, err := p.ready(m, cfg, benches, seed)
 	if err != nil {
 		return Results{}, err
+	}
+	recurs := m.ran[key]
+	m.ran[key] = true
+	if !sibling && !recurs {
+		PoolStat.CkptSkipped.Add(1)
+		poolEvent(p.workerID(), "skip:ckpt", "no later cell shares the key and this is its first run")
+		return m.sys.Run(), nil
 	}
 	if err := m.sys.RunWarmup(); err != nil {
 		// Phase-split refused (zero warmup is excluded above, so this

@@ -9,19 +9,24 @@ import (
 )
 
 // TestForkedGoldenReplay replays the whole golden grid through a single
-// ForkPool twice — the first pass warms machines and takes checkpoints,
-// the second forks every cell from them — and asserts each cell's
-// Results remain bit-identical to the pinned golden values both
-// times. This is the tentpole guarantee: fork-then-measure ≡
-// run-from-scratch.
+// ForkPool three times with no sweep plan, and asserts each cell's
+// Results remain bit-identical to the pinned golden values every time.
+// This is the tentpole guarantee: fork-then-measure ≡ run-from-scratch.
+// The passes also pin the checkpoint admission rule: the first runs
+// every cell whole (no later cell shares its key), the second
+// checkpoints every key the machines have run before, and the third
+// forks every cell.
 func TestForkedGoldenReplay(t *testing.T) {
 	t.Setenv(NoForkEnv, "")
 	cells := loadGoldenCells(t)
 	var pool ForkPool
-	for pass := 0; pass < 2; pass++ {
+	n := uint64(len(cells)) // 11 distinct warmup keys
+	want := []struct{ taken, hits uint64 }{{0, 0}, {n, 0}, {0, n}}
+	for pass, w := range want {
+		before := PoolStat.Snapshot()
 		for _, c := range cells {
 			cfg := goldenConfig(t, c)
-			got, err := pool.Run(cfg, c.Benches, c.Seed)
+			got, err := pool.Run(cfg, c.Benches, c.Seed, false)
 			if err != nil {
 				t.Fatalf("pass %d %s/%v: %v", pass, c.Mech, c.Benches, err)
 			}
@@ -29,6 +34,11 @@ func TestForkedGoldenReplay(t *testing.T) {
 				t.Errorf("pass %d %s/%v: forked Results diverge from golden\n got: %+v\nwant: %+v",
 					pass, c.Mech, c.Benches, got, c.Results)
 			}
+		}
+		d := PoolStat.Snapshot().Sub(before)
+		if d.CkptTaken != w.taken || d.CkptHits != w.hits || d.RefusedOverhang != 0 {
+			t.Errorf("pass %d: took %d checkpoints and forked %d cells (want %d/%d), refused %d for overhang (want 0)",
+				pass, d.CkptTaken, d.CkptHits, w.taken, w.hits, d.RefusedOverhang)
 		}
 	}
 }
@@ -89,10 +99,10 @@ func TestForkMatchesScratchDifferential(t *testing.T) {
 	var pool ForkPool
 	before := PoolStat.Snapshot()
 	for _, cfg := range cfgs {
-		for _, measure := range forkMeasures {
+		for i, measure := range forkMeasures {
 			cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, measure
 			benches := []string{"stream", "mcf"}
-			forked, err := pool.Run(cfg, benches, 11)
+			forked, err := pool.Run(cfg, benches, 11, i < len(forkMeasures)-1)
 			if err != nil {
 				t.Fatalf("%v/%v/%v measure=%d: forked: %v",
 					cfg.Mechanism, cfg.L3.Replacement, cfg.DBI.Replacement, measure, err)
@@ -122,11 +132,11 @@ func TestNoForkEnvDisablesForking(t *testing.T) {
 	t.Setenv(NoForkEnv, "1")
 	var plain ForkPool
 	before := PoolStat.Snapshot()
-	first, err := plain.Run(cfg, benches, 21)
+	first, err := plain.Run(cfg, benches, 21, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := plain.Run(cfg, benches, 21); err != nil {
+	if again, err := plain.Run(cfg, benches, 21, false); err != nil {
 		t.Fatal(err)
 	} else if !reflect.DeepEqual(first, again) {
 		t.Error("NO_FORK run on a reset machine diverges from the first")
@@ -138,7 +148,7 @@ func TestNoForkEnvDisablesForking(t *testing.T) {
 	t.Setenv(NoForkEnv, "")
 	var forking ForkPool
 	for i := 0; i < 2; i++ {
-		got, err := forking.Run(cfg, benches, 21)
+		got, err := forking.Run(cfg, benches, 21, i == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +171,12 @@ func TestForkedParallelSweep(t *testing.T) {
 			cfg := config.Scaled(1, m)
 			cfg.WarmupInstructions, cfg.MeasureInstructions = 2000, measure
 			seed := int64(31)
+			sibling := measure < 6000
 			cells = append(cells, sweep.StateCell[Results, ForkPool]{
 				Key: sweep.Key{Experiment: "t", Benchmark: "stream", Mechanism: m.String(),
 					Param: WarmupKey(cfg, []string{"stream"}, seed)[:8]},
 				Run: func(p *ForkPool) (Results, error) {
-					return p.Run(cfg, []string{"stream"}, seed)
+					return p.Run(cfg, []string{"stream"}, seed, sibling)
 				},
 				Group: WarmupKey(cfg, []string{"stream"}, seed),
 			})
@@ -182,6 +193,74 @@ func TestForkedParallelSweep(t *testing.T) {
 	for i := range seq {
 		if !reflect.DeepEqual(seq[i].Value, par[i].Value) {
 			t.Errorf("cell %d: sequential vs 4-worker forked results diverge", i)
+		}
+	}
+}
+
+// TestDistinctKeySweepTakesNoCheckpoint runs a Figure-6-shaped sweep —
+// every cell its own warmup key — on two workers through
+// sweep.RunState and ForkPool with the sweep plan. No later cell shares
+// a key, so the pool must take no checkpoint and run every cell whole,
+// and every cell must equal a fresh machine's Run.
+func TestDistinctKeySweepTakesNoCheckpoint(t *testing.T) {
+	t.Setenv(NoForkEnv, "")
+	// Machines released by earlier tests could remember these keys.
+	sharedPoolsMu.Lock()
+	PoolStat.AdoptStackDepth.Add(-int64(len(sharedPools)))
+	sharedPools = nil
+	sharedPoolsMu.Unlock()
+
+	type run struct {
+		cfg     config.SystemConfig
+		benches []string
+		seed    int64
+	}
+	var runs []run
+	for _, mech := range []config.Mechanism{
+		config.TADIP, config.DAWB, config.VWQ, config.DBI,
+		config.DBIAWB, config.DBICLB, config.DBIAWBCLB,
+	} {
+		for i, b := range []string{"stream", "mcf"} {
+			cfg := config.Scaled(1, mech)
+			cfg.WarmupInstructions, cfg.MeasureInstructions = 3000, 5000
+			runs = append(runs, run{cfg, []string{b}, int64(61 + i)})
+		}
+	}
+	cells := make([]sweep.StateCell[Results, ForkPool], len(runs))
+	later := map[string]bool{}
+	for i := len(runs) - 1; i >= 0; i-- {
+		r := runs[i]
+		key := WarmupKey(r.cfg, r.benches, r.seed)
+		sibling := later[key]
+		later[key] = true
+		cells[i] = sweep.StateCell[Results, ForkPool]{
+			Key: sweep.Key{Experiment: "fig6", Benchmark: r.benches[0],
+				Mechanism: r.cfg.Mechanism.String()},
+			Run: func(p *ForkPool) (Results, error) {
+				return p.Run(r.cfg, r.benches, r.seed, sibling)
+			},
+			Group: key,
+		}
+	}
+
+	before := PoolStat.Snapshot()
+	outs, err := sweep.RunState(cells, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := PoolStat.Snapshot().Sub(before)
+	if d.CkptTaken != 0 || d.CkptHits != 0 || d.CkptSkipped != uint64(len(runs)) {
+		t.Errorf("pool took %d checkpoints, forked %d and skipped %d cells (want 0, 0, %d)",
+			d.CkptTaken, d.CkptHits, d.CkptSkipped, len(runs))
+	}
+	for i, r := range runs {
+		fresh, err := New(r.cfg, r.benches, r.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh.Run(); !reflect.DeepEqual(outs[i].Value, want) {
+			t.Errorf("%s: pooled vs scratch diverge\npooled:  %+v\nscratch: %+v",
+				outs[i].Key, outs[i].Value, want)
 		}
 	}
 }

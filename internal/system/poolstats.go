@@ -41,6 +41,11 @@ type PoolCounters struct {
 	CkptMisses atomic.Uint64
 	// CkptTaken counts warmup checkpoints successfully captured.
 	CkptTaken atomic.Uint64
+	// CkptSkipped counts misses that took no checkpoint because none
+	// would be forked: no later cell of the sweep shared the warmup key
+	// and the machine had not run it before. Such a cell runs whole; it
+	// is a miss, not a refusal.
+	CkptSkipped atomic.Uint64
 	// MachineEvictions counts ForkPool machine-LRU evictions; a high
 	// rate relative to CkptHits means the machine cap is thrashing.
 	MachineEvictions atomic.Uint64
@@ -86,6 +91,7 @@ type PoolSnapshot struct {
 	CkptHits         uint64 `json:"ckpt_hits"`
 	CkptMisses       uint64 `json:"ckpt_misses"`
 	CkptTaken        uint64 `json:"ckpts_taken"`
+	CkptSkipped      uint64 `json:"ckpts_skipped"`
 	MachineEvictions uint64 `json:"machine_evictions"`
 	CkptEvictions    uint64 `json:"ckpt_evictions"`
 	Adopts           uint64 `json:"adopts"`
@@ -107,6 +113,7 @@ func (c *PoolCounters) Snapshot() PoolSnapshot {
 		CkptHits:         c.CkptHits.Load(),
 		CkptMisses:       c.CkptMisses.Load(),
 		CkptTaken:        c.CkptTaken.Load(),
+		CkptSkipped:      c.CkptSkipped.Load(),
 		MachineEvictions: c.MachineEvictions.Load(),
 		CkptEvictions:    c.CkptEvictions.Load(),
 		Adopts:           c.Adopts.Load(),
@@ -128,6 +135,7 @@ func (s PoolSnapshot) Sub(prev PoolSnapshot) PoolSnapshot {
 		CkptHits:         s.CkptHits - prev.CkptHits,
 		CkptMisses:       s.CkptMisses - prev.CkptMisses,
 		CkptTaken:        s.CkptTaken - prev.CkptTaken,
+		CkptSkipped:      s.CkptSkipped - prev.CkptSkipped,
 		MachineEvictions: s.MachineEvictions - prev.MachineEvictions,
 		CkptEvictions:    s.CkptEvictions - prev.CkptEvictions,
 		Adopts:           s.Adopts - prev.Adopts,
@@ -160,6 +168,7 @@ func RegisterPoolMetrics(reg *telemetry.Registry) {
 	reg.Counter("fork.ckpt_hits", c.CkptHits.Load)
 	reg.Counter("fork.ckpt_misses", c.CkptMisses.Load)
 	reg.Counter("fork.ckpts_taken", c.CkptTaken.Load)
+	reg.Counter("fork.ckpts_skipped", c.CkptSkipped.Load)
 	reg.Counter("fork.machine_evictions", c.MachineEvictions.Load)
 	reg.Counter("fork.ckpt_evictions", c.CkptEvictions.Load)
 	reg.Counter("fork.adopts", c.Adopts.Load)
@@ -176,7 +185,8 @@ func RegisterPoolMetrics(reg *telemetry.Registry) {
 
 // poolHookFn receives one pool/fork scheduler decision: which worker's
 // pool made it (-1 when unknown), a short kind tag ("fork", "warm",
-// "reset", "rebuild", "refuse:restore", ...) and a human detail string.
+// "reset", "rebuild", "skip:ckpt", "refuse:restore", ...) and a human
+// detail string.
 type poolHookFn func(worker int, kind, detail string)
 
 var poolHook atomic.Pointer[poolHookFn]

@@ -184,6 +184,26 @@ func TestResetRefusals(t *testing.T) {
 	plain.Run()
 }
 
+// TestResetLeavesCallerBenchesAlone: a pooled machine is reset onto
+// other cells' benchmarks, so it must not write them into the slice it
+// was built from. A sweep shares one mix's slice among that mix's
+// cells, which would otherwise run on another mix.
+func TestResetLeavesCallerBenchesAlone(t *testing.T) {
+	cfg := config.Scaled(2, config.Baseline)
+	cfg.WarmupInstructions, cfg.MeasureInstructions = 1000, 1000
+	built := []string{"mcf", "lbm"}
+	sys, err := New(cfg, built, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Reset(cfg, []string{"stream", "milc"}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"mcf", "lbm"}; !reflect.DeepEqual(built, want) {
+		t.Errorf("Reset rewrote the slice New was given: %v, want %v", built, want)
+	}
+}
+
 // TestResetAllocations pins Reset's zero-rebuild property: on a machine
 // that has already run both mixes, alternating Reset between them
 // allocates only the profile slice Reset resolves benches into. The

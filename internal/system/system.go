@@ -132,7 +132,9 @@ func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) 
 	if len(benches) != cfg.NumCores {
 		return nil, fmt.Errorf("system: %d benchmarks for %d cores", len(benches), cfg.NumCores)
 	}
-	s := &System{Cfg: cfg, Geo: addr.Default(), benchNames: benches}
+	// benchNames is the machine's own copy: Reset and Restore overwrite
+	// it in place, and the caller's slice may be shared with later cells.
+	s := &System{Cfg: cfg, Geo: addr.Default(), benchNames: append([]string(nil), benches...)}
 	mem, err := dram.New(&s.Eng, s.Geo, cfg.DRAM)
 	if err != nil {
 		return nil, err

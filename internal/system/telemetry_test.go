@@ -221,15 +221,18 @@ func TestTelemetrySplitPhaseMatchesMonolithic(t *testing.T) {
 // be bit-identical to fresh monolithic runs with telemetry attached —
 // i.e. the two "observation must not perturb" invariants compose.
 func TestForkPoolMatchesTelemetryRun(t *testing.T) {
+	t.Setenv(NoForkEnv, "")
 	cfg, benches := telemetryCfg()
 	var pool ForkPool
+	before := PoolStat.Snapshot()
 
-	// Two measure budgets sharing one warmup identity: the second cell
-	// restores the first's checkpoint.
-	for _, measure := range []uint64{cfg.MeasureInstructions, cfg.MeasureInstructions / 2} {
+	// Two measure budgets sharing one warmup identity: the first cell
+	// is planned to have a sibling, so the second restores its
+	// checkpoint.
+	for i, measure := range []uint64{cfg.MeasureInstructions, cfg.MeasureInstructions / 2} {
 		c := cfg
 		c.MeasureInstructions = measure
-		got, err := pool.Run(c, benches, 42)
+		got, err := pool.Run(c, benches, 42, i == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,6 +246,9 @@ func TestForkPoolMatchesTelemetryRun(t *testing.T) {
 			t.Errorf("measure=%d: forked cell differs from telemetry-attached scratch run:\nscratch: %+v\nforked:  %+v",
 				measure, want, got)
 		}
+	}
+	if d := PoolStat.Snapshot().Sub(before); d.CkptHits != 1 {
+		t.Errorf("pool forked %d cells, want 1", d.CkptHits)
 	}
 }
 
