@@ -245,11 +245,8 @@ func main() {
 		}
 		ran = append(ran, r.id)
 		pd := system.PoolStat.Snapshot().Sub(poolBefore)
-		fmt.Printf("[pool: %d forked, %d reset, %d rebuilt, %d skipped", pd.CkptHits, pd.Resets, pd.Rebuilds, pd.CkptSkipped)
-		if pd.CkptHits+pd.CkptMisses > 0 {
-			fmt.Printf(", ckpt hit %.0f%%", 100*pd.CkptHitRate())
-		}
-		fmt.Printf("]\n[%s done in %v]\n", r.id, time.Since(expStart).Round(time.Millisecond))
+		fmt.Printf("[pool: %d reused, %d reset, %d rebuilt]\n", pd.CkptHits, pd.Resets, pd.Rebuilds)
+		fmt.Printf("[%s done in %v]\n", r.id, time.Since(expStart).Round(time.Millisecond))
 	}
 	wall := time.Since(start)
 

@@ -66,23 +66,6 @@ func suite(kind string, seed int64) []perfstat.Target {
 				_, err := experiments.CLBSensitivity(o)
 				return err
 			}),
-			macroTarget("macro/forked_clbsens", seed, func(o experiments.Options) error {
-				// Two passes per round. Workers release their pools
-				// between sweeps, so each pass adopts the machines the
-				// sweep before it warmed, and a machine checkpoints a
-				// key the second time it runs it. In round 1,
-				// macro/clbsens has just run these cells once, so the
-				// first pass here takes the checkpoints and the second
-				// forks every cell; from round 2 on both passes fork.
-				// The gate on this target is what pins the fork
-				// scheduler's warmup-amortization win.
-				for i := 0; i < 2; i++ {
-					if _, err := experiments.CLBSensitivity(o); err != nil {
-						return err
-					}
-				}
-				return nil
-			}),
 			perfstat.Target{Name: "macro/served_loadtest", Kind: perfstat.KindMacro, Run: func() (perfstat.Counts, error) {
 				return servedLoadtest(seed)
 			}},
@@ -104,7 +87,8 @@ func suite(kind string, seed int64) []perfstat.Target {
 
 // eventChain measures raw engine throughput: schedule-and-fire of
 // chained events, the backbone cost of every simulation (mirrors
-// event.BenchmarkScheduleRun).
+// event.BenchmarkScheduleRun). Each op is one event one cycle apart,
+// so only ops are reported: cycles and events would repeat the count.
 func eventChain() (perfstat.Counts, error) {
 	var e event.Engine
 	n := 0
@@ -117,7 +101,7 @@ func eventChain() (perfstat.Counts, error) {
 	}
 	e.After(1, step)
 	e.Run()
-	return perfstat.Counts{Cycles: uint64(e.Now()), Events: e.Fired(), Ops: microOps}, nil
+	return perfstat.Counts{Ops: microOps}, nil
 }
 
 // microDBI builds the 16MB-cache-sized DBI the dbi micro-benchmarks

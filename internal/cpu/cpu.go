@@ -226,22 +226,6 @@ func (c *Core) Rebudget(budget uint64, onDone func()) {
 	c.issuedAtStart = c.issued
 }
 
-// ResumeMeasure re-arms the budget of a core restored from a checkpoint
-// taken at the warmup→measure boundary. Unlike Rebudget it leaves the
-// measurement-window markers (startCycle, issuedAtStart) alone: those
-// were pinned at each core's own warmup completion and travel with the
-// checkpoint, so a forked measurement is timed from the same instant a
-// scratch run would be.
-func (c *Core) ResumeMeasure(budget uint64, onDone func()) {
-	c.budget = budget
-	c.onDone = onDone
-	c.done = false
-}
-
-// MeasuredSince returns the instructions issued since the current
-// measurement window opened.
-func (c *Core) MeasuredSince() uint64 { return c.issued - c.issuedAtStart }
-
 // Stop halts the core after its current event.
 func (c *Core) Stop() { c.stopped = true }
 

@@ -55,9 +55,8 @@ type State struct {
 }
 
 // Snapshot captures the core into st. The budget callback (onDone) is
-// deliberately not saved: a checkpoint is taken at a quiescent point
-// (the warmup→measure boundary) and the forked run installs its own via
-// ResumeMeasure.
+// deliberately not saved: a checkpoint is taken at a quiescent point,
+// and the run that follows a restore installs its own through Start.
 func (c *Core) Snapshot(st *State) {
 	c.l1.Snapshot(&st.l1)
 	c.l2.Snapshot(&st.l2)

@@ -70,7 +70,7 @@ func (e *Engine) Snapshot(st *EngineState) {
 // original sequence numbers. Because events fire in global (at, seq)
 // order regardless of which wheel structure holds them, the restored
 // engine fires the identical event sequence the snapshotted one would
-// have — the property the fork-vs-scratch differential tests pin.
+// have — the property the system snapshot replay tests pin.
 func (e *Engine) Restore(st *EngineState) {
 	e.drain()
 	e.now, e.seq, e.fired = st.now, st.seq, st.fired

@@ -297,12 +297,12 @@ func TestUniqueBenches(t *testing.T) {
 	}
 }
 
-// TestRunCellsForksEveryRepeat pins the sweep plan: within one runCells
-// call, the first cell of a repeated warmup key takes a checkpoint and
-// every repeat forks from it, while a key that appears once takes
-// none. Results of a key's cells are identical whichever way they ran.
+// TestRunCellsForksEveryRepeat pins reuse in a sweep: runCells groups
+// cells by identity, so within one call every repeat of a cell is
+// answered from the first one's result — exactly the 3 repeats here,
+// whatever earlier sweeps ran — and every cell, run or reused, equals a
+// fresh machine's Run.
 func TestRunCellsForksEveryRepeat(t *testing.T) {
-	t.Setenv(system.NoForkEnv, "")
 	o := Options{Seed: 977, Parallel: 2}
 	var cells []simCell
 	for _, b := range []string{"stream", "mcf", "stream", "lbm", "mcf", "stream"} {
@@ -315,15 +315,18 @@ func TestRunCellsForksEveryRepeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three repeats: stream twice, mcf once. Machines an earlier
-	// sweep released may hold these keys already and fork more.
-	if d := system.PoolStat.Snapshot().Sub(before); d.CkptHits < 3 {
-		t.Errorf("sweep forked %d cells (took %d checkpoints, skipped %d), want every repeat (3) forked",
-			d.CkptHits, d.CkptTaken, d.CkptSkipped)
+	// Three repeats: stream twice, mcf once.
+	if d := system.PoolStat.Snapshot().Sub(before); d.CkptHits != 3 {
+		t.Errorf("sweep reused %d cells, want 3", d.CkptHits)
 	}
-	for _, same := range [][2]int{{0, 2}, {0, 5}, {1, 4}} {
-		if !reflect.DeepEqual(rs[same[0]], rs[same[1]]) {
-			t.Errorf("cells %d and %d share a warmup key but their results differ", same[0], same[1])
+	for i, c := range cells {
+		seed := sweep.CellSeed(o.seed(), c.key.Benchmark, c.key.Mechanism, c.key.Run)
+		fresh, err := system.New(c.cfg, c.benches, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh.Run(); !reflect.DeepEqual(rs[i], want) {
+			t.Errorf("cell %d (%s): pooled vs fresh diverge\npooled: %+v\nfresh:  %+v", i, c.key, rs[i], want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 
 	"dbisim/internal/config"
@@ -57,35 +58,23 @@ func (o Options) multiCell(exp string, mech config.Mechanism, mixName string, be
 // results in cell order. Per-cell seeds come from sweep.CellSeed, so
 // the result set is identical for every worker count; each outcome is
 // also pushed to the Recorder for the -json report. Each worker keeps
-// one system.ForkPool, and cells are grouped by warmup identity, so a
-// group's cells run in order on one worker. The run is planned: a cell
-// that a later cell of the same group will fork from warms a machine,
-// checkpoints it at the warmup→measure boundary and measures; the
-// later cells fork from the snapshot. A cell with no later sibling runs
-// whole on a pooled machine reset to power-on, unless that machine ran
-// its key in an earlier sweep. Results stay bit-identical either way;
-// set DBISIM_NO_FORK to reset per cell. Experiments whose sub-sweeps
-// repeat cells run them as one runCells call, so every repeat is a
-// planned sibling.
+// one system.Pool, and cells are grouped by their full identity, so
+// the repeats of a cell run back to back on one worker and the pool
+// answers them from the first one's result. Experiments whose
+// sub-sweeps repeat cells run them as one runCells call, so every
+// repeat is grouped.
 func (o Options) runCells(cells []simCell) ([]system.Results, error) {
-	sc := make([]sweep.StateCell[system.Results, system.ForkPool], len(cells))
+	sc := make([]sweep.StateCell[system.Results, system.Pool], len(cells))
 	seeds := make([]int64, len(cells))
-	// Plan back to front: later holds the warmup keys of the cells
-	// after i, so a cell knows whether a sibling will fork from it.
-	later := map[string]bool{}
-	for i := len(cells) - 1; i >= 0; i-- {
-		c := cells[i]
+	for i, c := range cells {
 		seed := sweep.CellSeed(o.seed(), c.key.Benchmark, c.key.Mechanism, c.key.Run)
-		key := system.WarmupKey(c.cfg, c.benches, seed)
-		sibling := later[key]
-		later[key] = true
 		seeds[i] = seed
-		sc[i] = sweep.StateCell[system.Results, system.ForkPool]{
+		sc[i] = sweep.StateCell[system.Results, system.Pool]{
 			Key: c.key,
-			Run: func(p *system.ForkPool) (system.Results, error) {
-				return p.Run(c.cfg, c.benches, seed, sibling)
+			Run: func(p *system.Pool) (system.Results, error) {
+				return p.Run(c.cfg, c.benches, seed)
 			},
-			Group: key,
+			Group: fmt.Sprintf("%+v|%v|%d", c.cfg, c.benches, seed),
 		}
 	}
 	outs, err := sweep.RunState(sc, o.workers(), o.Progress)
@@ -132,8 +121,8 @@ func (o Options) newMixSweep(exp string, mixes []workloads.Mix) *mixSweep {
 
 // runMixSweeps runs the sub-sweeps as one sweep, in order, with each
 // one's alone cells before its mix cells. An alone cell that several
-// sub-sweeps repeat is then a planned sibling in one run and forks,
-// where separate runs would warm it again each time.
+// sub-sweeps repeat is then simulated once and reused, where separate
+// runs would simulate it again each time.
 func (o Options) runMixSweeps(subs []*mixSweep) error {
 	var cells []simCell
 	for _, s := range subs {

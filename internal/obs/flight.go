@@ -60,9 +60,9 @@ func (l *lane) snapshot() []FlightEvent {
 }
 
 // FlightRecorder keeps a bounded ring of recent engine-harness events
-// per worker lane — cells starting and finishing, pool/fork scheduler
-// decisions, sweep milestones — and renders them as Chrome trace-event
-// JSON (load in Perfetto or chrome://tracing; lane = thread row). It is
+// per worker lane — cells starting and finishing, pool decisions,
+// sweep milestones — and renders them as Chrome trace-event JSON (load
+// in Perfetto or chrome://tracing; lane = thread row). It is
 // the ops plane's black box: always cheap enough to leave on, dumped on
 // panic, on SIGQUIT, or on demand via /debug/flightrecord.
 //
@@ -155,7 +155,7 @@ func (f *FlightRecorder) WorkerPanic(worker int, key string, recovered any) {
 	}
 }
 
-// PoolEvent records one pool/fork scheduler decision on the worker's
+// PoolEvent records one pool decision on the worker's
 // lane; it is the system.SetPoolEventHook target.
 func (f *FlightRecorder) PoolEvent(worker int, kind, detail string) {
 	f.record(workerLane(worker), 'i', "pool:"+kind, detail)

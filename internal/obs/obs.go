@@ -8,7 +8,7 @@
 // Everything here is off by default and opt-in per process (the CLIs'
 // -listen flag). The design constraint mirrors the telemetry package's:
 // zero cost when disabled. Starting a server enables three cheap,
-// always-race-safe feeds — the process-wide pool/fork counters (atomic
+// always-race-safe feeds — the process-wide pool counters (atomic
 // adds that are unconditionally on), the sweep monitor's lock-free
 // status slots, and the flight recorder's per-lane rings — none of
 // which touch a simulation's hot path or perturb its Results.
@@ -67,7 +67,7 @@ type Server struct {
 }
 
 // Start builds the ops plane and serves it on cfg.Addr: the shared
-// registry (pool/fork counters, process gauges, plus cfg.Register's
+// registry (pool counters, process gauges, plus cfg.Register's
 // probes) at /metrics, sweep status at /sweep, the flight recorder at
 // /debug/flightrecord, and the stdlib expvar/pprof surfaces at their
 // standard paths. It wires the flight recorder into the sweep monitor
@@ -184,7 +184,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepDoc is the /sweep response: the monitor's snapshot plus derived
-// timing and the cumulative pool/fork counters.
+// timing and the cumulative pool counters.
 type sweepDoc struct {
 	sweep.Status
 	ElapsedSec float64             `json:"elapsed_sec"`
@@ -192,8 +192,8 @@ type sweepDoc struct {
 	Pool       system.PoolSnapshot `json:"pool"`
 	// PoolSweep is the pool's activity since the current sweep began
 	// (absent before the first sweep): how its cells were satisfied —
-	// forked from checkpoints (ckpt_hits), reset, or rebuilt — and the
-	// resulting checkpoint hit rate.
+	// reused from a repeated cell (ckpt_hits), reset, or rebuilt — and
+	// the reused share of its cells.
 	PoolSweep *poolSweepDoc `json:"pool_sweep,omitempty"`
 }
 

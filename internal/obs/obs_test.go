@@ -22,7 +22,7 @@ import (
 func TestPrometheusExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("pool.resets", func() uint64 { return 7 })
-	reg.Gauge("fork.adopt_stack_depth", func() float64 { return 3 })
+	reg.Gauge("proc.goroutines", func() float64 { return 3 })
 	h := stats.NewHistogram(2) // values 0,1 plus overflow
 	h.Observe(0)
 	h.Observe(1)
@@ -38,8 +38,8 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE dbi_pool_resets_total counter\n",
 		"dbi_pool_resets_total 7\n",
-		"# TYPE dbi_fork_adopt_stack_depth gauge\n",
-		"dbi_fork_adopt_stack_depth 3\n",
+		"# TYPE dbi_proc_goroutines gauge\n",
+		"dbi_proc_goroutines 3\n",
 		"# TYPE dbi_dbi_dirty_at_eviction histogram\n",
 		"dbi_dbi_dirty_at_eviction_bucket{le=\"0\"} 1\n",
 		"dbi_dbi_dirty_at_eviction_bucket{le=\"1\"} 3\n",
@@ -176,9 +176,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	for _, name := range []string{
 		"dbi_pool_resets_total", "dbi_pool_rebuilds_total",
-		"dbi_fork_ckpt_hits_total", "dbi_fork_ckpt_misses_total",
-		"dbi_fork_machine_evictions_total", "dbi_fork_adopt_stack_depth",
-		"dbi_fork_refused_overhang_total",
+		"dbi_fork_ckpt_hits_total",
 		"dbi_proc_cells_done_total", "dbi_proc_goroutines",
 	} {
 		if !strings.Contains(metrics, name) {
@@ -357,14 +355,14 @@ func TestSweepPoolDelta(t *testing.T) {
 	// Each monitored sweep moves the process-wide pool counters as the
 	// pools would; the per-sweep delta must cover exactly one sweep's
 	// worth no matter how much history preceded it.
-	runSweep := func(label string, hits, misses, resets uint64) {
+	runSweep := func(label string, hits, resets, rebuilds uint64) {
 		t.Helper()
 		cells := []sweep.Cell[int]{{
 			Key: Key{Experiment: label},
 			Run: func() (int, error) {
 				system.PoolStat.CkptHits.Add(hits)
-				system.PoolStat.CkptMisses.Add(misses)
 				system.PoolStat.Resets.Add(resets)
+				system.PoolStat.Rebuilds.Add(rebuilds)
 				return 1, nil
 			},
 		}}
@@ -372,22 +370,22 @@ func TestSweepPoolDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runSweep("first", 9, 1, 4)
+	runSweep("first", 9, 0, 1)
 	doc := getDoc()
 	if doc.PoolSweep == nil {
 		t.Fatal("pool_sweep absent after a monitored sweep")
 	}
-	if doc.PoolSweep.CkptHits != 9 || doc.PoolSweep.CkptMisses != 1 || doc.PoolSweep.Resets != 4 {
-		t.Errorf("first sweep delta = %+v, want hits=9 misses=1 resets=4", doc.PoolSweep.PoolSnapshot)
+	if doc.PoolSweep.CkptHits != 9 || doc.PoolSweep.Resets != 0 || doc.PoolSweep.Rebuilds != 1 {
+		t.Errorf("first sweep delta = %+v, want hits=9 resets=0 rebuilds=1", doc.PoolSweep.PoolSnapshot)
 	}
 	if doc.PoolSweep.CkptHitRate != 0.9 {
 		t.Errorf("ckpt_hit_rate = %v, want 0.9", doc.PoolSweep.CkptHitRate)
 	}
 
-	runSweep("second", 1, 3, 0)
+	runSweep("second", 1, 2, 1)
 	doc = getDoc()
-	if doc.PoolSweep.CkptHits != 1 || doc.PoolSweep.CkptMisses != 3 || doc.PoolSweep.Resets != 0 {
-		t.Errorf("second sweep delta = %+v, want rebaselined hits=1 misses=3 resets=0", doc.PoolSweep.PoolSnapshot)
+	if doc.PoolSweep.CkptHits != 1 || doc.PoolSweep.Resets != 2 || doc.PoolSweep.Rebuilds != 1 {
+		t.Errorf("second sweep delta = %+v, want rebaselined hits=1 resets=2 rebuilds=1", doc.PoolSweep.PoolSnapshot)
 	}
 	if doc.PoolSweep.CkptHitRate != 0.25 {
 		t.Errorf("ckpt_hit_rate = %v, want 0.25", doc.PoolSweep.CkptHitRate)

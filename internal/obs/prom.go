@@ -47,7 +47,7 @@ var helpPrefixes = []struct{ prefix, help string }{
 	{"dbi.", "Dirty-Block Index structure activity"},
 	{"dram.", "DRAM controller command and queue activity"},
 	{"cpu", "Per-core pipeline activity (simulated)"},
-	{"fork.", "Checkpoint-fork scheduler activity"},
+	{"fork.", "Sweep cells reused from a repeated cell's result"},
 	{"pool.", "Simulator machine pool activity"},
 	{"proc.", "Host process runtime state"},
 	{"self.", "Simulator self-throughput on the host"},

@@ -79,11 +79,11 @@ type StateCell[T, W any] struct {
 	Run func(w *W) (T, error)
 
 	// Group, when non-empty, labels cells that profit from running on
-	// the same worker consecutively — cells sharing a warmup identity,
-	// say, so a fork-aware worker state warms a machine once and forks
-	// every sibling from the checkpoint. All cells with equal Group
-	// labels are dispatched to one worker as an unbroken chain, in input
-	// order. Grouping is a scheduling hint only: results must remain
+	// the same worker consecutively — repeats of one cell, say, so a
+	// worker state that remembers its previous cell answers every
+	// repeat from one result. All cells with equal Group labels are
+	// dispatched to one worker as an unbroken chain, in input order.
+	// Grouping is a scheduling hint only: results must remain
 	// bit-identical for any grouping, including none.
 	Group string
 }
@@ -155,15 +155,9 @@ func RunState[T, W any](cells []StateCell[T, W], workers int, progress func(done
 			defer wg.Done()
 			var state W
 			// Worker states that can attribute their decisions to a
-			// lane (pool/fork event streams) learn their index here.
+			// lane (pool event streams) learn their index here.
 			if sw, ok := any(&state).(interface{ SetWorker(int) }); ok {
 				sw.SetWorker(w)
-			}
-			// Worker states that hold onto expensive resources (warmed
-			// machines) may implement Release to hand them to the next
-			// sweep when this worker retires.
-			if r, ok := any(&state).(interface{ Release() }); ok {
-				defer r.Release()
 			}
 			if live {
 				// Give the ops plane a last look (flight-recorder

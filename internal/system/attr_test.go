@@ -104,72 +104,77 @@ func TestAttributionSurvivesReset(t *testing.T) {
 	}
 }
 
-// TestAttributionForkMatchesScratch: attribution is checkpoint-carried
-// state, so a forked measure window must report exactly what a scratch
-// run reports — including the Attr report, compared bit for bit. The
-// process-wide toggle routes the ledger into the pool's internally
-// constructed machines.
-func TestAttributionForkMatchesScratch(t *testing.T) {
-	t.Setenv(NoForkEnv, "")
+// TestAttributionReuseMatchesScratch: a reused cell must look exactly
+// like a simulated one to attribution — the same Attr report as a
+// scratch run, and its measure window folded into AttrTotals once per
+// cell, as a run would. The process-wide toggle routes the ledger into
+// the pool's internally constructed machines.
+func TestAttributionReuseMatchesScratch(t *testing.T) {
 	SetAttributionEnabled(true)
 	defer SetAttributionEnabled(false)
-	var pool ForkPool
-	mechs := []config.Mechanism{config.Baseline, config.DBIAWBCLB}
-	before := PoolStat.Snapshot()
-	for _, mech := range mechs {
-		for i, measure := range forkMeasures {
-			cfg := config.Scaled(2, mech)
-			cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, measure
-			benches := []string{"stream", "mcf"}
-			forked, err := pool.Run(cfg, benches, 11, i < len(forkMeasures)-1)
-			if err != nil {
-				t.Fatalf("%v measure=%d: %v", mech, measure, err)
-			}
-			fresh, err := New(cfg, benches, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fresh.Run()
-			if want.Attr == nil || forked.Attr == nil {
-				t.Fatalf("%v measure=%d: missing Attr report (toggle not honored)", mech, measure)
-			}
-			if !reflect.DeepEqual(forked, want) {
-				t.Errorf("%v measure=%d: forked vs scratch diverge\nforked:  %+v\nscratch: %+v",
-					mech, measure, forked, want)
-			}
+	cfg := config.Scaled(2, config.DBIAWBCLB)
+	cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, 20000
+	benches := []string{"stream", "mcf"}
+
+	t0 := attrTotals()
+	fresh, err := New(cfg, benches, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Run()
+	t1 := attrTotals()
+	var pool Pool
+	for run := 0; run < 2; run++ {
+		got, err := pool.Run(cfg, benches, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Attr == nil || got.Attr == nil {
+			t.Fatalf("run %d: missing Attr report (toggle not honored)", run)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d: pooled vs scratch diverge\npooled:  %+v\nscratch: %+v", run, got, want)
 		}
 	}
-	wantForked(t, before, len(mechs))
+	t2 := attrTotals()
+	for name, v := range t2 {
+		if one := t1[name] - t0[name]; v-t1[name] != 2*one {
+			t.Errorf("%s: two pooled cells added %d to AttrTotals, want 2 × %d", name, v-t1[name], one)
+		}
+	}
+}
+
+// attrTotals reads telemetry.AttrTotals by metric name.
+func attrTotals() map[string]uint64 {
+	reg := telemetry.NewRegistry()
+	telemetry.AttrTotals.RegisterMetrics(reg)
+	m := map[string]uint64{}
+	reg.EachScalar(func(name, _ string, v float64) { m[name] = uint64(v) })
+	return m
 }
 
 // TestAttributionSnapshotAllowed: unlike tracers and samplers, an
-// attached ledger must not make Snapshot/Restore refuse.
+// attached ledger must not make Snapshot or restore refuse, and a
+// mid-run restore must bring the ledger back with the machine.
 func TestAttributionSnapshotAllowed(t *testing.T) {
 	cfg := smallCfg(1, config.TADIP)
-	cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, 4000
 	sys, err := New(cfg, []string{"stream"}, 5, WithAttribution())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RunWarmup(); err != nil {
-		t.Fatal(err)
-	}
+	driveUntil(t, sys, func() bool { return sys.Eng.Now() > 20000 })
 	var ck Checkpoint
 	if err := sys.Snapshot(&ck); err != nil {
 		t.Fatalf("snapshot refused with attribution attached: %v", err)
 	}
-	first, err := sys.RunMeasure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Restore(cfg, &ck); err != nil {
+	target := sys.Eng.Now() + 30000
+	sys.Eng.RunUntil(target)
+	want := sys.attr.Values()
+	if err := sys.restore(cfg, &ck, true); err != nil {
 		t.Fatalf("restore refused with attribution attached: %v", err)
 	}
-	second, err := sys.RunMeasure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("restored measure diverges\nfirst:  %+v\nsecond: %+v", first, second)
+	sys.Eng.RunUntil(target)
+	if got := sys.attr.Values(); got != want {
+		t.Errorf("replay after restore diverges\n got: %+v\nwant: %+v", got, want)
 	}
 }

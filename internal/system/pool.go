@@ -1,0 +1,144 @@
+package system
+
+import (
+	"maps"
+	"slices"
+
+	"dbisim/internal/config"
+	"dbisim/internal/telemetry"
+)
+
+// poolMachineCap bounds how many distinct-geometry machines one Pool
+// keeps alive. Figure 6 cycles 7 signatures per worker; at capacity the
+// least-recently-used machine is dropped and its next cell rebuilds.
+const poolMachineCap = 12
+
+// poolMachine is one pooled System with its geometry signature.
+type poolMachine struct {
+	sys   *System
+	sig   config.SystemConfig
+	stamp uint64
+}
+
+// Pool runs sweep cells on pooled machines. A cell whose full identity
+// — config with both budgets, benchmarks and seed — equals the previous
+// cell's gets a copy of that cell's Results: a cell's result is a
+// function of its inputs, so simulating it again could only return the
+// same values. Any other cell runs whole on the pool's machine for its
+// geometry signature, reset to power-on in place, or on a new machine
+// when the pool has none. Either way the result is bit-identical to
+// New(cfg, benches, seed).Run().
+//
+// A Pool is NOT safe for concurrent use: each sweep worker owns its
+// own, and it lives as long as that worker's sweep. The zero value is
+// ready. The sweep scheduler runs cells with equal Group labels back
+// to back on one worker, so a sweep that labels cells by identity has
+// every repeat answered from the one remembered result.
+//
+// Every decision increments the process-wide PoolStat counters and
+// (when the ops plane installed a hook) emits a flight-recorder event.
+type Pool struct {
+	machines []*poolMachine
+	clock    uint64
+
+	// The previous cell: its identity, a private copy of its Results
+	// and the measure-window attribution its run folded into
+	// telemetry.AttrTotals, which a reuse folds in again.
+	haveLast    bool
+	lastCfg     config.SystemConfig
+	lastBenches []string
+	lastSeed    int64
+	lastRes     Results
+	lastAttr    telemetry.AttrValues
+
+	// worker is the owning sweep worker's index, carried into the
+	// ops-plane pool events.
+	worker    int
+	workerSet bool
+}
+
+// SetWorker labels the pool with its owning sweep worker's index, so
+// ops-plane events attribute decisions to worker lanes. The sweep
+// scheduler calls it once per worker state; it has no effect on
+// simulation.
+func (p *Pool) SetWorker(w int) { p.worker, p.workerSet = w, true }
+
+func (p *Pool) workerID() int {
+	if !p.workerSet {
+		return -1
+	}
+	return p.worker
+}
+
+// Run executes one cell: a copy of the previous cell's Results when the
+// identities match, otherwise a whole run on a ready machine.
+func (p *Pool) Run(cfg config.SystemConfig, benches []string, seed int64) (Results, error) {
+	if p.haveLast && cfg == p.lastCfg && seed == p.lastSeed && slices.Equal(benches, p.lastBenches) {
+		PoolStat.CkptHits.Add(1)
+		poolEvent(p.workerID(), "reuse", "")
+		if p.lastRes.Attr != nil {
+			telemetry.AttrTotals.Add(p.lastAttr)
+		}
+		return p.lastRes.clone(), nil
+	}
+	sys, err := p.ready(cfg, benches, seed)
+	if err != nil {
+		return Results{}, err
+	}
+	res := sys.Run()
+	p.haveLast, p.lastCfg, p.lastSeed = true, cfg, seed
+	p.lastBenches = append(p.lastBenches[:0], benches...)
+	p.lastRes = res.clone()
+	p.lastAttr = sys.attr.Values().Sub(sys.snap.attr)
+	return res, nil
+}
+
+// ready returns a machine at New(cfg, benches, seed)'s power-on state:
+// the pool's machine for cfg's signature reset in place, or a new one,
+// which evicts the least-recently-used machine at capacity.
+func (p *Pool) ready(cfg config.SystemConfig, benches []string, seed int64) (*System, error) {
+	sig := Signature(cfg)
+	p.clock++
+	for _, m := range p.machines {
+		if m.sig == sig {
+			if err := m.sys.Reset(cfg, benches, seed); err != nil {
+				return nil, err
+			}
+			m.stamp = p.clock
+			PoolStat.Resets.Add(1)
+			poolEvent(p.workerID(), "reset", "")
+			return m.sys, nil
+		}
+	}
+	sys, err := New(cfg, benches, seed)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.machines) >= poolMachineCap {
+		lru := 0
+		for i, m := range p.machines {
+			if m.stamp < p.machines[lru].stamp {
+				lru = i
+			}
+		}
+		p.machines = slices.Delete(p.machines, lru, lru+1)
+	}
+	p.machines = append(p.machines, &poolMachine{sys: sys, sig: sig, stamp: p.clock})
+	PoolStat.Rebuilds.Add(1)
+	poolEvent(p.workerID(), "rebuild", "")
+	return sys, nil
+}
+
+// clone returns a copy of r that shares no memory with it.
+func (r Results) clone() Results {
+	r.PerCore = slices.Clone(r.PerCore)
+	if r.Attr != nil {
+		a := *r.Attr
+		for _, w := range []*telemetry.AttrWindow{&a.Warmup, &a.Measure} {
+			w.Categories = maps.Clone(w.Categories)
+			w.Domains = maps.Clone(w.Domains)
+		}
+		r.Attr = &a
+	}
+	return r
+}

@@ -53,7 +53,7 @@ func goldenConfig(t *testing.T, c goldenCell) config.SystemConfig {
 	return cfg
 }
 
-// machines keeps one System per geometry signature, as ForkPool does:
+// machines keeps one System per geometry signature, as Pool does:
 // the first cell of a signature builds its machine, every later cell
 // resets it.
 type machines map[config.SystemConfig]*System
@@ -92,6 +92,20 @@ func TestResetGoldenReplay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// llcRNGConfigs are the 2-core configs whose LLC draws random numbers
+// mid-run: a DAWB machine with a DRRIP L3 and a DBI+AWB+CLB machine
+// with an LRW-BIP DBI. The DRRIP L3 is shrunk to 512 KiB: at full size
+// it never evicts in short windows, and its insertion draws could not
+// change a result.
+func llcRNGConfigs() []config.SystemConfig {
+	drrip := config.Scaled(2, config.DAWB)
+	drrip.L3.Replacement = config.ReplDRRIP
+	drrip.L3.SizeBytes = 512 << 10
+	bip := config.Scaled(2, config.DBIAWBCLB)
+	bip.DBI.Replacement = config.DBILRWBIP
+	return []config.SystemConfig{drrip, bip}
 }
 
 // TestResetMatchesFreshRandomized interleaves cells in a shuffled order

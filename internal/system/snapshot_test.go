@@ -63,8 +63,8 @@ func snapshotReplayCheck(t *testing.T, s *System) {
 	target := s.Eng.Now() + 30000
 	s.Eng.RunUntil(target)
 	want := fingerprint(s)
-	if err := s.Restore(s.Cfg, &ck); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if err := s.restore(s.Cfg, &ck, true); err != nil {
+		t.Fatalf("restore: %v", err)
 	}
 	s.Eng.RunUntil(target)
 	if got := fingerprint(s); !reflect.DeepEqual(got, want) {
@@ -111,30 +111,18 @@ func TestRestoreRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunWarmup(); err != nil {
-		t.Fatal(err)
-	}
-	var ck Checkpoint
-	if err := s.Snapshot(&ck); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	before := fingerprint(s)
 
 	// Mismatched geometry: a different mechanism describes a different
 	// machine; the checkpoint must be refused before any mutation.
 	other := cfg
 	other.Mechanism = config.Baseline
-	if err := s.Restore(other, &ck); err == nil {
-		t.Error("Restore succeeded across a mechanism change")
-	}
-	// Mismatched warmup identity within the same geometry.
-	other = cfg
-	other.WarmupInstructions += 1000
-	if err := s.Restore(other, &ck); err == nil {
-		t.Error("Restore succeeded across a warmup-budget change")
+	if err := s.restore(other, &s.powerOn, true); err == nil {
+		t.Error("restore succeeded across a mechanism change")
 	}
 	if got := fingerprint(s); !reflect.DeepEqual(got, before) {
-		t.Error("refused Restore mutated the machine")
+		t.Error("refused restore mutated the machine")
 	}
 
 	// A foreign machine must refuse the checkpoint outright.
@@ -142,54 +130,12 @@ func TestRestoreRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := foreign.Restore(cfg, &ck); err == nil {
-		t.Error("Restore accepted a checkpoint from a different machine")
+	if err := foreign.restore(cfg, &s.powerOn, true); err == nil {
+		t.Error("restore accepted a checkpoint from a different machine")
 	}
 
-	// A measure-budget-only change is the designed use: accepted, and
-	// the machine measures with the new budget.
-	rebud := cfg
-	rebud.MeasureInstructions = 4000
-	if err := s.Restore(rebud, &ck); err != nil {
-		t.Fatalf("Restore refused a measure-budget-only change: %v", err)
-	}
-	res, err := s.RunMeasure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch, err := New(rebud, benches, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := scratch.Run(); !reflect.DeepEqual(res, want) {
-		t.Errorf("restored measure diverges from scratch\n got: %+v\nwant: %+v", res, want)
-	}
-}
-
-// TestPhaseSplitRefusals pins RunWarmup/RunMeasure/Snapshot guards:
-// zero budgets and attached telemetry refuse loudly.
-func TestPhaseSplitRefusals(t *testing.T) {
-	cfg := config.Scaled(1, config.Baseline)
-	cfg.WarmupInstructions, cfg.MeasureInstructions = 0, 1000
-	s, err := New(cfg, []string{"stream"}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunWarmup(); err == nil {
-		t.Error("RunWarmup accepted a zero warmup budget")
-	}
-
-	cfg.WarmupInstructions, cfg.MeasureInstructions = 1000, 0
-	s2, err := New(cfg, []string{"stream"}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.RunMeasure(); err == nil {
-		t.Error("RunMeasure accepted a zero measurement budget")
-	}
-
-	cfg.MeasureInstructions = 1000
-	traced, err := New(cfg, []string{"stream"}, 8, WithTimeSeries(100))
+	// Telemetry-armed machines cannot be checkpointed.
+	traced, err := New(cfg, benches, 7, WithTimeSeries(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +143,19 @@ func TestPhaseSplitRefusals(t *testing.T) {
 	if err := traced.Snapshot(&ck); err == nil {
 		t.Error("Snapshot accepted a telemetry-armed system")
 	}
-	// Phase splitting itself tolerates telemetry (the sampler arms
-	// across the boundary; TestTelemetrySplitPhaseMatchesMonolithic
-	// pins the series), but the machine still cannot be checkpointed.
-	if err := traced.RunWarmup(); err != nil {
-		t.Errorf("RunWarmup refused a telemetry-armed system: %v", err)
+
+	// A budget-only change is the designed use: accepted, and the
+	// machine runs with the new budget.
+	rebud := cfg
+	rebud.MeasureInstructions = 4000
+	if err := s.restore(rebud, &s.powerOn, true); err != nil {
+		t.Fatalf("restore refused a budget-only change: %v", err)
 	}
-	if err := traced.Snapshot(&ck); err == nil {
-		t.Error("Snapshot accepted a telemetry-armed system at the boundary")
+	scratch, err := New(rebud, benches, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := traced.RunMeasure(); err != nil {
-		t.Errorf("RunMeasure after telemetry-armed warmup: %v", err)
+	if got, want := s.Run(), scratch.Run(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored run diverges from scratch\n got: %+v\nwant: %+v", got, want)
 	}
 }

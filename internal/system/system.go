@@ -38,18 +38,12 @@ type System struct {
 
 	// attr is the machine's attribution ledger (nil when attribution
 	// is off). Unlike tracer/sampler it is plain simulated-counter
-	// state: Reset zeroes it, Snapshot/Restore carry it, and none of
-	// those operations refuse because of it.
+	// state: Reset zeroes it, Snapshot and restore carry it, and none
+	// of those operations refuse because of it.
 	attr *telemetry.Attribution
 
 	tracer  *telemetry.Tracer
 	sampler *telemetry.Sampler
-	// samplerStop finishes an armed epoch sampler. It is non-nil only
-	// while the sampler's Every event is live, which may span a
-	// RunWarmup/RunMeasure phase split: the sampler arms at the first
-	// phase and finishes when the measurement phase completes, so a
-	// split run exports the same time series as a monolithic Run.
-	samplerStop func()
 
 	// Self-throughput baselines, captured at Run entry when time series
 	// are armed. They live in the host domain (wall clock, allocation
@@ -102,9 +96,9 @@ type Results struct {
 	Attr *telemetry.AttrReport
 }
 
-// attrEnabled is the process-wide attribution default. The pool and
-// fork schedulers construct Systems internally with no options, so a
-// CLI -attr flag reaches them through this toggle instead.
+// attrEnabled is the process-wide attribution default. The sweep pool
+// constructs Systems internally with no options, so a CLI -attr flag
+// reaches them through this toggle instead.
 var attrEnabled atomic.Bool
 
 // SetAttributionEnabled sets the process-wide attribution default:
@@ -203,12 +197,6 @@ func (s *System) Reset(cfg config.SystemConfig, benches []string, seed int64) er
 	if len(benches) != cfg.NumCores {
 		return fmt.Errorf("system: %d benchmarks for %d cores", len(benches), cfg.NumCores)
 	}
-	if Signature(cfg) != Signature(s.Cfg) {
-		return fmt.Errorf("system: reset requires matching geometry signatures")
-	}
-	if s.tracer != nil || s.sampler != nil {
-		return fmt.Errorf("system: cannot reset with telemetry attached")
-	}
 	profiles := make([]trace.Profile, len(benches))
 	for i, b := range benches {
 		p, err := trace.ByName(b)
@@ -219,8 +207,11 @@ func (s *System) Reset(cfg config.SystemConfig, benches []string, seed int64) er
 	}
 	// The generators are skipped: Synth.Reset rebinds them below, and
 	// restoring them first would shrink their tables back to the
-	// construction profile's, to be regrown for a larger one.
-	s.restore(cfg, &s.powerOn, false)
+	// construction profile's, to be regrown for a larger one. restore
+	// refuses another geometry or attached telemetry before mutating.
+	if err := s.restore(cfg, &s.powerOn, false); err != nil {
+		return err
+	}
 	s.LLC.Seed(seed)
 	for i, c := range s.Cores {
 		s.gens[i].Reset(profiles[i], addr.Addr(uint64(i+1)<<36), seed+int64(i)*131)
@@ -380,13 +371,13 @@ func (s *System) takeSnapshot() snapshot {
 	return sn
 }
 
-// armSampler arms the epoch sampler's engine event and captures the
-// host-domain baselines for the self.* gauges. It is idempotent: a
-// sampler armed by RunWarmup stays armed across the phase split until
-// finishSampler runs at the end of the measurement phase.
-func (s *System) armSampler() {
-	if s.sampler == nil || s.samplerStop != nil {
-		return
+// armSampler arms the epoch sampler's engine event, captures the
+// host-domain baselines for the self.* gauges and returns the function
+// that cancels the event and records the final partial-epoch sample.
+// Without a sampler it does nothing.
+func (s *System) armSampler() (finish func()) {
+	if s.sampler == nil {
+		return func() {}
 	}
 	s.perfStart = time.Now()
 	s.perfCells = perfstat.CellCount()
@@ -397,18 +388,9 @@ func (s *System) armSampler() {
 	cancel := s.Eng.Every(event.Cycle(smp.Epoch()), func() {
 		smp.Tick(uint64(s.Eng.Now()))
 	})
-	s.samplerStop = func() {
+	return func() {
 		cancel()
 		smp.Finish(uint64(s.Eng.Now()))
-	}
-}
-
-// finishSampler cancels the epoch event and records the final
-// partial-epoch sample, if a sampler is armed.
-func (s *System) finishSampler() {
-	if s.samplerStop != nil {
-		s.samplerStop()
-		s.samplerStop = nil
 	}
 }
 
@@ -417,8 +399,7 @@ func (s *System) finishSampler() {
 // contention) until the last core completes its measured budget. Global
 // rates are measured from the moment the last core finishes warmup.
 func (s *System) Run() Results {
-	s.armSampler()
-	defer s.finishSampler()
+	defer s.armSampler()()
 	remaining := len(s.Cores)
 	warming := len(s.Cores)
 	for _, c := range s.Cores {

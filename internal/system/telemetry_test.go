@@ -150,105 +150,33 @@ func TestTimeSeriesCoversRun(t *testing.T) {
 	}
 }
 
-// TestTelemetrySplitPhaseMatchesMonolithic pins telemetry across the
-// RunWarmup/RunMeasure fork boundary: a split run with a tracer and an
-// epoch sampler attached must produce the same Results, the same trace
-// events, and the same epoch time series (histograms included) as a
-// monolithic Run — the sampler arms once at warmup and keeps ticking
-// through the measurement phase.
-func TestTelemetrySplitPhaseMatchesMonolithic(t *testing.T) {
-	cfg, benches := telemetryCfg()
-
-	mono, err := New(cfg, benches, 42,
-		WithTracer(telemetry.NewTracer(1<<16)), WithTimeSeries(10_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes := mono.Run()
-	wantTS := mono.Sampler().Series()
-
-	split, err := New(cfg, benches, 42,
-		WithTracer(telemetry.NewTracer(1<<16)), WithTimeSeries(10_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := split.RunWarmup(); err != nil {
-		t.Fatalf("RunWarmup with telemetry: %v", err)
-	}
-	gotRes, err := split.RunMeasure()
-	if err != nil {
-		t.Fatalf("RunMeasure with telemetry: %v", err)
-	}
-	gotTS := split.Sampler().Series()
-
-	if !reflect.DeepEqual(wantRes, gotRes) {
-		t.Errorf("split-phase run perturbed Results:\nmono:  %+v\nsplit: %+v", wantRes, gotRes)
-	}
-	if !reflect.DeepEqual(mono.Tracer().Events(), split.Tracer().Events()) {
-		t.Error("split-phase trace differs from monolithic trace")
-	}
-	if !reflect.DeepEqual(wantTS.Metrics, gotTS.Metrics) {
-		t.Fatalf("metric columns differ:\nmono:  %v\nsplit: %v", wantTS.Metrics, gotTS.Metrics)
-	}
-	if len(wantTS.Samples) != len(gotTS.Samples) {
-		t.Fatalf("sample count differs: mono %d, split %d", len(wantTS.Samples), len(gotTS.Samples))
-	}
-	// The self.* gauges read the host's wall clock, so their values
-	// legitimately differ run to run; every simulation-domain column
-	// must match exactly.
-	for i, want := range wantTS.Samples {
-		got := gotTS.Samples[i]
-		if want.Cycle != got.Cycle {
-			t.Fatalf("sample %d cycle: mono %d, split %d", i, want.Cycle, got.Cycle)
-		}
-		for c, name := range wantTS.Metrics {
-			if len(name) >= 5 && name[:5] == "self." {
-				continue
-			}
-			if want.Values[c] != got.Values[c] {
-				t.Errorf("sample %d %s: mono %v, split %v", i, name, want.Values[c], got.Values[c])
-			}
-		}
-	}
-	if !reflect.DeepEqual(wantTS.Histograms, gotTS.Histograms) {
-		t.Error("histogram tracks differ between monolithic and split runs")
-	}
-}
-
-// TestForkPoolMatchesTelemetryRun closes the loop between the fork
-// scheduler and the telemetry contract: cells run through a ForkPool
-// (which warms once and forks the second cell from the checkpoint) must
-// be bit-identical to fresh monolithic runs with telemetry attached —
+// TestForkPoolMatchesTelemetryRun closes the loop between the sweep
+// pool and the telemetry contract: a cell run through a Pool, and its
+// repeat answered from the remembered result, must both be
+// bit-identical to a fresh monolithic run with telemetry attached —
 // i.e. the two "observation must not perturb" invariants compose.
 func TestForkPoolMatchesTelemetryRun(t *testing.T) {
-	t.Setenv(NoForkEnv, "")
 	cfg, benches := telemetryCfg()
-	var pool ForkPool
+	fresh, err := New(cfg, benches, 42,
+		WithTracer(telemetry.NewTracer(1<<16)), WithTimeSeries(10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Run()
+	var pool Pool
 	before := PoolStat.Snapshot()
-
-	// Two measure budgets sharing one warmup identity: the first cell
-	// is planned to have a sibling, so the second restores its
-	// checkpoint.
-	for i, measure := range []uint64{cfg.MeasureInstructions, cfg.MeasureInstructions / 2} {
-		c := cfg
-		c.MeasureInstructions = measure
-		got, err := pool.Run(c, benches, 42, i == 0)
+	for run := 0; run < 2; run++ {
+		got, err := pool.Run(cfg, benches, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := New(c, benches, 42,
-			WithTracer(telemetry.NewTracer(1<<16)), WithTimeSeries(10_000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fresh.Run()
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("measure=%d: forked cell differs from telemetry-attached scratch run:\nscratch: %+v\nforked:  %+v",
-				measure, want, got)
+			t.Errorf("run %d: pooled cell differs from telemetry-attached scratch run:\nscratch: %+v\npooled:  %+v",
+				run, want, got)
 		}
 	}
 	if d := PoolStat.Snapshot().Sub(before); d.CkptHits != 1 {
-		t.Errorf("pool forked %d cells, want 1", d.CkptHits)
+		t.Errorf("pool reused %d cells, want 1", d.CkptHits)
 	}
 }
 

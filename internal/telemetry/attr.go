@@ -28,7 +28,7 @@ import (
 //
 // Because both charges happen at the same simulated instant, closed
 // domains reconcile exactly within any observation window — including
-// the warmup/measure split across the checkpoint-fork boundary.
+// the warmup/measure split.
 type Attribution struct {
 	v AttrValues
 }
@@ -323,9 +323,8 @@ func (w AttrWindow) Reconcile() error {
 }
 
 // AttrReport splits a run's attribution at the warmup/measure
-// boundary. The split lands exactly where the checkpoint-fork
-// scheduler forks, so a forked cell's measure window is bit-identical
-// to a monolithic run's.
+// boundary: the instant the last core finishes its warmup, where the
+// run's measured-window statistics start.
 type AttrReport struct {
 	Warmup  AttrWindow `json:"warmup"`
 	Measure AttrWindow `json:"measure"`

@@ -41,9 +41,9 @@ type GenState struct {
 	pcg rand.PCG
 }
 
-// Snapshot captures the generator's full mid-stream state into st, so a
-// warmed generator can be forked: after Restore(st) it produces exactly
-// the stream it would have produced next.
+// Snapshot captures the generator's full mid-stream state into st:
+// after Restore(st) it produces exactly the stream it would have
+// produced next.
 func (s *Synth) Snapshot(st *GenState) {
 	st.p = s.p
 	st.base = s.base

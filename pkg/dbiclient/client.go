@@ -84,26 +84,46 @@ func (c *Client) roundTrip(ctx context.Context, op byte, keys []uint64) ([]byte,
 	c.fbuf = dbiproto.AppendFrame(c.fbuf[:0], dbiproto.Frame{
 		Version: dbiproto.Version, Op: op, Seq: seq, Payload: payload,
 	})
-	if _, err := c.bw.Write(c.fbuf); err != nil {
+	if err := c.send(c.fbuf); err != nil {
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	return c.readResponse(op, seq)
-}
-
-func (c *Client) readResponse(op byte, seq uint32) ([]byte, error) {
-	f, buf, err := dbiproto.ReadFrame(c.br, c.rbuf)
-	c.rbuf = buf
+	payload, err := c.readAnswer(op, seq)
 	if err != nil {
 		return nil, err
 	}
-	if f.Op != op|dbiproto.RespBit || f.Seq != seq {
-		return nil, fmt.Errorf("dbiclient: response mismatch: op %#x seq %d, want op %#x seq %d",
+	return dbiproto.DecodeStatus(payload)
+}
+
+// send writes request frames. A failed write may have sent part of
+// them, so it closes the connection, as readAnswer does.
+func (c *Client) send(frames []byte) error {
+	_, err := c.bw.Write(frames)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		c.conn.Close()
+	}
+	return err
+}
+
+// readAnswer reads the next answer frame, which must answer op with
+// seq, and returns its payload. Any failure here — an I/O error, an
+// expired deadline, a malformed frame or the answer to another request
+// — leaves the stream out of step, so it closes the connection: later
+// calls then fail instead of reading an answer meant for this one.
+func (c *Client) readAnswer(op byte, seq uint32) ([]byte, error) {
+	f, buf, err := dbiproto.ReadFrame(c.br, c.rbuf)
+	c.rbuf = buf
+	if err == nil && (f.Op != op|dbiproto.RespBit || f.Seq != seq) {
+		err = fmt.Errorf("dbiclient: response mismatch: op %#x seq %d, want op %#x seq %d",
 			f.Op, f.Seq, op|dbiproto.RespBit, seq)
 	}
-	return dbiproto.DecodeStatus(f.Payload)
+	if err != nil {
+		c.conn.Close()
+		return nil, err
+	}
+	return f.Payload, nil
 }
 
 // Ping round-trips an empty frame.
@@ -167,8 +187,8 @@ func (c *Client) Stats(ctx context.Context) (dbi.Stats, error) {
 
 // Pipeline queues several requests and sends them as one write; the
 // server answers in order, so the whole batch costs one round trip.
-// Queue ops, then Do. A Pipeline is not safe for concurrent use and
-// is exhausted after Do.
+// Queue ops, then Do; Do empties the pipeline, which can then be
+// filled again. A Pipeline is not safe for concurrent use.
 type Pipeline struct {
 	c    *Client
 	wire []byte
@@ -219,37 +239,45 @@ type Result struct {
 }
 
 // Do writes every queued frame in one burst and collects the answers
-// in queue order. The first protocol error aborts the pipeline.
+// in queue order, emptying the pipeline whatever happens. An answer
+// with an error status does not stop it: Do reads every remaining
+// answer, so the connection stays in step, and returns the answers
+// before the failed one with the first *dbiproto.StatusError. A
+// transport failure closes the connection (see readAnswer).
 func (p *Pipeline) Do(ctx context.Context) ([]Result, error) {
 	c := p.c
+	wire, ops, seqs := p.wire, p.ops, p.seqs
+	p.wire, p.ops, p.seqs = wire[:0], ops[:0], seqs[:0]
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.deadline(ctx); err != nil {
 		return nil, err
 	}
-	if _, err := c.bw.Write(p.wire); err != nil {
+	if err := c.send(wire); err != nil {
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	results := make([]Result, 0, len(p.ops))
-	for i, op := range p.ops {
-		body, err := c.readResponse(op, p.seqs[i])
+	results := make([]Result, 0, len(ops))
+	var failed error
+	for i, op := range ops {
+		payload, err := c.readAnswer(op, seqs[i])
 		if err != nil {
 			return results, err
 		}
+		if failed != nil {
+			continue
+		}
 		r := Result{Op: op}
-		if op == dbiproto.OpIsDirty {
+		body, err := dbiproto.DecodeStatus(payload)
+		if err == nil && op == dbiproto.OpIsDirty {
 			r.Dirty, _, err = dbiproto.DecodeBools(body, nil)
-		} else {
+		} else if err == nil {
 			r.Keys, _, err = dbiproto.DecodeKeys(body, nil)
 		}
 		if err != nil {
-			return results, err
+			failed = err
+			continue
 		}
 		results = append(results, r)
 	}
-	p.wire, p.ops, p.seqs = p.wire[:0], p.ops[:0], p.seqs[:0]
-	return results, nil
+	return results, failed
 }
