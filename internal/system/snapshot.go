@@ -19,8 +19,8 @@ import (
 // wrong components. restore enforces the binding.
 //
 // A checkpoint is allocation-bounded: component states reuse their
-// buffers capture after capture, so snapshotting in a loop
-// settles into zero steady-state allocation.
+// buffers capture after capture, so snapshotting in a loop settles
+// into zero steady-state allocation.
 type Checkpoint struct {
 	owner   *System
 	cfg     config.SystemConfig

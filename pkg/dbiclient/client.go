@@ -268,9 +268,11 @@ func (p *Pipeline) Do(ctx context.Context) ([]Result, error) {
 		}
 		r := Result{Op: op}
 		body, err := dbiproto.DecodeStatus(payload)
-		if err == nil && op == dbiproto.OpIsDirty {
+		switch {
+		case err != nil:
+		case op == dbiproto.OpIsDirty:
 			r.Dirty, _, err = dbiproto.DecodeBools(body, nil)
-		} else if err == nil {
+		default:
 			r.Keys, _, err = dbiproto.DecodeKeys(body, nil)
 		}
 		if err != nil {
