@@ -245,7 +245,7 @@ func main() {
 		}
 		ran = append(ran, r.id)
 		pd := system.PoolStat.Snapshot().Sub(poolBefore)
-		fmt.Printf("[pool: %d reused, %d reset, %d rebuilt]\n", pd.CkptHits, pd.Resets, pd.Rebuilds)
+		fmt.Printf("[pool: %d reused, %d simulated]\n", pd.CkptHits, pd.Rebuilds)
 		fmt.Printf("[%s done in %v]\n", r.id, time.Since(expStart).Round(time.Millisecond))
 	}
 	wall := time.Since(start)

@@ -128,6 +128,9 @@ func diff(args []string) {
 	if ok, why := oldRep.Env.Comparable(newRep.Env); !ok {
 		fmt.Fprintf(os.Stderr, "dbistat: WARNING: recordings come from different environments (%s); wall-clock deltas may reflect the machine, not the code\n", why)
 	}
+	if which := perfstat.DirtyTrees(oldRep.Env, newRep.Env); which != "" {
+		fmt.Fprintf(os.Stderr, "dbistat: WARNING: recorded from a tree with uncommitted changes: %s; those numbers belong to no commit\n", which)
+	}
 	fmt.Printf("old: %.12s (%s, %d rounds)  new: %.12s (%s, %d rounds)\n",
 		orLabel(oldRep.Env.GitSHA), oldRep.RecordedAt, oldRep.Rounds,
 		orLabel(newRep.Env.GitSHA), newRep.RecordedAt, newRep.Rounds)

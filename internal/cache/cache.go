@@ -120,10 +120,6 @@ func New(p config.CacheParams, threads int, seed int64) (*Cache, error) {
 	return c, nil
 }
 
-// Seed restarts the replacement policy's random stream as New would
-// with seed.
-func (c *Cache) Seed(seed int64) { c.policy.Seed(seed) }
-
 // Params returns the configured parameters.
 func (c *Cache) Params() config.CacheParams { return c.params }
 

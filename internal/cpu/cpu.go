@@ -90,22 +90,16 @@ type Core struct {
 	// instruction issue loop allocation-free: the advance event after
 	// every instruction and the completion callback of every load reuse
 	// the same function values instead of capturing loop state.
-	// slotAll/sharedAll register every pooled record ever allocated so a
-	// checkpoint can enumerate the pools by index.
 	stepFn    event.Func
 	advanceFn event.Func
 	slotFree  *loadSlot
-	slotAll   []*loadSlot
-	sharedAll []*sharedReq
 
 	Stat Stats
 }
 
 type loadSlot struct {
-	id   int32 // position in slotAll
 	seq  uint64
 	done bool
-	live bool // scratch flag used by Restore's free-list rebuild
 	next *loadSlot
 	fn   event.Func // bound once: marks the slot done and resumes issue
 }
@@ -121,8 +115,6 @@ type sharedWaiter struct {
 // sharedReq is a pooled outstanding shared-level fetch; fn is bound
 // once at allocation so a miss schedules no new closure.
 type sharedReq struct {
-	id      int32 // position in sharedAll
-	live    bool  // scratch flag used by Restore's free-list rebuild
 	b       addr.BlockAddr
 	start   event.Cycle
 	waiters []sharedWaiter
@@ -167,12 +159,11 @@ func New(eng *event.Engine, id int, cfg config.SystemConfig, gen trace.Generator
 func (c *Core) getSlot() *loadSlot {
 	s := c.slotFree
 	if s == nil {
-		s = &loadSlot{id: int32(len(c.slotAll))}
+		s = &loadSlot{}
 		s.fn = func() {
 			s.done = true
 			c.resume()
 		}
-		c.slotAll = append(c.slotAll, s)
 	} else {
 		c.slotFree = s.next
 	}
@@ -192,9 +183,8 @@ func (c *Core) putSlot(s *loadSlot) {
 func (c *Core) getShared(b addr.BlockAddr) *sharedReq {
 	r := c.sharedFree
 	if r == nil {
-		r = &sharedReq{id: int32(len(c.sharedAll))}
+		r = &sharedReq{}
 		r.fn = func() { c.completeShared(r) }
-		c.sharedAll = append(c.sharedAll, r)
 	} else {
 		c.sharedFree = r.next
 	}
@@ -228,13 +218,6 @@ func (c *Core) Rebudget(budget uint64, onDone func()) {
 
 // Stop halts the core after its current event.
 func (c *Core) Stop() { c.stopped = true }
-
-// Seed restarts the private caches' random streams with the seed
-// derivation New uses: L1 gets seed, L2 seed+1.
-func (c *Core) Seed(seed int64) {
-	c.l1.Seed(seed)
-	c.l2.Seed(seed + 1)
-}
 
 // Done reports whether the budget has been reached.
 func (c *Core) Done() bool { return c.done }

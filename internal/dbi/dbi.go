@@ -108,7 +108,7 @@ type DBI struct {
 	wpe   int // words per entry: ceil(granularity/64)
 
 	clock uint64
-	pcg   rand.PCG   // rng's state, held by value so Snapshot copies it
+	pcg   rand.PCG   // rng's source, held by value
 	rng   *rand.Rand // draws from pcg
 
 	Stat Stats
@@ -176,10 +176,6 @@ func New(opts ...Option) (*DBI, error) {
 	d.Stat.DirtyAtEviction = stats.NewHistogram(prm.Granularity)
 	return d, nil
 }
-
-// Seed restarts the LRW-BIP insertion stream as New would with
-// WithSeed(seed).
-func (d *DBI) Seed(seed int64) { simrand.Seed(&d.pcg, seed) }
 
 func log2(v uint64) uint {
 	var n uint

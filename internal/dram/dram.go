@@ -95,12 +95,9 @@ type Controller struct {
 	// Prebound callbacks and the transaction free list keep the bank
 	// service loop allocation-free: issuing, waking and refreshing reuse
 	// the same function values and pooled txn records run after run.
-	// txnAll registers every transaction ever allocated so a checkpoint
-	// can enumerate the pool; live distinguishes in-flight records.
 	wakeFn    event.Func
 	refreshFn event.Func
 	txnFree   *txn
-	txnAll    []*txn
 }
 
 // txn is a pooled in-flight transaction: its completion callbacks are
@@ -110,7 +107,6 @@ type txn struct {
 	c       *Controller
 	r       request
 	isWrite bool
-	live    bool // in flight (not on the free list); checkpoints save these
 	next    *txn
 	burstFn event.Func
 	dataFn  event.Func
@@ -122,17 +118,14 @@ func (c *Controller) getTxn() *txn {
 		t = &txn{c: c}
 		t.burstFn = t.burstDone
 		t.dataFn = t.dataDone
-		c.txnAll = append(c.txnAll, t)
 	} else {
 		c.txnFree = t.next
 	}
-	t.live = true
 	return t
 }
 
 func (c *Controller) putTxn(t *txn) {
 	t.r = request{}
-	t.live = false
 	t.next = c.txnFree
 	c.txnFree = t
 }

@@ -199,18 +199,6 @@ func (q *sortedList) dropFront(n int) {
 	q.recs = q.recs[:m]
 }
 
-// drain recycles every queued record through fn and empties the list,
-// retaining the column capacities.
-func (q *sortedList) drain(fn func(*record)) {
-	for i, r := range q.recs {
-		fn(r)
-		q.recs[i] = nil
-	}
-	q.at = q.at[:0]
-	q.seq = q.seq[:0]
-	q.recs = q.recs[:0]
-}
-
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
@@ -243,39 +231,6 @@ func (e *Engine) At(at Cycle, fn Func) Handle {
 // that can cancel it.
 func (e *Engine) After(delta Cycle, fn Func) Handle {
 	return e.At(e.now+delta, fn)
-}
-
-// drain returns the engine to its power-on state in O(pending) time —
-// the first step of Restore: every queued record (live or canceled) is
-// recycled into the free list with its generation bumped, so stale
-// Handles held by clients become inert, and the clock, sequence
-// counter, fired count and wheel cursor return to zero. The record
-// arena and scratch buffers are retained, so a drained engine schedules
-// with zero allocations from the first event. Only occupied wheel slots
-// are visited (found via the occupancy bitmaps); the 768 empty buckets
-// of a drained wheel cost nothing.
-func (e *Engine) drain() {
-	for level := 0; level < wheelLevels; level++ {
-		for w := range e.occ[level] {
-			word := e.occ[level][w]
-			for word != 0 {
-				slot := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				b := &e.wheel[level][slot]
-				for r := b.head; r != nil; {
-					next := r.next
-					e.recycle(r)
-					r = next
-				}
-				b.head, b.tail, b.lastSeq, b.unsorted = nil, nil, 0, false
-			}
-			e.occ[level][w] = 0
-		}
-	}
-	e.front.drain(e.recycle)
-	e.overflow.drain(e.recycle)
-	e.now, e.seq, e.fired = 0, 0, 0
-	e.pending, e.stopped, e.wheelBase = 0, false, 0
 }
 
 func (e *Engine) newRecord() *record {

@@ -183,7 +183,7 @@ func TestFlushExperiment(t *testing.T) {
 // CLBSensitivity(tiny()) on the math/rand/v2 PCG random sources.
 // TestParallelMatchesSequential checks both sweep paths against these
 // values, extending the parallel==sequential identity to an identity
-// across changes: no scheduler, pool or checkpoint change may perturb
+// across changes: no scheduler or pool change may perturb
 // a single bit of any experiment's results.
 var heapEngineCLBGolden = struct {
 	ipc    map[float64]float64

@@ -116,16 +116,11 @@ type LLC struct {
 	// a closure per tag-store operation. Only one scan lookup is in
 	// flight at a time (scanning), so a single field pair carries its
 	// state.
-	// tagAll/fillAll register every pooled record ever allocated (with
-	// live flags maintained at get/put) so a checkpoint can enumerate
-	// the pools by index.
 	curScanBlock addr.BlockAddr
 	curScanVisit func(addr.BlockAddr)
 	scanDoneFn   event.Func
 	scanWakeFn   event.Func
 	tagFree      *tagReq
-	tagAll       []*tagReq
-	fillAll      []*fillReq
 
 	// mateFree recycles harvest candidate buffers (row-mate lists, DBI
 	// eviction drains, flush scratch) so the steady-state harvest paths
@@ -150,8 +145,6 @@ type LLC struct {
 // the contended port, with its callbacks bound once at allocation.
 type tagReq struct {
 	l      *LLC
-	id     int32 // position in tagAll
-	live   bool
 	b      addr.BlockAddr
 	thread int
 	done   func()
@@ -165,21 +158,18 @@ type tagReq struct {
 func (l *LLC) getReq(b addr.BlockAddr, thread int, done func()) *tagReq {
 	rr := l.tagFree
 	if rr == nil {
-		rr = &tagReq{l: l, id: int32(len(l.tagAll))}
+		rr = &tagReq{l: l}
 		rr.clbFn = rr.clbCheck
 		rr.readFn = rr.lookupDone
 		rr.wbFn = rr.writebackDone
-		l.tagAll = append(l.tagAll, rr)
 	} else {
 		l.tagFree = rr.next
 	}
-	rr.live = true
 	rr.b, rr.thread, rr.done = b, thread, done
 	return rr
 }
 
 func (l *LLC) putReq(rr *tagReq) {
-	rr.live = false
 	rr.done = nil
 	rr.next = l.tagFree
 	l.tagFree = rr
@@ -411,8 +401,6 @@ func (rr *tagReq) lookupDone() {
 // at allocation. Merged fills complete the MSHR entry on arrival;
 // unmerged (MSHR-full) fills invoke done directly.
 type fillReq struct {
-	id       int32 // position in fillAll
-	live     bool
 	b        addr.BlockAddr
 	thread   int
 	allocate bool
@@ -427,14 +415,12 @@ type fillReq struct {
 func (l *LLC) getFill(b addr.BlockAddr, thread int, allocate, merged bool, done func()) *fillReq {
 	r := l.fillFree
 	if r == nil {
-		r = &fillReq{id: int32(len(l.fillAll))}
+		r = &fillReq{}
 		r.fn = func() { l.completeFill(r) }
-		l.fillAll = append(l.fillAll, r)
 	} else {
 		l.fillFree = r.next
 	}
 	r.next = nil
-	r.live = true
 	r.b, r.thread, r.allocate, r.merged, r.done = b, thread, allocate, merged, done
 	return r
 }
@@ -445,7 +431,6 @@ func (l *LLC) getFill(b addr.BlockAddr, thread int, allocate, merged bool, done 
 // it, so all state is copied out first.
 func (l *LLC) completeFill(r *fillReq) {
 	b, thread, allocate, merged, done := r.b, r.thread, r.allocate, r.merged, r.done
-	r.live = false
 	r.done = nil
 	r.next = l.fillFree
 	l.fillFree = r
@@ -772,13 +757,4 @@ func (l *LLC) Flush() int {
 	}
 	l.putMates(dirty)
 	return n
-}
-
-// Seed restarts the LLC's random streams with the seed derivation New
-// uses: the cache takes seed, the DBI seed+1.
-func (l *LLC) Seed(seed int64) {
-	l.Cache.Seed(seed)
-	if l.DBI != nil {
-		l.DBI.Seed(seed + 1)
-	}
 }

@@ -33,7 +33,7 @@ func TestFlightRecorderConcurrentDumps(t *testing.T) {
 				default:
 				}
 				f.CellStart(w, fmt.Sprintf("cell%d", i))
-				f.PoolEvent(w, "reset", "")
+				f.PoolEvent(w, "rebuild", "")
 				f.CellEnd(w, fmt.Sprintf("cell%d", i), 0, nil)
 			}
 		}()
@@ -89,7 +89,7 @@ func TestFlightRecordEndpointDuringSweep(t *testing.T) {
 			Key: Key{Experiment: "flight-race", Run: i},
 			Run: func() (int, error) {
 				once.Do(func() { close(started) })
-				system.PoolStat.Resets.Add(1)
+				system.PoolStat.Rebuilds.Add(1)
 				return 1, nil
 			},
 		}

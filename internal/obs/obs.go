@@ -192,8 +192,8 @@ type sweepDoc struct {
 	Pool       system.PoolSnapshot `json:"pool"`
 	// PoolSweep is the pool's activity since the current sweep began
 	// (absent before the first sweep): how its cells were satisfied —
-	// reused from a repeated cell (ckpt_hits), reset, or rebuilt — and
-	// the reused share of its cells.
+	// reused from a repeated cell (ckpt_hits) or simulated on a fresh
+	// machine (rebuilds) — and the reused share of its cells.
 	PoolSweep *poolSweepDoc `json:"pool_sweep,omitempty"`
 }
 

@@ -21,7 +21,7 @@ import (
 // with _sum and _count, and names are mangled into the dbi_ namespace.
 func TestPrometheusExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("pool.resets", func() uint64 { return 7 })
+	reg.Counter("pool.rebuilds", func() uint64 { return 7 })
 	reg.Gauge("proc.goroutines", func() float64 { return 3 })
 	h := stats.NewHistogram(2) // values 0,1 plus overflow
 	h.Observe(0)
@@ -36,8 +36,8 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE dbi_pool_resets_total counter\n",
-		"dbi_pool_resets_total 7\n",
+		"# TYPE dbi_pool_rebuilds_total counter\n",
+		"dbi_pool_rebuilds_total 7\n",
 		"# TYPE dbi_proc_goroutines gauge\n",
 		"dbi_proc_goroutines 3\n",
 		"# TYPE dbi_dbi_dirty_at_eviction histogram\n",
@@ -175,8 +175,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics content type = %q", ctype)
 	}
 	for _, name := range []string{
-		"dbi_pool_resets_total", "dbi_pool_rebuilds_total",
-		"dbi_fork_ckpt_hits_total",
+		"dbi_pool_rebuilds_total", "dbi_fork_ckpt_hits_total",
 		"dbi_proc_cells_done_total", "dbi_proc_goroutines",
 	} {
 		if !strings.Contains(metrics, name) {
@@ -274,7 +273,7 @@ func TestSweepStreamSSE(t *testing.T) {
 // to curated text rather than the generic fallback.
 func TestPrometheusHelpLines(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("pool.resets", func() uint64 { return 1 })
+	reg.Counter("pool.rebuilds", func() uint64 { return 1 })
 	reg.Counter("llc.reads", func() uint64 { return 2 })
 	reg.Gauge("proc.goroutines", func() float64 { return 3 })
 	telemetry.AttrTotals.RegisterMetrics(reg)
@@ -303,7 +302,7 @@ func TestPrometheusHelpLines(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# HELP dbi_pool_resets_total Simulator machine pool activity",
+		"# HELP dbi_pool_rebuilds_total Simulator machine pool activity",
 		"# HELP dbi_llc_reads_total Shared last-level cache activity",
 		"# HELP dbi_proc_goroutines Host process runtime state",
 		"# HELP dbi_dram_drain_burst DRAM controller command and queue activity",
@@ -355,13 +354,12 @@ func TestSweepPoolDelta(t *testing.T) {
 	// Each monitored sweep moves the process-wide pool counters as the
 	// pools would; the per-sweep delta must cover exactly one sweep's
 	// worth no matter how much history preceded it.
-	runSweep := func(label string, hits, resets, rebuilds uint64) {
+	runSweep := func(label string, hits, rebuilds uint64) {
 		t.Helper()
 		cells := []sweep.Cell[int]{{
 			Key: Key{Experiment: label},
 			Run: func() (int, error) {
 				system.PoolStat.CkptHits.Add(hits)
-				system.PoolStat.Resets.Add(resets)
 				system.PoolStat.Rebuilds.Add(rebuilds)
 				return 1, nil
 			},
@@ -370,22 +368,22 @@ func TestSweepPoolDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runSweep("first", 9, 0, 1)
+	runSweep("first", 9, 1)
 	doc := getDoc()
 	if doc.PoolSweep == nil {
 		t.Fatal("pool_sweep absent after a monitored sweep")
 	}
-	if doc.PoolSweep.CkptHits != 9 || doc.PoolSweep.Resets != 0 || doc.PoolSweep.Rebuilds != 1 {
-		t.Errorf("first sweep delta = %+v, want hits=9 resets=0 rebuilds=1", doc.PoolSweep.PoolSnapshot)
+	if doc.PoolSweep.CkptHits != 9 || doc.PoolSweep.Rebuilds != 1 {
+		t.Errorf("first sweep delta = %+v, want hits=9 rebuilds=1", doc.PoolSweep.PoolSnapshot)
 	}
 	if doc.PoolSweep.CkptHitRate != 0.9 {
 		t.Errorf("ckpt_hit_rate = %v, want 0.9", doc.PoolSweep.CkptHitRate)
 	}
 
-	runSweep("second", 1, 2, 1)
+	runSweep("second", 1, 3)
 	doc = getDoc()
-	if doc.PoolSweep.CkptHits != 1 || doc.PoolSweep.Resets != 2 || doc.PoolSweep.Rebuilds != 1 {
-		t.Errorf("second sweep delta = %+v, want rebaselined hits=1 resets=2 rebuilds=1", doc.PoolSweep.PoolSnapshot)
+	if doc.PoolSweep.CkptHits != 1 || doc.PoolSweep.Rebuilds != 3 {
+		t.Errorf("second sweep delta = %+v, want rebaselined hits=1 rebuilds=3", doc.PoolSweep.PoolSnapshot)
 	}
 	if doc.PoolSweep.CkptHitRate != 0.25 {
 		t.Errorf("ckpt_hit_rate = %v, want 0.25", doc.PoolSweep.CkptHitRate)

@@ -55,6 +55,22 @@ func (e Env) Comparable(o Env) (ok bool, reason string) {
 	}
 }
 
+// DirtyTrees names which of two recordings, an old and a new one, were
+// made from a tree with uncommitted changes: "old", "new", "old and
+// new", or "" when both trees were clean. A dirty recording measured
+// code that no commit holds.
+func DirtyTrees(old, new Env) string {
+	switch {
+	case old.GitDirty && new.GitDirty:
+		return "old and new"
+	case old.GitDirty:
+		return "old"
+	case new.GitDirty:
+		return "new"
+	}
+	return ""
+}
+
 func orUnknown(s string) string {
 	if s == "" {
 		return "(unknown)"

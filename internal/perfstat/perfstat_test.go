@@ -298,6 +298,23 @@ func TestCellCounter(t *testing.T) {
 	}
 }
 
+func TestDirtyTrees(t *testing.T) {
+	clean, dirty := Env{GitSHA: "a"}, Env{GitSHA: "b", GitDirty: true}
+	for _, c := range []struct {
+		old, new Env
+		want     string
+	}{
+		{clean, clean, ""},
+		{dirty, clean, "old"},
+		{clean, dirty, "new"},
+		{dirty, dirty, "old and new"},
+	} {
+		if got := DirtyTrees(c.old, c.new); got != c.want {
+			t.Errorf("DirtyTrees(dirty=%v, dirty=%v) = %q, want %q", c.old.GitDirty, c.new.GitDirty, got, c.want)
+		}
+	}
+}
+
 func TestDefaultFileName(t *testing.T) {
 	r := &Report{Env: Env{GitSHA: "0123456789abcdef0123"}}
 	if got := r.DefaultFileName(); got != "BENCH_0123456789ab.json" {

@@ -35,17 +35,6 @@ type Policy interface {
 	// first; equal values go to the lower way. It is the Virtual Write
 	// Queue's Set State Vector query. Sets are at most 64 ways wide.
 	LowRanks(set, k int) uint64
-	// Seed restarts the policy's random stream as construction with
-	// seed would; recency and dueling state are left alone. Restoring a
-	// power-on Snapshot and then calling Seed reproduces a fresh policy
-	// built with that seed.
-	Seed(seed int64)
-	// Snapshot captures the policy's full state (recency/RRPV arrays,
-	// dueling selectors, rng) into st; Restore writes it back, so a
-	// restored policy makes exactly the decisions the captured one would
-	// have. Both reuse st's buffers across captures.
-	Snapshot(st *PolicyState)
-	Restore(st *PolicyState)
 }
 
 // lruState holds per-block recency stamps; higher is more recent.
@@ -109,9 +98,6 @@ func (l *LRU) OnMiss(set, thread int) {}
 // Victim implements Policy.
 func (l *LRU) Victim(set int) int { return l.s.victim(set) }
 
-// Seed implements Policy (LRU has no random component).
-func (l *LRU) Seed(seed int64) {}
-
 // TADIP is the thread-aware dynamic insertion policy [Jaleel+, PACT'08;
 // Qureshi+, ISCA'07]: each thread duels LRU insertion against bimodal
 // insertion (BIP) on a few leader sets and follows the winner elsewhere.
@@ -122,7 +108,7 @@ type TADIP struct {
 	psel       []int
 	pselMax    int
 	epsilonDen int
-	pcg        rand.PCG   // rng's state, held by value so Snapshot copies it
+	pcg        rand.PCG   // rng's source, held by value
 	rng        *rand.Rand // draws from pcg
 }
 
@@ -237,9 +223,6 @@ func (d *TADIP) Insert(set, way, thread int) {
 // Victim implements Policy.
 func (d *TADIP) Victim(set int) int { return d.s.victim(set) }
 
-// Seed implements Policy.
-func (d *TADIP) Seed(seed int64) { simrand.Seed(&d.pcg, seed) }
-
 // PSEL exposes the selector value for a thread (for tests/diagnostics).
 func (d *TADIP) PSEL(thread int) int { return d.psel[thread%len(d.psel)] }
 
@@ -281,7 +264,7 @@ type DRRIP struct {
 	psel       []int
 	pselMax    int
 	epsilonDen int
-	pcg        rand.PCG   // rng's state, held by value so Snapshot copies it
+	pcg        rand.PCG   // rng's source, held by value
 	rng        *rand.Rand // draws from pcg
 }
 
@@ -374,9 +357,6 @@ func (d *DRRIP) Insert(set, way, thread int) {
 
 // Victim implements Policy.
 func (d *DRRIP) Victim(set int) int { return d.r.victim(set) }
-
-// Seed implements Policy.
-func (d *DRRIP) Seed(seed int64) { simrand.Seed(&d.pcg, seed) }
 
 // Config bundles what caches need to construct a policy by kind.
 type Config struct {

@@ -1,8 +1,7 @@
-// Package simrand fixes how the simulator seeds its checkpointed random
-// sources. Each source (the synthetic trace generators, the DBI's
-// LRW-BIP insertion, the TA-DIP/DRRIP bimodal insertion) holds a
-// math/rand/v2 PCG by value with a *rand.Rand drawing from it, so a
-// checkpoint captures the whole stream state as a 16-byte struct copy.
+// Package simrand fixes how the simulator seeds its random sources.
+// Each source (the synthetic trace generators, the DBI's LRW-BIP
+// insertion, the TA-DIP/DRRIP bimodal insertion) holds a math/rand/v2
+// PCG by value with a *rand.Rand drawing from it.
 package simrand
 
 import "math/rand/v2"

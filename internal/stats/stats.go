@@ -127,19 +127,6 @@ func (h *Histogram) Observe(v int) {
 	h.buckets[v]++
 }
 
-// CopyFrom makes h an exact copy of src — bucket contents, count and
-// sum — reallocating h's bucket array only when the layouts differ. It
-// is the histogram half of the checkpoint protocol: Snapshot copies a
-// component's histogram into checkpoint-owned storage, Restore copies
-// it back, and neither walk depends on how many samples were observed.
-func (h *Histogram) CopyFrom(src *Histogram) {
-	if len(h.buckets) != len(src.buckets) {
-		h.buckets = make([]uint64, len(src.buckets))
-	}
-	copy(h.buckets, src.buckets)
-	h.count, h.sum = src.count, src.sum
-}
-
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.count }
 

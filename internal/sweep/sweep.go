@@ -69,11 +69,11 @@ type Cell[T any] struct {
 
 // StateCell is a Cell whose Run receives the worker's reusable state: a
 // zero-valued W each worker goroutine owns for its lifetime and passes
-// to every cell it executes. It is the hook for pooling expensive
-// per-worker resources (a reusable simulated machine, scratch arenas)
-// across cells. The determinism contract extends to W: a cell's result
-// must be independent of which worker — and therefore which W, in
-// whatever state previous cells left it — runs it.
+// to every cell it executes. It is the hook for per-worker state that
+// outlives a cell (the previous cell's result, say, which answers a
+// repeat). The determinism contract extends to W: a cell's result must
+// be independent of which worker — and therefore which W, in whatever
+// state previous cells left it — runs it.
 type StateCell[T, W any] struct {
 	Key Key
 	Run func(w *W) (T, error)

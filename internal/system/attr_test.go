@@ -85,25 +85,6 @@ func TestAttributionReconciles(t *testing.T) {
 	}
 }
 
-// TestAttributionSurvivesReset: Reset returns the ledger to power-on
-// zero, so a reset machine's report must equal a fresh machine's bit
-// for bit — the reuse path cannot leak the previous cell's charges.
-func TestAttributionSurvivesReset(t *testing.T) {
-	cfg := smallCfg(1, config.DBIAWB)
-	sys, err := New(cfg, []string{"stream"}, 3, WithAttribution())
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := sys.Run()
-	if err := sys.Reset(cfg, []string{"stream"}, 3); err != nil {
-		t.Fatal(err)
-	}
-	second := sys.Run()
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("reset run diverges from first\nfirst:  %+v\nsecond: %+v", first, second)
-	}
-}
-
 // TestAttributionReuseMatchesScratch: a reused cell must look exactly
 // like a simulated one to attribution — the same Attr report as a
 // scratch run, and its measure window folded into AttrTotals once per
@@ -151,30 +132,4 @@ func attrTotals() map[string]uint64 {
 	m := map[string]uint64{}
 	reg.EachScalar(func(name, _ string, v float64) { m[name] = uint64(v) })
 	return m
-}
-
-// TestAttributionSnapshotAllowed: unlike tracers and samplers, an
-// attached ledger must not make Snapshot or restore refuse, and a
-// mid-run restore must bring the ledger back with the machine.
-func TestAttributionSnapshotAllowed(t *testing.T) {
-	cfg := smallCfg(1, config.TADIP)
-	sys, err := New(cfg, []string{"stream"}, 5, WithAttribution())
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveUntil(t, sys, func() bool { return sys.Eng.Now() > 20000 })
-	var ck Checkpoint
-	if err := sys.Snapshot(&ck); err != nil {
-		t.Fatalf("snapshot refused with attribution attached: %v", err)
-	}
-	target := sys.Eng.Now() + 30000
-	sys.Eng.RunUntil(target)
-	want := sys.attr.Values()
-	if err := sys.restore(cfg, &ck, true); err != nil {
-		t.Fatalf("restore refused with attribution attached: %v", err)
-	}
-	sys.Eng.RunUntil(target)
-	if got := sys.attr.Values(); got != want {
-		t.Errorf("replay after restore diverges\n got: %+v\nwant: %+v", got, want)
-	}
 }

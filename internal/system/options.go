@@ -56,12 +56,10 @@ func WithMetrics(reg *telemetry.Registry) Option {
 }
 
 // WithAttribution attaches a cycle/bandwidth attribution ledger to
-// every component. Unlike tracers and samplers, attribution is plain
-// counter state that Reset and Snapshot carry exactly, so an
-// attributed System still pools and resets; Results gain an
-// Attr report split at the warmup→measure boundary. Attribution never
-// schedules events or influences decisions, so Results stay
-// bit-identical with and without it.
+// every component; Results gain an Attr report split at the
+// warmup→measure boundary. Attribution never schedules events or
+// influences decisions, so Results stay bit-identical with and without
+// it.
 //
 // Pools construct their Systems internally with no options; use
 // SetAttributionEnabled for a process-wide default that reaches them.

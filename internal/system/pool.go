@@ -8,25 +8,12 @@ import (
 	"dbisim/internal/telemetry"
 )
 
-// poolMachineCap bounds how many distinct-geometry machines one Pool
-// keeps alive. Figure 6 cycles 7 signatures per worker; at capacity the
-// least-recently-used machine is dropped and its next cell rebuilds.
-const poolMachineCap = 12
-
-// poolMachine is one pooled System with its geometry signature.
-type poolMachine struct {
-	sys   *System
-	sig   config.SystemConfig
-	stamp uint64
-}
-
-// Pool runs sweep cells on pooled machines. A cell whose full identity
-// — config with both budgets, benchmarks and seed — equals the previous
-// cell's gets a copy of that cell's Results: a cell's result is a
-// function of its inputs, so simulating it again could only return the
-// same values. Any other cell runs whole on the pool's machine for its
-// geometry signature, reset to power-on in place, or on a new machine
-// when the pool has none. Either way the result is bit-identical to
+// Pool runs sweep cells. A cell whose full identity — config with both
+// budgets, benchmarks and seed — equals the previous cell's gets a copy
+// of that cell's Results: a cell's result is a function of its inputs,
+// so simulating it again could only return the same values. Any other
+// cell runs whole on a machine New builds for it, which the pool drops
+// when the cell is done. Either way the result is bit-identical to
 // New(cfg, benches, seed).Run().
 //
 // A Pool is NOT safe for concurrent use: each sweep worker owns its
@@ -38,9 +25,6 @@ type poolMachine struct {
 // Every decision increments the process-wide PoolStat counters and
 // (when the ops plane installed a hook) emits a flight-recorder event.
 type Pool struct {
-	machines []*poolMachine
-	clock    uint64
-
 	// The previous cell: its identity, a private copy of its Results
 	// and the measure-window attribution its run folded into
 	// telemetry.AttrTotals, which a reuse folds in again.
@@ -71,7 +55,7 @@ func (p *Pool) workerID() int {
 }
 
 // Run executes one cell: a copy of the previous cell's Results when the
-// identities match, otherwise a whole run on a ready machine.
+// identities match, otherwise a whole run on a new machine.
 func (p *Pool) Run(cfg config.SystemConfig, benches []string, seed int64) (Results, error) {
 	if p.haveLast && cfg == p.lastCfg && seed == p.lastSeed && slices.Equal(benches, p.lastBenches) {
 		PoolStat.CkptHits.Add(1)
@@ -81,52 +65,18 @@ func (p *Pool) Run(cfg config.SystemConfig, benches []string, seed int64) (Resul
 		}
 		return p.lastRes.clone(), nil
 	}
-	sys, err := p.ready(cfg, benches, seed)
+	sys, err := New(cfg, benches, seed)
 	if err != nil {
 		return Results{}, err
 	}
+	PoolStat.Rebuilds.Add(1)
+	poolEvent(p.workerID(), "rebuild", "")
 	res := sys.Run()
 	p.haveLast, p.lastCfg, p.lastSeed = true, cfg, seed
 	p.lastBenches = append(p.lastBenches[:0], benches...)
 	p.lastRes = res.clone()
 	p.lastAttr = sys.attr.Values().Sub(sys.snap.attr)
 	return res, nil
-}
-
-// ready returns a machine at New(cfg, benches, seed)'s power-on state:
-// the pool's machine for cfg's signature reset in place, or a new one,
-// which evicts the least-recently-used machine at capacity.
-func (p *Pool) ready(cfg config.SystemConfig, benches []string, seed int64) (*System, error) {
-	sig := Signature(cfg)
-	p.clock++
-	for _, m := range p.machines {
-		if m.sig == sig {
-			if err := m.sys.Reset(cfg, benches, seed); err != nil {
-				return nil, err
-			}
-			m.stamp = p.clock
-			PoolStat.Resets.Add(1)
-			poolEvent(p.workerID(), "reset", "")
-			return m.sys, nil
-		}
-	}
-	sys, err := New(cfg, benches, seed)
-	if err != nil {
-		return nil, err
-	}
-	if len(p.machines) >= poolMachineCap {
-		lru := 0
-		for i, m := range p.machines {
-			if m.stamp < p.machines[lru].stamp {
-				lru = i
-			}
-		}
-		p.machines = slices.Delete(p.machines, lru, lru+1)
-	}
-	p.machines = append(p.machines, &poolMachine{sys: sys, sig: sig, stamp: p.clock})
-	PoolStat.Rebuilds.Add(1)
-	poolEvent(p.workerID(), "rebuild", "")
-	return sys, nil
 }
 
 // clone returns a copy of r that shares no memory with it.

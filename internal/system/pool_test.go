@@ -3,6 +3,7 @@ package system
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dbisim/internal/config"
@@ -12,8 +13,8 @@ import (
 // TestForkedGoldenReplay replays the whole golden grid through a single
 // Pool, each cell twice in a row, and asserts every Results — run or
 // reused — equals the pinned golden values. The first run of a cell
-// resets or builds a machine; its repeat is reused, so the grid's 11
-// cells reuse exactly 11 results.
+// builds a machine; its repeat is reused, so the grid's 11 cells reuse
+// exactly 11 results.
 func TestForkedGoldenReplay(t *testing.T) {
 	cells := loadGoldenCells(t)
 	var pool Pool
@@ -32,9 +33,65 @@ func TestForkedGoldenReplay(t *testing.T) {
 		}
 	}
 	d := PoolStat.Snapshot().Sub(before)
-	if want := uint64(len(cells)); d.CkptHits != want || d.Resets+d.Rebuilds != want {
+	if want := uint64(len(cells)); d.CkptHits != want || d.Rebuilds != want {
 		t.Errorf("pool reused %d cells and ran %d (want %d and %d)",
-			d.CkptHits, d.Resets+d.Rebuilds, want, want)
+			d.CkptHits, d.Rebuilds, want, want)
+	}
+}
+
+// TestPoolKeepsNoMachine: a Pool remembers only the previous cell's
+// identity and result, so after cells of several geometries the live
+// heap has grown by less than one 1-core machine.
+func TestPoolKeepsNoMachine(t *testing.T) {
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	cell := func(cores int, mech config.Mechanism) config.SystemConfig {
+		cfg := config.Scaled(cores, mech)
+		cfg.WarmupInstructions, cfg.MeasureInstructions = 2000, 4000
+		return cfg
+	}
+	one := cell(1, config.Baseline)
+	// A first machine initializes whatever the runtime builds lazily,
+	// so neither measurement below is charged for it.
+	warm, err := New(one, []string{"stream"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Run()
+
+	base := liveHeap()
+	sys, err := New(one, []string{"stream"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := liveHeap() - base
+	runtime.KeepAlive(sys)
+
+	var pool Pool
+	base = liveHeap()
+	for _, c := range []struct {
+		cfg     config.SystemConfig
+		benches []string
+	}{
+		{one, []string{"stream"}},
+		{cell(1, config.DBIAWBCLB), []string{"mcf"}},
+		{cell(2, config.VWQ), []string{"lbm", "mcf"}},
+		{cell(4, config.DAWB), []string{"stream", "mcf", "lbm", "milc"}},
+		{cell(1, config.TADIP), []string{"milc"}},
+	} {
+		if _, err := pool.Run(c.cfg, c.benches, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := liveHeap() - base
+	runtime.KeepAlive(&pool)
+	t.Logf("one 1-core machine: %d KB; the pool's live heap growth: %d KB", machine>>10, grown>>10)
+	if grown >= machine {
+		t.Errorf("live heap grew %d KB over five cells; one 1-core machine is %d KB", grown>>10, machine>>10)
 	}
 }
 

@@ -13,11 +13,8 @@ import (
 // never on a simulated hot path — so they are always on: zero
 // allocation, no measurable cost, and no effect on simulated Results.
 type PoolCounters struct {
-	// Resets counts cells run on a pooled machine reset to power-on in
-	// place.
-	Resets atomic.Uint64
-	// Rebuilds counts cells that constructed a fresh System because
-	// the pool held no machine of the cell's geometry signature.
+	// Rebuilds counts simulated cells: cells that built a fresh System
+	// and ran it.
 	Rebuilds atomic.Uint64
 	// CkptHits counts reused cells: cells whose identity equalled the
 	// previous cell's and got a copy of its Results. The name is kept
@@ -32,13 +29,14 @@ var PoolStat PoolCounters
 // deltas (the dbibench per-sweep summary line) and for JSON serving
 // (the ops plane's /sweep document).
 type PoolSnapshot struct {
-	Resets   uint64 `json:"resets"`
-	Rebuilds uint64 `json:"rebuilds"`
+	Rebuilds uint64 `json:"rebuilds"`  // simulated cells
 	CkptHits uint64 `json:"ckpt_hits"` // reused cells
 
-	// ResetRefusals and the Refused* fields are always zero: nothing
-	// refuses a cell any more. They stay, unserved, until the
-	// benchmark harness that sums them changes.
+	// Resets, ResetRefusals and the Refused* fields are always zero:
+	// no machine is reset and nothing refuses a cell any more. They
+	// stay, unserved, until the benchmark harness that reads them
+	// changes.
+	Resets          uint64 `json:"-"`
 	ResetRefusals   uint64 `json:"-"`
 	RefusedDisabled uint64 `json:"-"`
 	RefusedRestore  uint64 `json:"-"`
@@ -51,7 +49,6 @@ type PoolSnapshot struct {
 // not mutually consistent, which is fine for monitoring deltas.
 func (c *PoolCounters) Snapshot() PoolSnapshot {
 	return PoolSnapshot{
-		Resets:   c.Resets.Load(),
 		Rebuilds: c.Rebuilds.Load(),
 		CkptHits: c.CkptHits.Load(),
 	}
@@ -60,7 +57,6 @@ func (c *PoolCounters) Snapshot() PoolSnapshot {
 // Sub returns the counter deltas since an earlier snapshot.
 func (s PoolSnapshot) Sub(prev PoolSnapshot) PoolSnapshot {
 	return PoolSnapshot{
-		Resets:   s.Resets - prev.Resets,
 		Rebuilds: s.Rebuilds - prev.Rebuilds,
 		CkptHits: s.CkptHits - prev.CkptHits,
 	}
@@ -69,7 +65,7 @@ func (s PoolSnapshot) Sub(prev PoolSnapshot) PoolSnapshot {
 // CkptHitRate returns the share of the snapshot's cells that were
 // reused, or 0 when none ran.
 func (s PoolSnapshot) CkptHitRate() float64 {
-	cells := s.CkptHits + s.Resets + s.Rebuilds
+	cells := s.CkptHits + s.Rebuilds
 	if cells == 0 {
 		return 0
 	}
@@ -81,13 +77,12 @@ func (s PoolSnapshot) CkptHitRate() float64 {
 // probes read atomics, so the registry is safe to serve live.
 func RegisterPoolMetrics(reg *telemetry.Registry) {
 	c := &PoolStat
-	reg.Counter("pool.resets", c.Resets.Load)
 	reg.Counter("pool.rebuilds", c.Rebuilds.Load)
 	reg.Counter("fork.ckpt_hits", c.CkptHits.Load)
 }
 
 // poolHookFn receives one pool decision: which worker's pool made it
-// (-1 when unknown), a kind tag ("reuse", "reset" or "rebuild") and a
+// (-1 when unknown), a kind tag ("reuse" or "rebuild") and a
 // detail string.
 type poolHookFn func(worker int, kind, detail string)
 

@@ -32,14 +32,10 @@ type System struct {
 	Cores []*cpu.Core
 
 	benchNames []string
-	gens       []*trace.Synth // per-core generators, kept for Reset and Snapshot
 	snap       snapshot
-	powerOn    Checkpoint // the machine as New built it, before options; Reset restores it
 
 	// attr is the machine's attribution ledger (nil when attribution
-	// is off). Unlike tracer/sampler it is plain simulated-counter
-	// state: Reset zeroes it, Snapshot and restore carry it, and none
-	// of those operations refuse because of it.
+	// is off).
 	attr *telemetry.Attribution
 
 	tracer  *telemetry.Tracer
@@ -102,10 +98,10 @@ type Results struct {
 var attrEnabled atomic.Bool
 
 // SetAttributionEnabled sets the process-wide attribution default:
-// when on, every System built by New (and every pooled machine on its
-// next Reset) carries an attribution ledger. Flip it before starting
-// sweeps; machines already warmed keep their current attachment until
-// they reset.
+// when on, every System that New builds from then on carries an
+// attribution ledger, whether or not it was given WithAttribution.
+// Flip it before starting sweeps; machines already built keep their
+// attachment.
 func SetAttributionEnabled(on bool) { attrEnabled.Store(on) }
 
 // AttributionEnabled reports the process-wide attribution default.
@@ -126,8 +122,8 @@ func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) 
 	if len(benches) != cfg.NumCores {
 		return nil, fmt.Errorf("system: %d benchmarks for %d cores", len(benches), cfg.NumCores)
 	}
-	// benchNames is the machine's own copy: Reset and Restore overwrite
-	// it in place, and the caller's slice may be shared with later cells.
+	// benchNames is the machine's own copy: the caller's slice may be
+	// shared with later cells.
 	s := &System{Cfg: cfg, Geo: addr.Default(), benchNames: append([]string(nil), benches...)}
 	mem, err := dram.New(&s.Eng, s.Geo, cfg.DRAM)
 	if err != nil {
@@ -151,13 +147,7 @@ func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) 
 		if err != nil {
 			return nil, err
 		}
-		s.gens = append(s.gens, gen)
 		s.Cores = append(s.Cores, core)
-	}
-	// Snapshot refuses once a tracer or sampler is attached, so the
-	// power-on checkpoint is taken before the options are applied.
-	if err := s.Snapshot(&s.powerOn); err != nil {
-		return nil, err
 	}
 	var o options
 	for _, opt := range opts {
@@ -167,64 +157,6 @@ func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) 
 	}
 	s.apply(&o)
 	return s, nil
-}
-
-// Signature returns the geometry signature of a config: everything that
-// determines allocated structure shape — cache organizations, DBI and
-// predictor parameters, DRAM timing, core count, mechanism — i.e. the
-// config with only the run-length budgets zeroed. Two configs with equal
-// signatures can share one System through Reset.
-func Signature(cfg config.SystemConfig) config.SystemConfig {
-	cfg.WarmupInstructions = 0
-	cfg.MeasureInstructions = 0
-	return cfg
-}
-
-// Reset returns the machine to the state New(cfg, benches, seed) would
-// build, without reallocating any of its structures: it restores the
-// power-on checkpoint New took, restarts every random stream with New's
-// seed derivations and rebinds the trace generators to benches, so a
-// reset-then-Run is bit-identical to a fresh System's Run. cfg may
-// differ from the construction config only in its warmup/measure
-// budgets (Signature must match); benches may change freely. Systems
-// with telemetry options attached refuse to reset: tracers and samplers
-// accumulate host-side state a reset cannot unwind. On error the system
-// is untouched.
-func (s *System) Reset(cfg config.SystemConfig, benches []string, seed int64) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if len(benches) != cfg.NumCores {
-		return fmt.Errorf("system: %d benchmarks for %d cores", len(benches), cfg.NumCores)
-	}
-	profiles := make([]trace.Profile, len(benches))
-	for i, b := range benches {
-		p, err := trace.ByName(b)
-		if err != nil {
-			return err
-		}
-		profiles[i] = p
-	}
-	// The generators are skipped: Synth.Reset rebinds them below, and
-	// restoring them first would shrink their tables back to the
-	// construction profile's, to be regrown for a larger one. restore
-	// refuses another geometry or attached telemetry before mutating.
-	if err := s.restore(cfg, &s.powerOn, false); err != nil {
-		return err
-	}
-	s.LLC.Seed(seed)
-	for i, c := range s.Cores {
-		s.gens[i].Reset(profiles[i], addr.Addr(uint64(i+1)<<36), seed+int64(i)*131)
-		c.Seed(seed + int64(i)*977)
-	}
-	s.benchNames = append(s.benchNames[:0], benches...)
-	// The restore zeroed an attached ledger. A machine built before the
-	// process-wide toggle flipped on gains its ledger here, so pooled
-	// machines honor the toggle from their next run.
-	if s.attr == nil && AttributionEnabled() {
-		s.attachAttr(&telemetry.Attribution{})
-	}
-	return nil
 }
 
 // attachAttr wires one attribution ledger into every component that
@@ -338,8 +270,6 @@ type snapshot struct {
 
 	// attr/atCycle baseline the attribution ledger at the same instant
 	// as the counters above, so harvest can split warmup from measure.
-	// AttrValues is a plain array pair, so the struct copy semantics
-	// snapshot/checkpoint rely on still hold.
 	attr    telemetry.AttrValues
 	atCycle uint64
 }

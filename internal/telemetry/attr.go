@@ -202,7 +202,7 @@ func (d Domain) Closed() bool { return domInfo[d].closed }
 
 // AttrValues is the raw ledger state: one counter per category plus
 // one total per domain. It is a plain value type — arrays copy by
-// assignment — so checkpoints carry it with a single struct copy.
+// assignment — so a baseline is a single struct copy.
 type AttrValues struct {
 	Cats [NumCategories]uint64
 	Doms [NumDomains]uint64
@@ -240,20 +240,12 @@ func (a *Attribution) ChargeDomain(d Domain, n uint64) {
 	a.v.Doms[d] += n
 }
 
-// Values returns a copy of the ledger state, for snapshots.
+// Values returns a copy of the ledger state, for window baselines.
 func (a *Attribution) Values() AttrValues {
 	if a == nil {
 		return AttrValues{}
 	}
 	return a.v
-}
-
-// SetValues overwrites the ledger state, for checkpoint restore.
-func (a *Attribution) SetValues(v AttrValues) {
-	if a == nil {
-		return
-	}
-	a.v = v
 }
 
 // AttrWindow is one observation window of the ledger, serialized with

@@ -6,9 +6,9 @@ package trace
 func (s *Synth) pageMap() map[uint64]uint64 {
 	m := make(map[uint64]uint64)
 	t := &s.pt
-	for i := range t.keys {
-		if t.gens[i] == t.gen {
-			m[t.keys[i]] = t.vals[i]
+	for i, k := range t.keys {
+		if k != noPage {
+			m[k] = t.vals[i]
 		}
 	}
 	return m

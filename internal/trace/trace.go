@@ -149,7 +149,7 @@ const pageBlocks = 64
 // in eviction order produces mostly row misses (Section 3.1).
 type Synth struct {
 	p    Profile
-	pcg  rand.PCG   // rng's state, held by value so Snapshot copies it
+	pcg  rand.PCG   // rng's source, held by value
 	rng  *rand.Rand // draws from pcg
 	base addr.Addr  // base of this core's physical range
 
@@ -169,62 +169,41 @@ type Synth struct {
 	gapCarry     float64 // error-diffusion remainder keeping E[gap] exact
 }
 
-// pageTable is an open-addressed, linear-probed vpage→ppage map. Slot
-// validity is a generation stamp (gens[i] == gen), so reset is a single
-// counter bump instead of an O(capacity) clear, and the table is sized
-// to at most 50% load (every virtual page inserted once, no deletions),
-// keeping probe chains short. It replaces the Go map that dominated the
+// pageTable is an open-addressed, linear-probed vpage→ppage map. An
+// empty slot holds the key noPage, and the table is sized to at most
+// 50% load (every virtual page inserted once, no deletions), keeping
+// probe chains short. It replaces the Go map that dominated the
 // generator's translate profile.
 type pageTable struct {
 	mask uint64
-	gen  uint32
-	gens []uint32
 	keys []uint64
 	vals []uint64
 }
 
+// noPage is the key of an empty page-table slot. A virtual page number
+// is a block index divided by pageBlocks, so none reaches it.
+const noPage = ^uint64(0)
+
 // fibMix is the 64-bit Fibonacci-hashing multiplier (2^64/φ, odd).
 const fibMix = 0x9E3779B97F4A7C15
 
-// grow readies the table for vpages insertions: it reuses the backing
-// arrays when they are already big enough (bumping the generation) and
-// reallocates otherwise. Generation wraparound — one in 2^32 resets —
-// falls back to a hard clear so stale stamps can never alias.
-func (t *pageTable) grow(vpages uint64) {
-	need := uint64(8)
-	for need < 2*vpages {
-		need <<= 1
+// newPageTable returns an empty table for vpages insertions.
+func newPageTable(vpages uint64) pageTable {
+	n := uint64(8)
+	for n < 2*vpages {
+		n <<= 1
 	}
-	if uint64(len(t.keys)) < need {
-		t.keys = make([]uint64, need)
-		t.vals = make([]uint64, need)
-		t.gens = make([]uint32, need)
-		t.mask = need - 1
-		t.gen = 1
-		return
+	t := pageTable{mask: n - 1, keys: make([]uint64, n), vals: make([]uint64, n)}
+	for i := range t.keys {
+		t.keys[i] = noPage
 	}
-	t.gen++
-	if t.gen == 0 {
-		for i := range t.gens {
-			t.gens[i] = 0
-		}
-		t.gen = 1
-	}
+	return t
 }
 
 // bitset is a plain bit vector over physical page indices.
 type bitset struct{ words []uint64 }
 
-func (b *bitset) grow(n uint64) {
-	w := int((n + 63) / 64)
-	if w > len(b.words) {
-		b.words = make([]uint64, w)
-		return
-	}
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
+func newBitset(n uint64) bitset { return bitset{make([]uint64, (n+63)/64)} }
 
 func (b *bitset) test(i uint64) bool { return b.words[i>>6]&(1<<(i&63)) != 0 }
 func (b *bitset) set(i uint64)       { b.words[i>>6] |= 1 << (i & 63) }
@@ -233,19 +212,6 @@ func (b *bitset) set(i uint64)       { b.words[i>>6] |= 1 << (i & 63) }
 // stream in physical memory (distinct cores get disjoint footprints) and
 // seed fixes the random components.
 func New(p Profile, base addr.Addr, seed int64) *Synth {
-	s := &Synth{}
-	s.rng = rand.New(&s.pcg)
-	s.Reset(p, base, seed)
-	return s
-}
-
-// Reset returns the generator to power-on state for a (possibly
-// different) profile, base and seed, reusing the page table and
-// used-page bitset allocations when the new footprint fits. The
-// resulting stream is bit-identical to New(p, base, seed)'s: the rng is
-// reseeded identically and translation behavior depends only on table
-// hit/miss, which the generation bump resets exactly like fresh maps.
-func (s *Synth) Reset(p Profile, base addr.Addr, seed int64) {
 	blocks := p.FootprintBytes / 64
 	if blocks == 0 {
 		blocks = 1
@@ -266,19 +232,21 @@ func (s *Synth) Reset(p Profile, base addr.Addr, seed int64) {
 		rep = 1
 	}
 	vpages := (blocks + pageBlocks - 1) / pageBlocks
-	s.p = p
-	s.base = base
-	s.spanPages = 4 * vpages // physical slack so placement stays random
-	s.blocks = blocks
-	s.hotBlocks = hot
-	s.repeat = rep
-	s.meanGap = 1/mf - 1
-	s.seqCursor, s.strideCursor = 0, 0
-	s.curBlock, s.repLeft = 0, 0
-	s.gapCarry = 0
-	s.pt.grow(vpages)
-	s.used.grow(s.spanPages)
+	span := 4 * vpages // physical slack so placement stays random
+	s := &Synth{
+		p:         p,
+		base:      base,
+		pt:        newPageTable(vpages),
+		used:      newBitset(span),
+		spanPages: span,
+		blocks:    blocks,
+		hotBlocks: hot,
+		repeat:    rep,
+		meanGap:   1/mf - 1,
+	}
 	simrand.Seed(&s.pcg, seed)
+	s.rng = rand.New(&s.pcg)
+	return s
 }
 
 // Name implements Generator.
@@ -297,13 +265,13 @@ func (s *Synth) Next() Record {
 // translate maps a virtual block to a physical block through the
 // process's randomized page table, allocating on first touch. The probe
 // loop doubles as the insertion scan: when it falls off the end of a
-// cluster (stale slot), vpage is absent and that very slot receives it.
+// cluster (empty slot), vpage is absent and that very slot receives it.
 func (s *Synth) translate(vblock uint64) uint64 {
 	vpage := vblock / pageBlocks
 	t := &s.pt
 	i := (vpage * fibMix) & t.mask
-	for t.gens[i] == t.gen {
-		if t.keys[i] == vpage {
+	for k := t.keys[i]; k != noPage; k = t.keys[i] {
+		if k == vpage {
 			return t.vals[i]*pageBlocks + vblock%pageBlocks
 		}
 		i = (i + 1) & t.mask
@@ -316,7 +284,7 @@ func (s *Synth) translate(vblock uint64) uint64 {
 		}
 	}
 	s.used.set(ppage)
-	t.gens[i], t.keys[i], t.vals[i] = t.gen, vpage, ppage
+	t.keys[i], t.vals[i] = vpage, ppage
 	return ppage*pageBlocks + vblock%pageBlocks
 }
 
