@@ -208,8 +208,12 @@ func New(eng *event.Engine, geo addr.Geometry, p config.DRAMParams) (*Controller
 // access.
 func (c *Controller) Read(b addr.BlockAddr, done func()) {
 	c.Attr.ChargeDomain(telemetry.DomDRAMBus, c.Geo.BlockSize)
-	for _, w := range c.writeQ {
-		if w.block == b {
+	// This scan and pick's index the queue instead of ranging over
+	// copies of its entries: a by-value loop copied every request
+	// through the stack and, on some heap placements of the queue, ran
+	// four times slower.
+	for i := range c.writeQ {
+		if c.writeQ[i].block == b {
 			c.Stat.WriteBufHits.Inc()
 			// Forwarding costs roughly a burst on the internal datapath.
 			c.Eng.After(event.Cycle(c.Prm.TBurst), done)
@@ -320,9 +324,9 @@ func (c *Controller) selectQueue() (*[]request, bool) {
 // pick implements FR-FCFS within a queue: the oldest row-hit request
 // wins; with no row hits, the oldest request whose bank is soonest free.
 func (c *Controller) pick(q []request) int {
-	for i, r := range q {
-		b := c.banks[r.bank]
-		if b.open && b.openRow == r.row {
+	for i := range q {
+		b := &c.banks[q[i].bank]
+		if b.open && b.openRow == q[i].row {
 			return i
 		}
 	}

@@ -122,8 +122,8 @@ func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) 
 	if len(benches) != cfg.NumCores {
 		return nil, fmt.Errorf("system: %d benchmarks for %d cores", len(benches), cfg.NumCores)
 	}
-	// benchNames is the machine's own copy: the caller's slice may be
-	// shared with later cells.
+	// benchNames is the machine's own copy, so the caller may reuse
+	// its slice once New returns.
 	s := &System{Cfg: cfg, Geo: addr.Default(), benchNames: append([]string(nil), benches...)}
 	mem, err := dram.New(&s.Eng, s.Geo, cfg.DRAM)
 	if err != nil {
