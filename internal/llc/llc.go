@@ -701,14 +701,6 @@ func (l *LLC) harvestAWB(b addr.BlockAddr) {
 // TagLookups reports total tag-store lookups (Figure 6c's numerator).
 func (l *LLC) TagLookups() uint64 { return l.Cache.Stats.TagLookups.Value() }
 
-// MSHRLen reports outstanding (merged) misses — tests use it to catch
-// the machine with the miss file occupied.
-func (l *LLC) MSHRLen() int { return l.mshr.Len() }
-
-// ScanQueueLen reports queued harvest/evict-buffer rows — tests use it
-// to catch the machine mid-drain.
-func (l *LLC) ScanQueueLen() int { return len(l.scanQ) }
-
 // RegisterMetrics adds the LLC's probes (and those of its port and DBI,
 // when present) to a telemetry registry.
 func (l *LLC) RegisterMetrics(reg *telemetry.Registry) {
