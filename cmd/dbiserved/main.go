@@ -13,6 +13,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -76,26 +77,57 @@ func serveCmd(args []string) error {
 	reg := telemetry.NewRegistry()
 	srv := dbiserve.New(tr, reg)
 
+	var bln net.Listener
 	if *tcpAddr != "" {
-		ln, err := net.Listen("tcp", *tcpAddr)
+		bln, err = net.Listen("tcp", *tcpAddr)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("dbiserved: binary protocol on %s\n", ln.Addr())
-		go func() {
-			if err := srv.ServeBinary(ln); err != nil {
-				fmt.Fprintln(os.Stderr, "dbiserved: binary listener:", err)
-				os.Exit(1)
-			}
-		}()
+		fmt.Printf("dbiserved: binary protocol on %s\n", bln.Addr())
 	}
 	hln, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
+		if bln != nil {
+			bln.Close()
+		}
 		return err
 	}
 	fmt.Printf("dbiserved: HTTP v1 + ops plane on %s (%d shards × %d rows × %d keys/row)\n",
 		hln.Addr(), tr.ShardCount(), *rows/tr.ShardCount(), *rowSize)
-	return http.Serve(hln, srv.Handler())
+	return serve(srv, hln, bln)
+}
+
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a stalled client cannot hold an HTTP connection.
+const readHeaderTimeout = 10 * time.Second
+
+// serve runs srv's HTTP API on hln and, unless bln is nil, its binary
+// protocol on bln. When either stops, serve stops the other, waits for
+// both and returns the first error; a listener closed from outside
+// stops its server without one.
+func serve(srv *dbiserve.Server, hln, bln net.Listener) error {
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	errc := make(chan error, 2) // one send per server goroutine
+	go func() { errc <- hs.Serve(hln) }()
+	running := 1
+	if bln != nil {
+		running++
+		go func() { errc <- srv.ServeBinary(bln) }()
+	}
+	var first error
+	for i := 0; i < running; i++ {
+		err := <-errc
+		if i == 0 {
+			hs.Close()
+			if bln != nil {
+				bln.Close()
+			}
+		}
+		if first == nil && !errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
+			first = err
+		}
+	}
+	return first
 }
 
 func loadtestCmd(args []string) error {

@@ -57,12 +57,6 @@ func WithRows(n int) Option {
 	return func(o *options) { o.rows = n; o.cacheBlocks = 0 }
 }
 
-// WithGranularity sets blocks tracked per entry (power of two, at most
-// the geometry's blocks per row).
-func WithGranularity(g int) Option {
-	return func(o *options) { o.prm.Granularity = g }
-}
-
 // WithAssociativity sets the DBI's set associativity.
 func WithAssociativity(w int) Option {
 	return func(o *options) { o.prm.Associativity = w }

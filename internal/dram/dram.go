@@ -247,9 +247,6 @@ func (c *Controller) Write(b addr.BlockAddr) {
 // WriteQueueLen reports buffered writes (diagnostics and LLC throttling).
 func (c *Controller) WriteQueueLen() int { return len(c.writeQ) }
 
-// ReadQueueLen reports pending reads.
-func (c *Controller) ReadQueueLen() int { return len(c.readQ) }
-
 // Draining reports whether the controller is in its write-drain phase.
 func (c *Controller) Draining() bool { return c.draining }
 

@@ -19,9 +19,10 @@ func BenchmarkScheduleRun(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkScheduleFanout measures heap behaviour with many pending
-// events. Offsets are relative to the advancing clock: the engine
-// forbids scheduling in the past.
+// BenchmarkScheduleFanout measures the engine with many pending
+// events: up to 1,024, due up to 1,023 cycles ahead, so three quarters
+// of them sit in the far list. Offsets are relative to the advancing
+// clock: the engine forbids scheduling in the past.
 func BenchmarkScheduleFanout(b *testing.B) {
 	var e Engine
 	for i := 0; i < b.N; i++ {
@@ -33,13 +34,12 @@ func BenchmarkScheduleFanout(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkOverflowSchedule measures the far-future path: events beyond
-// the wheel horizon land in the columnar overflow list (binary-search
-// insert over the dense cycle/seq columns) and are refilled into the
-// wheel as the clock advances.
+// BenchmarkOverflowSchedule measures the far-future path: events 2^24
+// cycles out land in the sorted far list (binary-search insert) and
+// fire from its head.
 func BenchmarkOverflowSchedule(b *testing.B) {
 	var e Engine
-	horizon := Cycle(1) << (wheelLevels * wheelBits)
+	horizon := Cycle(1) << 24
 	fn := func() {}
 	for i := 0; i < b.N; i++ {
 		e.At(e.Now()+horizon+Cycle(1+i%64), fn)

@@ -7,23 +7,29 @@ import (
 )
 
 func TestScheduleOrdering(t *testing.T) {
-	var e Engine
-	var got []int
-	e.At(10, func() { got = append(got, 10) })
-	e.At(5, func() { got = append(got, 5) })
-	e.At(7, func() { got = append(got, 7) })
-	e.Run()
-	want := []int{5, 7, 10}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
+	for _, tc := range []struct{ in, want []Cycle }{
+		{in: []Cycle{10, 5, 7}, want: []Cycle{5, 7, 10}},
+		// 256 is the first delta past the ring: in a ring slot it would
+		// share now's slot and fire before the sooner events.
+		{in: []Cycle{256, 255, 10, 5, 7}, want: []Cycle{5, 7, 10, 255, 256}},
+	} {
+		var e Engine
+		var got []Cycle
+		for _, c := range tc.in {
+			e.At(c, func() { got = append(got, c) })
 		}
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %d, want 10", e.Now())
+		e.Run()
+		if len(got) != len(tc.want) {
+			t.Fatalf("fired %v, want %v", got, tc.want)
+		}
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Fatalf("fired %v, want %v", got, tc.want)
+			}
+		}
+		if last := tc.want[len(tc.want)-1]; e.Now() != last {
+			t.Fatalf("Now = %d, want %d", e.Now(), last)
+		}
 	}
 }
 
@@ -141,53 +147,6 @@ func TestFiredCounter(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	var e Engine
-	count := 0
-	var tk Ticker
-	tk = Ticker{Engine: &e, Period: 3, Tick: func() {
-		count++
-		if count < 4 {
-			tk.Arm()
-		}
-	}}
-	tk.Arm()
-	if !tk.Armed() {
-		t.Fatal("ticker not armed after Arm")
-	}
-	e.Run()
-	if count != 4 {
-		t.Fatalf("ticked %d times, want 4", count)
-	}
-	if e.Now() != 12 {
-		t.Fatalf("Now = %d, want 12", e.Now())
-	}
-}
-
-func TestTickerDisarm(t *testing.T) {
-	var e Engine
-	count := 0
-	tk := Ticker{Engine: &e, Period: 2, Tick: func() { count++ }}
-	tk.Arm()
-	tk.Disarm()
-	e.Run()
-	if count != 0 {
-		t.Fatalf("disarmed ticker still ticked %d times", count)
-	}
-}
-
-func TestTickerDoubleArm(t *testing.T) {
-	var e Engine
-	count := 0
-	tk := Ticker{Engine: &e, Period: 2, Tick: func() { count++ }}
-	tk.Arm()
-	tk.Arm() // must not schedule twice
-	e.Run()
-	if count != 1 {
-		t.Fatalf("double Arm fired %d ticks, want 1", count)
-	}
-}
-
 // Property: for any set of scheduled cycles, events fire in nondecreasing
 // cycle order and the engine clock equals the max cycle at the end.
 func TestQuickMonotonicClock(t *testing.T) {
@@ -231,7 +190,7 @@ func TestEveryFiresPeriodicallyUntilCancelled(t *testing.T) {
 			t.Fatalf("fired at %v, want %v", fired, want)
 		}
 	}
-	if e.Pending() != 0 && e.Now() != 100 {
+	if e.Pending() != 0 || e.Now() != 100 {
 		t.Fatalf("engine did not drain: pending=%d now=%d", e.Pending(), e.Now())
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // ---- reference implementation: the original container/heap scheduler ----
 //
-// The differential tests below drive the timing wheel and this heap
-// side by side with identical randomized schedules and assert the fire
+// The differential tests below drive the engine and this heap side by
+// side with identical randomized schedules and assert the fire
 // orders match exactly. The heap is the determinism-contract oracle:
 // (at, seq) lexicographic order.
 
@@ -59,7 +59,7 @@ func (e *refEngine) step() (int, bool) {
 }
 
 // TestDifferentialHeapVsWheel schedules a randomized workload into the
-// wheel and the reference heap with identical (cycle, id) streams —
+// engine and the reference heap with identical (cycle, id) streams —
 // including callbacks that schedule follow-up events, the pattern every
 // simulator component uses — and asserts the two produce the identical
 // fire order. Fixed seeds keep it reproducible.
@@ -71,20 +71,20 @@ func TestDifferentialHeapVsWheel(t *testing.T) {
 		var got, want []int
 		nextID := 0
 
-		// Delta distribution spanning all wheel levels and the overflow:
-		// mostly near-future, a tail out past 2^24.
+		// Delta distribution spanning the ring and the far list: mostly
+		// near-future, a tail out past 2^24.
 		delta := func() Cycle {
 			switch rng.Intn(10) {
 			case 0:
 				return 0 // same cycle
 			case 1, 2, 3, 4:
-				return Cycle(rng.Intn(64)) // level 0
+				return Cycle(rng.Intn(64)) // ring
 			case 5, 6:
-				return Cycle(rng.Intn(1 << 12)) // level 1
+				return Cycle(rng.Intn(1 << 12)) // mostly far
 			case 7:
-				return Cycle(rng.Intn(1 << 20)) // level 2
+				return Cycle(rng.Intn(1 << 20))
 			case 8:
-				return Cycle(rng.Intn(1 << 26)) // overflow
+				return Cycle(rng.Intn(1 << 26))
 			default:
 				return Cycle(rng.Intn(1 << 16))
 			}
@@ -211,11 +211,11 @@ func TestDifferentialChainedSelfSchedule(t *testing.T) {
 			case 1:
 				return 1
 			case 2:
-				return Cycle(rng.Intn(300)) // straddles level-0/1 windows
+				return Cycle(rng.Intn(300)) // straddles the ring/far boundary
 			case 3:
-				return Cycle(rng.Intn(70000)) // straddles level-1/2
+				return Cycle(rng.Intn(70000))
 			case 4:
-				return Cycle(1<<24 + rng.Intn(1000)) // overflow
+				return Cycle(1<<24 + rng.Intn(1000))
 			default:
 				return Cycle(rng.Intn(50))
 			}
@@ -266,25 +266,24 @@ func TestDifferentialChainedSelfSchedule(t *testing.T) {
 }
 
 // TestSameCycleFIFOAcrossBuckets schedules same-cycle events whose
-// routes through the wheel differ — some placed directly into level 0,
-// some arriving by cascade from level 1 or 2, some via the overflow —
-// and asserts schedule order is preserved at fire time.
+// routes differ — some to the far list, some to a ring slot — and
+// asserts schedule order is preserved at fire time.
 func TestSameCycleFIFOAcrossBuckets(t *testing.T) {
 	var e Engine
-	const target = 100_000 // level-2 territory from cycle 0
+	const target = 100_000 // far from cycle 0
 	var got []int
-	// First two go far out (level 2 now), scheduled early (low seq).
+	// First two go to the far list, scheduled early (low seq).
 	e.At(target, func() { got = append(got, 0) })
 	e.At(target, func() { got = append(got, 1) })
 	// Walk the clock close to the target so later same-cycle schedules
-	// land in inner levels with higher seq.
+	// arrive with higher seq.
 	e.At(target-300, func() {
-		e.At(target, func() { got = append(got, 2) }) // level 1 at schedule time
+		e.At(target, func() { got = append(got, 2) }) // far: 300 ahead
 	})
 	e.At(target-10, func() {
-		e.At(target, func() { got = append(got, 3) }) // level 0 at schedule time
+		e.At(target, func() { got = append(got, 3) }) // ring: 10 ahead
 	})
-	e.At(target, func() { got = append(got, 4) }) // also level 2, seq after 0,1
+	e.At(target, func() { got = append(got, 4) }) // also far, seq after 0,1
 	e.Run()
 	// Schedule order at the target cycle by sequence number: 0 and 1
 	// first, then 4 (scheduled before the helpers fired), then 2 and 3
@@ -292,11 +291,39 @@ func TestSameCycleFIFOAcrossBuckets(t *testing.T) {
 	if len(got) != 5 || got[0] != 0 || got[1] != 1 || got[2] != 4 || got[3] != 2 || got[4] != 3 {
 		t.Fatalf("fire order %v, want [0 1 4 2 3] (schedule order at cycle %d)", got, target)
 	}
+
+	// A ring event is always scheduled after every far event due in
+	// its cycle, because the clock never runs backward, so each tie
+	// below must go to the far event. The helpers at 300 and 400 call
+	// At ring-first and far-first.
+	var f Engine
+	var order []int
+	add := func(id int) Func { return func() { order = append(order, id) } }
+	f.At(500, add(0)) // far
+	f.At(300, func() {
+		f.At(500, add(1)) // ring: ties with 0
+		f.At(600, add(2)) // far: 300 ahead
+	})
+	f.At(400, func() {
+		f.At(800, add(4)) // far: 400 ahead
+		f.At(600, add(3)) // ring: ties with 2
+	})
+	f.At(700, func() {
+		f.At(800, add(5)) // ring: ties with 4
+	})
+	f.Run()
+	if len(order) != 6 {
+		t.Fatalf("fire order %v, want [0 1 2 3 4 5]", order)
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("fire order %v, want [0 1 2 3 4 5]", order)
+		}
+	}
 }
 
-// TestOverflowCascade exercises events beyond the 2^24-cycle wheel
-// horizon: they must park in the overflow list, re-enter the wheel when
-// the cursor reaches their window, and still fire in (at, seq) order.
+// TestOverflowCascade exercises far-list events far beyond the ring:
+// they must wait behind sooner events and fire in (at, seq) order.
 func TestOverflowCascade(t *testing.T) {
 	var e Engine
 	var got []Cycle
@@ -305,7 +332,7 @@ func TestOverflowCascade(t *testing.T) {
 	e.At(far+5, mark)
 	e.At(far, mark)
 	e.At(3, mark)
-	e.At(far+(1<<25), mark) // different top-level window than far
+	e.At(far+(1<<25), mark)
 	e.Run()
 	want := []Cycle{3, far, far + 5, far + (1 << 25)}
 	if len(got) != len(want) {
@@ -321,75 +348,9 @@ func TestOverflowCascade(t *testing.T) {
 	}
 }
 
-// TestCancelPending cancels events in every holding structure (level 0,
-// outer levels, overflow) and checks they never fire and Pending drops.
-func TestCancelPending(t *testing.T) {
-	var e Engine
-	fired := 0
-	count := func() { fired++ }
-	h0 := e.At(5, count)         // level 0
-	h1 := e.At(5_000, count)     // level 1
-	h2 := e.At(5_000_000, count) // level 2
-	h3 := e.At(1<<30, count)     // overflow
-	keep := e.At(10, count)      // stays
-	if e.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", e.Pending())
-	}
-	for _, h := range []Handle{h0, h1, h2, h3} {
-		if !h.Cancel() {
-			t.Fatal("Cancel of a pending event returned false")
-		}
-		if h.Active() {
-			t.Fatal("canceled handle still Active")
-		}
-	}
-	if h0.Cancel() {
-		t.Fatal("double Cancel returned true")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after cancels, want 1", e.Pending())
-	}
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d events, want only the kept one", fired)
-	}
-	if keep.Active() || keep.Cancel() {
-		t.Fatal("fired handle should be inert")
-	}
-}
-
-// TestCancelFired asserts canceling an already-fired handle is an inert
-// no-op, even after the underlying record has been recycled and reused
-// by a later event.
-func TestCancelFired(t *testing.T) {
-	var e Engine
-	h := e.At(1, func() {})
-	e.Run()
-	if h.Active() {
-		t.Fatal("fired handle still Active")
-	}
-	if h.Cancel() {
-		t.Fatal("Cancel of fired handle returned true")
-	}
-	// The recycled record is reused by the next schedule; the stale
-	// handle must not be able to cancel the new event.
-	fired := false
-	h2 := e.At(e.Now()+1, func() { fired = true })
-	if h.Cancel() {
-		t.Fatal("stale handle canceled a reused record")
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("event canceled through a stale handle")
-	}
-	if h2.Active() {
-		t.Fatal("fired handle reports Active")
-	}
-}
-
-// TestWheelWrapAround schedules at cycles large enough that slot
-// arithmetic would overflow if done with additions rather than aligned
-// windows.
+// TestWheelWrapAround schedules at cycles large enough that the ring
+// bound would overflow if it were computed as now+256 rather than as
+// at-now.
 func TestWheelWrapAround(t *testing.T) {
 	var e Engine
 	huge := ^Cycle(0) - 500 // near the top of the cycle space
@@ -409,73 +370,34 @@ func TestWheelWrapAround(t *testing.T) {
 	}
 }
 
-// TestScheduleBehindCursor forces the wheel cursor past now (by
-// canceling the only near event so the cascade advances the base), then
-// schedules legally (at >= now) behind the cursor and checks the event
-// still fires first, in order.
-func TestScheduleBehindCursor(t *testing.T) {
-	var e Engine
-	var got []int
-	// One far event and one near event; cancel the near one.
-	near := e.At(10, func() { t.Fatal("canceled event fired") })
-	e.At(100_000, func() { got = append(got, 9) })
-	near.Cancel()
-	// Step once: the sweep discards the canceled record and cascades to
-	// the far window, moving wheelBase beyond 10 while now stays 0...
-	// then schedule at cycles far below the advanced cursor.
-	e.At(0, func() { got = append(got, 0) })
-	if !e.Step() {
-		t.Fatal("no event fired")
-	}
-	e.At(5, func() { got = append(got, 1) })
-	e.At(5, func() { got = append(got, 2) })
-	e.At(50, func() { got = append(got, 3) })
-	e.Run()
-	want := []int{0, 1, 2, 3, 9}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-}
-
 // TestRunUntilPutBack checks that RunUntil leaves an over-limit event
-// intact and correctly ordered among same-cycle peers scheduled later.
+// intact and correctly ordered among same-cycle peers scheduled later,
+// whether the event and its peers sit in the ring (100), the event in
+// the far list and the peers in the ring (300), or all in the far list
+// (1000).
 func TestRunUntilPutBack(t *testing.T) {
-	var e Engine
-	var got []int
-	e.At(100, func() { got = append(got, 0) })
-	e.RunUntil(50) // pops, sees at > limit, puts back
-	if e.Now() != 50 {
-		t.Fatalf("Now = %d, want 50", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	// Same-cycle events scheduled after the put-back must still fire
-	// after the original (lower seq first).
-	e.At(100, func() { got = append(got, 1) })
-	e.At(100, func() { got = append(got, 2) })
-	e.Run()
-	want := []int{0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
+	for _, at := range []Cycle{100, 300, 1000} {
+		var e Engine
+		var got []int
+		e.At(at, func() { got = append(got, 0) })
+		e.RunUntil(50) // sees at > limit, leaves it pending
+		if e.Now() != 50 {
+			t.Fatalf("at %d: Now = %d, want 50", at, e.Now())
 		}
-	}
-}
-
-// TestHandleZeroValue asserts the zero Handle is inert.
-func TestHandleZeroValue(t *testing.T) {
-	var h Handle
-	if h.Active() {
-		t.Fatal("zero Handle reports Active")
-	}
-	if h.Cancel() {
-		t.Fatal("zero Handle Cancel returned true")
+		if e.Pending() != 1 {
+			t.Fatalf("at %d: Pending = %d, want 1", at, e.Pending())
+		}
+		// Same-cycle events scheduled after the put-back must still fire
+		// after the original (lower seq first).
+		e.At(at, func() { got = append(got, 1) })
+		e.At(at, func() { got = append(got, 2) })
+		e.Run()
+		want := []int{0, 1, 2}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("at %d: fired %v, want %v", at, got, want)
+			}
+		}
 	}
 }
 
@@ -507,30 +429,5 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AllocsPerRun = %v, want 0 per steady-state event batch", allocs)
-	}
-}
-
-// TestCancelZeroAllocs: canceling and re-scheduling must also stay
-// allocation-free in steady state (the DRAM wake path cancels often).
-func TestCancelZeroAllocs(t *testing.T) {
-	var e Engine
-	sink := func() {}
-	// Warm up.
-	for i := 0; i < 100; i++ {
-		h := e.After(5, sink)
-		h.Cancel()
-		e.After(1, sink)
-		e.Step()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		h := e.After(5, sink)
-		h.Cancel()
-		e.After(1, sink)
-		if !e.Step() {
-			t.Fatal("engine drained early")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AllocsPerRun = %v, want 0", allocs)
 	}
 }
