@@ -116,7 +116,6 @@ type DRAMEnergyModel struct {
 	ActivatePJ   float64 // one ACT+PRE pair
 	ReadBurstPJ  float64 // one 64B read burst
 	WriteBurstPJ float64 // one 64B write burst
-	BackgroundPW float64 // background power per DRAM cycle (unused here)
 }
 
 // DefaultDRAMEnergy returns DDR3-1066-class energies.

@@ -37,7 +37,6 @@ type Stats struct {
 	Inserts    stats.Counter
 	Evictions  stats.Counter
 	DirtyEvict stats.Counter
-	Writebacks stats.Counter // dirty blocks handed to the next level
 }
 
 // Cache is the structural model.
@@ -301,8 +300,7 @@ func (c *Cache) IsDirty(b addr.BlockAddr) bool {
 }
 
 // DirtyBlocksInto appends the addresses of all dirty blocks to dst and
-// returns the extended slice, letting scan-heavy callers (flush loops,
-// AWB harvests) reuse one scratch buffer instead of allocating per call.
+// returns the extended slice, so a caller can reuse one scratch buffer.
 func (c *Cache) DirtyBlocksInto(dst []addr.BlockAddr) []addr.BlockAddr {
 	for i := range c.addrs {
 		if c.validAt(i) && c.dirty[i] != 0 {
@@ -312,9 +310,9 @@ func (c *Cache) DirtyBlocksInto(dst []addr.BlockAddr) []addr.BlockAddr {
 	return dst
 }
 
-// DirtyBlocks returns the addresses of all dirty blocks (test oracle and
-// cache-flush support). Allocation-sensitive callers should prefer
-// DirtyBlocksInto.
+// DirtyBlocks returns the addresses of all dirty blocks, the tests'
+// oracle for the tag store's dirty state (the timed flush walks the
+// sets through the tag port instead).
 func (c *Cache) DirtyBlocks() []addr.BlockAddr {
 	return c.DirtyBlocksInto(nil)
 }

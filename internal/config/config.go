@@ -223,16 +223,12 @@ func (d DBIParams) Validate() error {
 	return nil
 }
 
-// DRAMParams configures the DDR3 model. All latencies are in CPU cycles
+// DRAMParams configures the DDR3 model: one channel, one rank. The bank
+// count and row size are the address geometry's (addr.Geometry), which
+// maps every block to its row and bank. All latencies are in CPU cycles
 // (the paper's 2.67GHz core against DDR3-1066 gives 5 CPU cycles per
 // memory bus cycle).
 type DRAMParams struct {
-	Channels int
-	Ranks    int
-	Banks    int
-	RowBytes uint64
-
-	// Timing in CPU cycles.
 	TCAS   uint64 // column access (row hit read latency to first data)
 	TRCD   uint64 // activate to column access
 	TRP    uint64 // precharge
@@ -243,13 +239,6 @@ type DRAMParams struct {
 	// WriteDrainLow is the buffer occupancy at which a drain stops
 	// (drain-when-full policy: start at full, stop at low watermark).
 	WriteDrainLow int
-
-	// RefreshInterval, when non-zero, blocks all banks for
-	// RefreshLatency cycles every RefreshInterval cycles (DDR3
-	// auto-refresh: tREFI ~ 7.8us, tRFC ~ 110-350ns). Zero disables
-	// refresh, the default for the paper-shape experiments.
-	RefreshInterval uint64
-	RefreshLatency  uint64
 }
 
 // RowHitLatency is the read latency when the row is already open.
@@ -266,12 +255,6 @@ func (d DRAMParams) RowConflictLatency() uint64 {
 // Validate reports configuration errors.
 func (d DRAMParams) Validate() error {
 	switch {
-	case d.Channels <= 0 || d.Ranks <= 0 || d.Banks <= 0:
-		return fmt.Errorf("config: DRAM topology %d/%d/%d", d.Channels, d.Ranks, d.Banks)
-	case d.Banks&(d.Banks-1) != 0:
-		return fmt.Errorf("config: DRAM bank count %d not a power of two", d.Banks)
-	case d.RowBytes == 0 || d.RowBytes&(d.RowBytes-1) != 0:
-		return fmt.Errorf("config: DRAM row size %d not a power of two", d.RowBytes)
 	case d.WriteBufferEntries <= 0:
 		return fmt.Errorf("config: write buffer entries %d", d.WriteBufferEntries)
 	case d.WriteDrainLow < 0 || d.WriteDrainLow >= d.WriteBufferEntries:
@@ -281,19 +264,18 @@ func (d DRAMParams) Validate() error {
 	return nil
 }
 
-// CoreParams configures one out-of-order core.
+// CoreParams configures one out-of-order core. The core issues one
+// instruction per cycle, as in the paper.
 type CoreParams struct {
 	WindowSize int // reorder-buffer entries (128 in the paper)
-	IssueWidth int // instructions issued per cycle (1 in the paper)
 }
 
 // MissPredictorParams configures the Skip-Cache-style miss predictor used
 // by the CLB optimization.
 type MissPredictorParams struct {
-	Threshold    float64 // miss-rate threshold for predicting misses (0.95)
-	EpochCycles  uint64  // epoch length in cycles
-	SampledSets  int     // number of sampled sets per thread
-	SetSampleLog int     // sample one in 2^SetSampleLog sets
+	Threshold   float64 // miss-rate threshold for predicting misses (0.95)
+	EpochCycles uint64  // epoch length in cycles
+	SampledSets int     // number of sampled sets per thread
 }
 
 // SystemConfig is the complete configuration of a simulated machine.
@@ -336,8 +318,8 @@ func (s SystemConfig) Validate() error {
 	if err := s.DRAM.Validate(); err != nil {
 		return err
 	}
-	if s.Core.WindowSize <= 0 || s.Core.IssueWidth <= 0 {
-		return fmt.Errorf("config: core window %d width %d", s.Core.WindowSize, s.Core.IssueWidth)
+	if s.Core.WindowSize <= 0 {
+		return fmt.Errorf("config: core window %d", s.Core.WindowSize)
 	}
 	return nil
 }
@@ -399,7 +381,7 @@ func PaperWithL3PerCore(cores int, mech Mechanism, l3PerCore uint64) SystemConfi
 	cfg := SystemConfig{
 		NumCores:  cores,
 		Mechanism: mech,
-		Core:      CoreParams{WindowSize: 128, IssueWidth: 1},
+		Core:      CoreParams{WindowSize: 128},
 		L1: CacheParams{
 			SizeBytes: 32 << 10, Ways: 2, BlockSize: 64,
 			TagLatency: 2, DataLatency: 2, MSHRs: 32,
@@ -421,13 +403,11 @@ func PaperWithL3PerCore(cores int, mech Mechanism, l3PerCore uint64) SystemConfi
 			Replacement: DBILRW, BIPEpsilonDen: 64,
 		},
 		MissPred: MissPredictorParams{
-			Threshold:    0.95,
-			EpochCycles:  2_000_000,
-			SampledSets:  32,
-			SetSampleLog: 5,
+			Threshold:   0.95,
+			EpochCycles: 2_000_000,
+			SampledSets: 32,
 		},
 		DRAM: DRAMParams{
-			Channels: 1, Ranks: 1, Banks: 8, RowBytes: 8 << 10,
 			// DDR3-1066 at a 2.67GHz core: 5 CPU cycles per bus cycle.
 			// tCAS = tRCD = tRP = 7 bus cycles; BL8 on an 8B bus = 4 bus
 			// cycles of data transfer.

@@ -110,24 +110,3 @@ func (d *DBI) DirtyInRange(lo, hi addr.BlockAddr) []addr.BlockAddr {
 	}
 	return out
 }
-
-// OldestDirtyRow returns the dirty blocks of the least recently written
-// valid entry, or nil when nothing is dirty. Eager-writeback scheduling
-// (Section 7) uses it to pick the row least likely to absorb further
-// writes before flushing it during memory idle time.
-func (d *DBI) OldestDirtyRow() []addr.BlockAddr {
-	d.Stat.Lookups.Inc()
-	best := -1
-	for e := range d.stamps {
-		if !d.validAt(e) || d.dirtyCountOf(e) == 0 {
-			continue
-		}
-		if best < 0 || d.lastWrite[e] < d.lastWrite[best] {
-			best = e
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return d.blocksOf(best)
-}

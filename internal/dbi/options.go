@@ -37,9 +37,8 @@ func WithGeometry(g addr.Geometry) Option {
 	return func(o *options) { o.geo = g }
 }
 
-// WithParams replaces the whole parameter block at once — the bulk
-// form the simulator uses to pass a SystemConfig's DBI section
-// through. Finer-grained options applied after it override fields.
+// WithParams replaces the whole parameter block — the form the
+// simulator uses to pass a SystemConfig's DBI section through.
 func WithParams(p config.DBIParams) Option {
 	return func(o *options) { o.prm = p }
 }
@@ -55,16 +54,6 @@ func WithCacheBlocks(n int) Option {
 // sizing — a dirty-tracking server thinks in rows, not cache blocks.
 func WithRows(n int) Option {
 	return func(o *options) { o.rows = n; o.cacheBlocks = 0 }
-}
-
-// WithAssociativity sets the DBI's set associativity.
-func WithAssociativity(w int) Option {
-	return func(o *options) { o.prm.Associativity = w }
-}
-
-// WithReplacement selects the entry replacement policy (Section 4.3).
-func WithReplacement(r config.DBIReplacement) Option {
-	return func(o *options) { o.prm.Replacement = r }
 }
 
 // WithSeed seeds the replacement policies' randomness (LRW-BIP's

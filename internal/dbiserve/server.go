@@ -32,6 +32,9 @@ import (
 type Server struct {
 	tr  dbi.Batcher
 	reg *telemetry.Registry
+	// rowSize is the tracker's keys per row: the most keys one key of a
+	// set, region or flush request can answer with.
+	rowSize int
 
 	jsonReqs    atomic.Uint64
 	binReqs     atomic.Uint64
@@ -44,7 +47,7 @@ type Server struct {
 // New wires a tracker to a server and registers its request-plane
 // counters (and the tracker's own gauges) on reg.
 func New(tr dbi.Batcher, reg *telemetry.Registry) *Server {
-	s := &Server{tr: tr, reg: reg}
+	s := &Server{tr: tr, reg: reg, rowSize: tr.RowSize()}
 	reg.Counter("serve.json_requests", s.jsonReqs.Load)
 	reg.Counter("serve.bin_requests", s.binReqs.Load)
 	reg.Counter("serve.errors", s.errors.Load)
@@ -64,27 +67,27 @@ func (s *Server) Tracker() dbi.Batcher { return s.tr }
 // Handler returns the full HTTP surface: /v1/* plus the ops plane.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/set", s.keysEndpoint(func(keys []dbi.Key) any {
+	mux.HandleFunc("/v1/set", s.keysEndpoint(dbiproto.OpSet, func(keys []dbi.Key) any {
 		ev := s.tr.SetDirtyBatch(keys, nil)
 		s.setKeys.Add(uint64(len(keys)))
 		s.evictedKeys.Add(uint64(len(ev)))
 		return dbiproto.SetResponse{Evicted: toU64(ev)}
 	}))
-	mux.HandleFunc("/v1/dirty", s.keysEndpoint(func(keys []dbi.Key) any {
+	mux.HandleFunc("/v1/dirty", s.keysEndpoint(dbiproto.OpIsDirty, func(keys []dbi.Key) any {
 		vs := s.tr.IsDirtyBatch(keys, nil)
 		if vs == nil {
 			vs = []bool{}
 		}
 		return dbiproto.DirtyResponse{Dirty: vs}
 	}))
-	mux.HandleFunc("/v1/region", s.keysEndpoint(func(keys []dbi.Key) any {
+	mux.HandleFunc("/v1/region", s.keysEndpoint(dbiproto.OpRegion, func(keys []dbi.Key) any {
 		var out []dbi.Key
 		for _, k := range keys {
 			out = append(out, s.tr.DirtyBlocksInRegion(k)...)
 		}
 		return dbiproto.KeysResponse{Keys: toU64(out)}
 	}))
-	mux.HandleFunc("/v1/flush", s.keysEndpoint(func(keys []dbi.Key) any {
+	mux.HandleFunc("/v1/flush", s.keysEndpoint(dbiproto.OpFlush, func(keys []dbi.Key) any {
 		return dbiproto.KeysResponse{Keys: toU64(s.tr.FlushRowsInto(keys, nil))}
 	}))
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -124,8 +127,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // keysEndpoint adapts a batch operation to a POST handler taking a
-// KeysRequest.
-func (s *Server) keysEndpoint(op func([]dbi.Key) any) http.HandlerFunc {
+// KeysRequest; opcode names the operation's binary form, whose batch
+// limit it shares.
+func (s *Server) keysEndpoint(opcode byte, op func([]dbi.Key) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.jsonReqs.Add(1)
 		if r.Method != http.MethodPost {
@@ -143,9 +147,8 @@ func (s *Server) keysEndpoint(op func([]dbi.Key) any) http.HandlerFunc {
 			s.writeErr(w, status, code, err.Error())
 			return
 		}
-		if len(req.Keys) > dbiproto.MaxBatch {
-			s.writeErr(w, http.StatusRequestEntityTooLarge, dbiproto.CodeTooLarge,
-				fmt.Sprintf("batch of %d keys exceeds %d", len(req.Keys), dbiproto.MaxBatch))
+		if se := s.checkBatch(opcode, len(req.Keys)); se != nil {
+			s.writeErr(w, http.StatusRequestEntityTooLarge, se.Code, se.Message)
 			return
 		}
 		keys := make([]dbi.Key, len(req.Keys))
@@ -178,6 +181,25 @@ func toU64(ks []dbi.Key) []uint64 {
 		out[i] = uint64(k)
 	}
 	return out
+}
+
+// checkBatch refuses, before anything is applied, a request of op
+// whose answer could exceed MaxBatch keys, the most a client decodes.
+// An IsDirty answer has one entry per key; each key of a set, region
+// or flush can answer with a whole row, so those carry at most
+// MaxBatch / rowSize keys. Without the check a set or flush that
+// evicts more than the answer can carry would be applied and its
+// write-back work lost with the refused answer.
+func (s *Server) checkBatch(op byte, n int) *dbiproto.StatusError {
+	limit := dbiproto.MaxBatch
+	if op != dbiproto.OpIsDirty {
+		limit /= s.rowSize
+	}
+	if n <= limit {
+		return nil
+	}
+	return &dbiproto.StatusError{Code: dbiproto.CodeTooLarge,
+		Message: fmt.Sprintf("batch of %d keys exceeds %d", n, limit)}
 }
 
 // --- binary batch protocol -----------------------------------------
@@ -286,6 +308,9 @@ func (s *Server) keysOp(f dbiproto.Frame, st *connState) ([]byte, error) {
 	st.u64, _, err = dbiproto.DecodeKeys(f.Payload, st.u64[:0])
 	if err != nil {
 		return nil, err
+	}
+	if se := s.checkBatch(f.Op, len(st.u64)); se != nil {
+		return nil, se
 	}
 	st.keys = st.keys[:0]
 	for _, k := range st.u64 {

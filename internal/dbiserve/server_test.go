@@ -2,6 +2,7 @@ package dbiserve
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"net/http"
@@ -300,6 +301,75 @@ func TestDifferentialJSONvsBinary(t *testing.T) {
 	if a.DirtyKeys != b.DirtyKeys || a.Writes != b.Writes || a.Evictions != b.Evictions ||
 		a.Flushes != b.Flushes || a.FlushedKeys != b.FlushedKeys {
 		t.Fatalf("final stats diverge:\njson   %+v\nbinary %+v", a, b)
+	}
+}
+
+// TestRowBatchBoundedByAnswer: each key of a set, region or flush can
+// answer with a whole row, so a request whose answer could exceed
+// MaxBatch keys is refused with too_large before anything is applied,
+// over both protocols; at the bound the whole answer arrives. Every
+// key of the tracker's first rows is set first, so each key of a set
+// in a new row evicts a dirty row.
+func TestRowBatchBoundedByAnswer(t *testing.T) {
+	const rows, rowSize = 1 << 12, 64 // testServer's tracker
+	srv, hs, baddr := testServer(t)
+	tr := srv.Tracker()
+	fill := make([]dbi.Key, rows*rowSize)
+	for i := range fill {
+		fill[i] = dbi.Key(i)
+	}
+	tr.SetDirtyBatch(fill, nil)
+	ctx := ctxT(t)
+	bc, err := dbiclient.Dial(ctx, baddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	jc := dbiclient.NewJSON(hs.URL)
+
+	// rowHeads returns the first key of n rows starting at row first.
+	rowHeads := func(first, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64((first + i) * rowSize)
+		}
+		return keys
+	}
+	fresh, held := rowHeads(rows, rows), rowHeads(0, rows)
+	limit := dbiproto.MaxBatch / rowSize
+	before := tr.Stats().DirtyKeys
+	for _, tc := range []struct {
+		name string
+		call func([]uint64) ([]uint64, error)
+		keys []uint64
+	}{
+		{"binary set", func(k []uint64) ([]uint64, error) { return bc.SetDirty(ctx, k) }, fresh},
+		{"binary set", func(k []uint64) ([]uint64, error) { return bc.SetDirty(ctx, k) }, fresh[:limit+1]},
+		{"binary region", func(k []uint64) ([]uint64, error) { return bc.Region(ctx, k) }, held},
+		{"binary flush", func(k []uint64) ([]uint64, error) { return bc.FlushRows(ctx, k) }, held},
+		{"json set", func(k []uint64) ([]uint64, error) { return jc.SetDirty(ctx, k) }, fresh},
+		{"json region", func(k []uint64) ([]uint64, error) { return jc.Region(ctx, k) }, held},
+		{"json flush", func(k []uint64) ([]uint64, error) { return jc.FlushRows(ctx, k) }, held},
+	} {
+		got, err := tc.call(tc.keys)
+		var se *dbiproto.StatusError
+		if !errors.As(err, &se) || se.Code != dbiproto.CodeTooLarge {
+			t.Fatalf("%s of %d keys: %d keys, err %v; want %s", tc.name, len(tc.keys), len(got), err, dbiproto.CodeTooLarge)
+		}
+		if after := tr.Stats().DirtyKeys; after != before {
+			t.Fatalf("%s of %d keys refused but applied: dirty keys %d -> %d", tc.name, len(tc.keys), before, after)
+		}
+	}
+	if _, err := bc.IsDirty(ctx, fresh); err != nil {
+		t.Fatalf("IsDirty of %d keys: %v", rows, err)
+	}
+
+	ev, err := bc.SetDirty(ctx, fresh[:limit])
+	if err != nil {
+		t.Fatalf("set of %d keys: %v", limit, err)
+	}
+	if lost := before + limit - tr.Stats().DirtyKeys; len(ev) != lost {
+		t.Fatalf("set of %d keys answered %d evicted keys; the tracker dropped %d", limit, len(ev), lost)
 	}
 }
 

@@ -55,7 +55,6 @@ type Stats struct {
 	DrainsStarted   stats.Counter
 	WriteBufOverflw stats.Counter // writes accepted beyond nominal capacity
 	ReadLatencySum  stats.Counter // summed cycles from enqueue to data
-	Refreshes       stats.Counter // auto-refresh commands issued
 	// DrainBurst histograms how many writes each write-drain episode
 	// issued — the burst lengths AWB lengthens by handing the controller
 	// whole rows of writebacks at once.
@@ -93,11 +92,10 @@ type Controller struct {
 	kickAt     event.Cycle // pending wakeup, 0 = none
 
 	// Prebound callbacks and the transaction free list keep the bank
-	// service loop allocation-free: issuing, waking and refreshing reuse
-	// the same function values and pooled txn records run after run.
-	wakeFn    event.Func
-	refreshFn event.Func
-	txnFree   *txn
+	// service loop allocation-free: issuing and waking reuse the same
+	// function values and pooled txn records run after run.
+	wakeFn  event.Func
+	txnFree *txn
 }
 
 // txn is a pooled in-flight transaction: its completion callbacks are
@@ -157,8 +155,7 @@ func (t *txn) dataDone() {
 	}
 }
 
-// New builds a controller. The geometry's bank count must match the DRAM
-// parameters.
+// New builds a controller with one bank per bank of the geometry.
 func New(eng *event.Engine, geo addr.Geometry, p config.DRAMParams) (*Controller, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -167,7 +164,7 @@ func New(eng *event.Engine, geo addr.Geometry, p config.DRAMParams) (*Controller
 		Eng:   eng,
 		Geo:   geo,
 		Prm:   p,
-		banks: make([]bankState, p.Banks),
+		banks: make([]bankState, geo.NumBanks),
 	}
 	c.Stat.DrainBurst = stats.NewHistogram(2 * p.WriteBufferEntries)
 	c.wakeFn = func() {
@@ -175,30 +172,6 @@ func New(eng *event.Engine, geo addr.Geometry, p config.DRAMParams) (*Controller
 			c.kickAt = 0
 		}
 		c.kick()
-	}
-	// refresh: all banks close and stay busy for RefreshLatency cycles
-	// every RefreshInterval cycles.
-	c.refreshFn = func() {
-		c.Stat.Refreshes.Inc()
-		// Refresh reserves every bank for RefreshLatency cycles; the
-		// attribution is reservation-based (charged up front), matching
-		// how the freeAt horizon models it.
-		c.Attr.Charge(telemetry.ADRAMRefresh, uint64(c.Prm.Banks)*uint64(c.Prm.RefreshLatency))
-		c.Attr.ChargeDomain(telemetry.DomDRAMBank, uint64(c.Prm.Banks)*uint64(c.Prm.RefreshLatency))
-		until := c.Eng.Now() + event.Cycle(c.Prm.RefreshLatency)
-		for i := range c.banks {
-			c.banks[i].open = false
-			if c.banks[i].freeAt < until {
-				c.banks[i].freeAt = until
-			}
-		}
-		if c.busFreeAt < until {
-			c.busFreeAt = until
-		}
-		c.Eng.After(event.Cycle(c.Prm.RefreshInterval), c.refreshFn)
-	}
-	if p.RefreshInterval > 0 {
-		c.Eng.After(event.Cycle(c.Prm.RefreshInterval), c.refreshFn)
 	}
 	return c, nil
 }
@@ -244,7 +217,7 @@ func (c *Controller) Write(b addr.BlockAddr) {
 	c.kick()
 }
 
-// WriteQueueLen reports buffered writes (diagnostics and LLC throttling).
+// WriteQueueLen reports buffered writes (diagnostics).
 func (c *Controller) WriteQueueLen() int { return len(c.writeQ) }
 
 // Draining reports whether the controller is in its write-drain phase.
@@ -438,7 +411,6 @@ func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterStat("dram.precharges", &c.Stat.Precharges)
 	reg.CounterStat("dram.write_buf_hits", &c.Stat.WriteBufHits)
 	reg.CounterStat("dram.drains_started", &c.Stat.DrainsStarted)
-	reg.CounterStat("dram.refreshes", &c.Stat.Refreshes)
 	reg.CounterStat("dram.read_latency_sum", &c.Stat.ReadLatencySum)
 	reg.Gauge("dram.read_queue", func() float64 { return float64(len(c.readQ)) })
 	reg.Gauge("dram.write_queue", func() float64 { return float64(len(c.writeQ)) })

@@ -179,6 +179,29 @@ func TestBankInterleavingTracksGeometry(t *testing.T) {
 	}
 }
 
+// TestBanksFollowGeometry builds a controller on a 16-bank geometry
+// with the 8-bank Table-1 timing parameters: the controller must model
+// every bank the geometry maps rows to.
+func TestBanksFollowGeometry(t *testing.T) {
+	geo, err := addr.NewGeometry(64, 8192, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eng event.Engine
+	c, err := New(&eng, geo, config.Paper(1, config.TADIP).DRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := addr.RowID(0); r < 16; r++ {
+		c.Read(geo.BlockInRow(r, 0), nil)
+	}
+	eng.Run()
+	if c.Stat.Reads.Value() != 16 || c.Stat.Activates.Value() != 16 {
+		t.Fatalf("reads = %d, activates = %d, want 16 and 16",
+			c.Stat.Reads.Value(), c.Stat.Activates.Value())
+	}
+}
+
 func TestReadsResumeAfterDrain(t *testing.T) {
 	eng, c := newCtl(t)
 	for i := 0; i < 64; i++ {
@@ -207,7 +230,7 @@ func TestAvgReadLatency(t *testing.T) {
 func TestNewRejectsBadParams(t *testing.T) {
 	var eng event.Engine
 	p := config.Paper(1, config.TADIP).DRAM
-	p.Banks = 6
+	p.WriteDrainLow = p.WriteBufferEntries
 	if _, err := New(&eng, addr.Default(), p); err == nil {
 		t.Fatal("invalid params accepted")
 	}

@@ -49,7 +49,6 @@ type Stats struct {
 	WriteThroughs  stats.Counter // Skip Cache write-through traffic
 	MSHRMergeSkips stats.Counter // fills issued without MSHR merge (file full)
 	ScanDrops      stats.Counter // harvest scans dropped on a full scan queue
-	EagerWBs       stats.Counter // writebacks pumped during memory idle time
 }
 
 // scanJob is one row's worth of proactive-writeback work: the scanner
@@ -122,9 +121,9 @@ type LLC struct {
 	scanWakeFn   event.Func
 	tagFree      *tagReq
 
-	// mateFree recycles harvest candidate buffers (row-mate lists, DBI
-	// eviction drains, flush scratch) so the steady-state harvest paths
-	// stop allocating a slice per dirty eviction.
+	// mateFree recycles harvest candidate buffers (row-mate lists and
+	// DBI eviction drains) so the steady-state harvest paths stop
+	// allocating a slice per dirty eviction.
 	mateFree [][]addr.BlockAddr
 
 	// fillFree recycles memory-fill requests so an LLC miss issues no
@@ -722,31 +721,4 @@ func (l *LLC) RegisterMetrics(reg *telemetry.Registry) {
 	if l.DBI != nil {
 		l.DBI.RegisterMetrics(reg)
 	}
-}
-
-// Flush writes back every dirty block, using the DBI's row-grouped flush
-// when available (Section 7, "Cache Flushing"). It returns the number of
-// blocks written back. Flush is immediate (untimed); it exists for the
-// flush/DMA application examples, not the main performance loop.
-func (l *LLC) Flush() int {
-	n := 0
-	if l.DBI != nil {
-		for _, ev := range l.DBI.Flush() {
-			for _, b := range ev.Blocks {
-				l.Attr.Charge(telemetry.ABytesWBFlush, l.Geo.BlockSize)
-				l.mem.Write(b)
-				n++
-			}
-		}
-		return n
-	}
-	dirty := l.Cache.DirtyBlocksInto(l.getMates())
-	for _, b := range dirty {
-		l.Cache.SetDirty(b, false)
-		l.Attr.Charge(telemetry.ABytesWBFlush, l.Geo.BlockSize)
-		l.mem.Write(b)
-		n++
-	}
-	l.putMates(dirty)
-	return n
 }

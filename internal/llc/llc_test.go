@@ -283,7 +283,9 @@ func TestFlushConventional(t *testing.T) {
 		l.Writeback(addr.BlockAddr(i), 0)
 	}
 	eng.Run()
-	n := l.Flush()
+	var n int
+	l.FlushTimed(func(b int, _ event.Cycle) { n = b })
+	eng.Run()
 	if n != 5 || len(mem.writes) != 5 {
 		t.Fatalf("flushed %d, writes %v", n, mem.writes)
 	}
@@ -298,7 +300,9 @@ func TestFlushDBI(t *testing.T) {
 		l.Writeback(addr.BlockAddr(i), 0)
 	}
 	eng.Run()
-	n := l.Flush()
+	var n int
+	l.FlushTimed(func(b int, _ event.Cycle) { n = b })
+	eng.Run()
 	if n != 5 || len(mem.writes) != 5 {
 		t.Fatalf("flushed %d, writes %v", n, mem.writes)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dbisim/internal/config"
+	"dbisim/internal/event"
 )
 
 // TestDBIDirtyImpliesResident checks the system-wide invariant behind
@@ -89,11 +90,20 @@ func TestWritebacksNeverLost(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Run()
+		// Stop the cores and land the writebacks still in flight before
+		// flushing: FlushTimed writes back what is dirty when its walk
+		// reaches it, so a writeback landing in a set the walk has
+		// passed would stay dirty.
+		for _, c := range sys.Cores {
+			c.Stop()
+		}
+		sys.Eng.Run()
 		// Flush whatever is still dirty, then compare totals: writes to
 		// memory (run + flush) must be at least the number of distinct
 		// writeback requests minus merges — conservatively, > 0 and the
 		// flush must empty all dirty state.
-		sys.LLC.Flush()
+		sys.LLC.FlushTimed(func(int, event.Cycle) {})
+		sys.Eng.Run()
 		if sys.LLC.DBI != nil && sys.LLC.DBI.DirtyCount() != 0 {
 			t.Fatalf("%v: dirty blocks remain after flush", mech)
 		}

@@ -185,7 +185,7 @@ func (s *System) attachTracer(t *telemetry.Tracer) {
 	t.NameThread(telemetry.TIDLLC, "llc")
 	t.NameThread(telemetry.TIDDBI, "dbi")
 	t.NameThread(telemetry.TIDDRAM, "dram ctrl")
-	for b := 0; b < s.Cfg.DRAM.Banks; b++ {
+	for b := 0; b < int(s.Geo.NumBanks); b++ {
 		t.NameThread(telemetry.TIDBank(b), fmt.Sprintf("dram bank %d", b))
 	}
 }

@@ -62,8 +62,6 @@ const (
 	// ADRAMBankConflict: bank cycles lost to row-buffer conflicts
 	// (precharge + re-activate on a conflicting open row).
 	ADRAMBankConflict
-	// ADRAMRefresh: bank cycles reserved for refresh operations.
-	ADRAMRefresh
 
 	// ABytesReadFill: data-bus bytes for reads that fill the LLC.
 	ABytesReadFill
@@ -80,12 +78,8 @@ const (
 	ABytesWBAWBHarvest
 	// ABytesDBIDrain: bytes drained by DBI entry evictions.
 	ABytesDBIDrain
-	// ABytesWBEager: bytes from the eager-writeback ablation scans.
-	ABytesWBEager
 	// ABytesWBFlush: bytes written back by whole-cache flushes.
 	ABytesWBFlush
-	// ABytesWBDMA: bytes written back by DMA coherence requests.
-	ABytesWBDMA
 
 	// NumCategories sizes the ledger; not a real category.
 	NumCategories
@@ -103,7 +97,7 @@ const (
 	DomLLCPort
 	// DomDBI: DBI probe cycles (open — probes run off-port).
 	DomDBI
-	// DomDRAMBank: DRAM bank busy/reserved cycles (closed — the
+	// DomDRAMBank: DRAM bank busy cycles (closed — the
 	// controller charges the total when it occupies a bank).
 	DomDRAMBank
 	// DomDRAMBus: DRAM data-bus bytes (closed — the controller
@@ -128,7 +122,6 @@ var catInfo = [NumCategories]struct {
 	ADBIProbe:            {"dbi.probe", DomDBI},
 	ADRAMBankService:     {"dram.bank_service", DomDRAMBank},
 	ADRAMBankConflict:    {"dram.bank_conflict", DomDRAMBank},
-	ADRAMRefresh:         {"dram.refresh", DomDRAMBank},
 	ABytesReadFill:       {"mem.read_fill", DomDRAMBus},
 	ABytesReadBypass:     {"mem.read_bypass", DomDRAMBus},
 	ABytesWBDemand:       {"wb.demand", DomDRAMBus},
@@ -136,9 +129,7 @@ var catInfo = [NumCategories]struct {
 	ABytesWBProactive:    {"wb.proactive", DomDRAMBus},
 	ABytesWBAWBHarvest:   {"wb.awb_harvest", DomDRAMBus},
 	ABytesDBIDrain:       {"dbi.drain", DomDRAMBus},
-	ABytesWBEager:        {"wb.eager", DomDRAMBus},
 	ABytesWBFlush:        {"wb.flush", DomDRAMBus},
-	ABytesWBDMA:          {"wb.dma", DomDRAMBus},
 }
 
 // domInfo names each domain, gives its unit, and marks the closed

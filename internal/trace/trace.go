@@ -52,21 +52,6 @@ type Generator interface {
 	Next() Record
 }
 
-// Pattern describes one component of a benchmark's access mix.
-type Pattern int
-
-const (
-	// Sequential walks the footprint block by block.
-	Sequential Pattern = iota
-	// Strided walks the footprint with a multi-block stride.
-	Strided
-	// Random touches uniformly random blocks of the footprint.
-	Random
-	// PointerChase touches a dependent random sequence (modelled as
-	// random blocks flagged as serializing for the core's window).
-	PointerChase
-)
-
 // Profile parameterizes one synthetic benchmark.
 type Profile struct {
 	Name string
@@ -83,7 +68,7 @@ type Profile struct {
 	// Mix gives relative weights of each access pattern.
 	SeqWeight, StrideWeight, RandWeight float64
 
-	// StrideBlocks is the stride, in blocks, of the Strided component.
+	// StrideBlocks is the stride, in blocks, of the strided component.
 	StrideBlocks int
 
 	// SeqRepeat is how many consecutive accesses touch the same block

@@ -23,6 +23,9 @@ type Batcher interface {
 	// once — the first key wins, later ones find the row clean),
 	// appending every harvested key to dst.
 	FlushRowsInto(keys []Key, dst []Key) []Key
+	// RowSize reports keys per row: the most keys one key of a region
+	// or flush, or one eviction of a set, can return.
+	RowSize() int
 }
 
 // geom maps keys to rows.

@@ -38,8 +38,10 @@ const (
 // keeps a corrupt or hostile length prefix from ballooning a read.
 const MaxFrame = 1 << 20
 
-// MaxBatch caps keys per request, keeping worst-case response sizes
-// (every key evicting a full row) under MaxFrame.
+// MaxBatch caps the keys of one key batch, request or answer; a batch
+// of MaxBatch keys fits in one frame. An answer can carry up to a row
+// of keys per request key, so a set, region or flush request may hold
+// at most MaxBatch / row size keys (PROTOCOL.md).
 const MaxBatch = 1 << 16
 
 // headerLen is the fixed part covered by the length field.
