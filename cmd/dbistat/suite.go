@@ -49,7 +49,6 @@ func suite(kind string, seed int64) []perfstat.Target {
 			perfstat.Target{Name: "micro/trace.next", Kind: perfstat.KindMicro, Run: func() (perfstat.Counts, error) {
 				return traceNext(seed)
 			}},
-			perfstat.Target{Name: "micro/mshr.lookup", Kind: perfstat.KindMicro, Run: mshrLookup},
 			perfstat.Target{Name: "micro/sim.stream", Kind: perfstat.KindMicro, Run: func() (perfstat.Counts, error) {
 				return simStream(seed)
 			}},
@@ -164,7 +163,7 @@ func dbiRegion() (perfstat.Counts, error) {
 func cacheLookup() (perfstat.Counts, error) {
 	p := config.CacheParams{
 		SizeBytes: 2 << 20, Ways: 16, BlockSize: 64,
-		TagLatency: 2, DataLatency: 8, MSHRs: 32,
+		TagLatency: 2, DataLatency: 8,
 		Replacement: config.ReplLRU,
 	}
 	c, err := cache.New(p, 1, 1)
@@ -280,26 +279,6 @@ func traceNext(seed int64) (perfstat.Counts, error) {
 	return perfstat.Counts{Ops: microOps}, nil
 }
 
-// mshrLookup measures the MSHR file's probe/allocate/complete cycle at
-// a realistic occupancy: register a window of blocks, then stream
-// lookups and completions through the open-addressed table.
-func mshrLookup() (perfstat.Counts, error) {
-	m := cache.NewMSHR(32)
-	nop := func() {}
-	for i := 0; i < 24; i++ {
-		m.Register(uint64(i*61), nop)
-	}
-	for i := 0; i < microOps; i++ {
-		b := uint64(i * 61)
-		if m.Outstanding(b) {
-			m.Complete(b)
-		} else if !m.Full() {
-			m.Register(b, nop)
-		}
-	}
-	return perfstat.Counts{Ops: microOps}, nil
-}
-
 // simStream runs one full single-core system end to end and reports
 // engine-domain throughput: simulated cycles and fired events per
 // host second are the purest "how fast is the simulator" numbers.
@@ -317,9 +296,9 @@ func simStream(seed int64) (perfstat.Counts, error) {
 
 // macroTarget wraps an experiment runner as a sequential quick sweep.
 // Completed cells are counted through the process-wide perfstat
-// counter the sweep worker pool feeds — the same signal the telemetry
-// self.cells_per_sec gauge reads — so every sweep-driven experiment
-// reports cells uniformly whether or not it uses a Recorder.
+// counter the sweep worker pool feeds — the same signal the ops
+// plane's proc.cells_done counter reads — so every sweep-driven
+// experiment reports cells uniformly whether or not it uses a Recorder.
 func macroTarget(name string, seed int64, run func(experiments.Options) error) perfstat.Target {
 	return perfstat.Target{Name: name, Kind: perfstat.KindMacro, Run: func() (perfstat.Counts, error) {
 		before := perfstat.CellCount()

@@ -10,7 +10,7 @@ import (
 func cache16MB() config.CacheParams {
 	return config.CacheParams{
 		SizeBytes: 16 << 20, Ways: 32, BlockSize: 64,
-		TagLatency: 14, DataLatency: 33, SerialTagData: true,
+		TagLatency: 14, DataLatency: 33,
 	}
 }
 

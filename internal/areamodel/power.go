@@ -89,7 +89,7 @@ func Table5(p BitParams, m SRAMModel, d config.DBIParams, cacheAccessPerDBIAcces
 	for _, size := range []uint64{2 << 20, 4 << 20, 8 << 20, 16 << 20} {
 		c := config.CacheParams{
 			SizeBytes: size, Ways: 16, BlockSize: 64,
-			TagLatency: 10, DataLatency: 24, SerialTagData: true,
+			TagLatency: 10, DataLatency: 24,
 		}
 		conv := p.Conventional(c, true)
 		entries := uint64(d.Entries(c.Blocks()))

@@ -12,7 +12,7 @@ func benchCache(b *testing.B) *Cache {
 	b.Helper()
 	c, err := New(config.CacheParams{
 		SizeBytes: 2 << 20, Ways: 16, BlockSize: 64,
-		TagLatency: 10, DataLatency: 24, SerialTagData: true,
+		TagLatency: 10, DataLatency: 24,
 		Replacement: config.ReplTADIP,
 	}, 4, 1)
 	if err != nil {
@@ -80,17 +80,3 @@ func BenchmarkDirtyInLowRanks(b *testing.B) {
 }
 
 var ssvSink bool
-
-// BenchmarkMSHRRegisterComplete measures the miss-file probe over the
-// dense key column: register a miss, merge a second waiter, complete.
-func BenchmarkMSHRRegisterComplete(b *testing.B) {
-	m := NewMSHR(32)
-	wake := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i&1023) | 1
-		m.Register(k, wake)
-		m.Register(k, wake)
-		m.Complete(k)
-	}
-}

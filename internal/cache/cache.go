@@ -1,6 +1,6 @@
 // Package cache implements the structural model of a set-associative
-// cache: the tag store, replacement bookkeeping, MSHRs and a contended
-// tag port. Timing and inter-level protocol live in the llc and system
+// cache: the tag store, replacement bookkeeping and a contended tag
+// port. Timing and inter-level protocol live in the llc and system
 // packages; this package answers "what is in the cache and what gets
 // evicted", cycle-free.
 //

@@ -12,7 +12,7 @@ import (
 func smallParams() config.CacheParams {
 	return config.CacheParams{
 		SizeBytes: 64 * 4 * 16, Ways: 4, BlockSize: 64,
-		TagLatency: 2, DataLatency: 2, MSHRs: 8,
+		TagLatency: 2, DataLatency: 2,
 		Replacement: config.ReplLRU,
 	}
 }

@@ -230,8 +230,7 @@ func TestCacheDifferentialSoAvsAoS(t *testing.T) {
 }
 
 // TestTagProbeDoesNotAllocate pins the zero-allocation contract of the
-// rewritten tag-store hot paths, the Set State Vector query and the
-// MSHR probe.
+// rewritten tag-store hot paths and the Set State Vector query.
 func TestTagProbeDoesNotAllocate(t *testing.T) {
 	c := mustNew(t, smallParams())
 	b := addr.BlockAddr(0x40)
@@ -265,15 +264,5 @@ func TestTagProbeDoesNotAllocate(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("Insert/evict steady state allocates %.1f per op", n)
-	}
-
-	m := NewMSHR(4)
-	wake := func() {}
-	if n := testing.AllocsPerRun(1000, func() {
-		m.Register(42, wake)
-		m.Register(42, wake)
-		m.Complete(42)
-	}); n != 0 {
-		t.Fatalf("MSHR register/complete steady state allocates %.1f per op", n)
 	}
 }

@@ -132,14 +132,12 @@ func (r DBIReplacement) String() string {
 
 // CacheParams configures one cache level.
 type CacheParams struct {
-	SizeBytes     uint64
-	Ways          int
-	BlockSize     uint64
-	TagLatency    uint64 // cycles for a tag lookup
-	DataLatency   uint64 // cycles for a data access
-	SerialTagData bool   // serial (LLC) vs parallel (L1/L2) tag+data
-	MSHRs         int
-	Replacement   ReplacementKind
+	SizeBytes   uint64
+	Ways        int
+	BlockSize   uint64
+	TagLatency  uint64 // cycles for a tag lookup
+	DataLatency uint64 // cycles for a data access
+	Replacement ReplacementKind
 }
 
 // Sets returns the number of sets implied by the geometry.
@@ -150,16 +148,11 @@ func (c CacheParams) Sets() int {
 // Blocks returns the total number of blocks the cache holds.
 func (c CacheParams) Blocks() int { return int(c.SizeBytes / c.BlockSize) }
 
-// AccessLatency is the latency of a full hit (tag+data), honouring
-// serial vs parallel lookup.
+// AccessLatency is the latency of a full hit in a private cache, whose
+// tag and data arrays are read in parallel. The LLC reads them serially
+// and times the two steps itself (llc's tagLatency and dataLatency).
 func (c CacheParams) AccessLatency() uint64 {
-	if c.SerialTagData {
-		return c.TagLatency + c.DataLatency
-	}
-	if c.DataLatency > c.TagLatency {
-		return c.DataLatency
-	}
-	return c.TagLatency
+	return max(c.TagLatency, c.DataLatency)
 }
 
 // MaxWays is the widest set a cache may have: the tag probe and the
@@ -384,18 +377,18 @@ func PaperWithL3PerCore(cores int, mech Mechanism, l3PerCore uint64) SystemConfi
 		Core:      CoreParams{WindowSize: 128},
 		L1: CacheParams{
 			SizeBytes: 32 << 10, Ways: 2, BlockSize: 64,
-			TagLatency: 2, DataLatency: 2, MSHRs: 32,
+			TagLatency: 2, DataLatency: 2,
 			Replacement: ReplLRU,
 		},
 		L2: CacheParams{
 			SizeBytes: 256 << 10, Ways: 8, BlockSize: 64,
-			TagLatency: 12, DataLatency: 14, MSHRs: 32,
+			TagLatency: 12, DataLatency: 14,
 			Replacement: ReplLRU,
 		},
 		L3: CacheParams{
 			SizeBytes: l3PerCore * uint64(cores), Ways: ways, BlockSize: 64,
-			TagLatency: tagLat, DataLatency: dataLat, SerialTagData: true,
-			MSHRs: 32 * cores, Replacement: l3Repl,
+			TagLatency: tagLat, DataLatency: dataLat,
+			Replacement: l3Repl,
 		},
 		DBI: DBIParams{
 			AlphaNum: 1, AlphaDen: 4, Granularity: 64,

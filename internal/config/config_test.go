@@ -52,19 +52,19 @@ func TestMechanismFlags(t *testing.T) {
 
 func TestCacheParamsGeometry(t *testing.T) {
 	p := CacheParams{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64,
-		TagLatency: 10, DataLatency: 24, SerialTagData: true}
+		TagLatency: 10, DataLatency: 24}
 	if p.Sets() != 2048 {
 		t.Fatalf("Sets = %d, want 2048", p.Sets())
 	}
 	if p.Blocks() != 32768 {
 		t.Fatalf("Blocks = %d, want 32768", p.Blocks())
 	}
-	if p.AccessLatency() != 34 {
-		t.Fatalf("serial AccessLatency = %d, want 34", p.AccessLatency())
-	}
-	p.SerialTagData = false
 	if p.AccessLatency() != 24 {
-		t.Fatalf("parallel AccessLatency = %d, want 24", p.AccessLatency())
+		t.Fatalf("AccessLatency = %d, want 24 (data array is the slower)", p.AccessLatency())
+	}
+	p.TagLatency = 30
+	if p.AccessLatency() != 30 {
+		t.Fatalf("AccessLatency = %d, want 30 (tag array is the slower)", p.AccessLatency())
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
@@ -145,9 +145,6 @@ func TestPaperPresets(t *testing.T) {
 		if cfg.L3.Ways != ways[i] || cfg.L3.TagLatency != tags[i] {
 			t.Fatalf("%d-core L3 geometry = %d ways, %d tag cycles",
 				cores, cfg.L3.Ways, cfg.L3.TagLatency)
-		}
-		if !cfg.L3.SerialTagData {
-			t.Fatal("L3 must use serial tag+data lookup")
 		}
 	}
 }

@@ -126,8 +126,13 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			setBatch := make([]uint64, 0, cfg.Batch)
 			loadBatch := make([]uint64, 0, cfg.Batch)
 			recentRows := make([]uint64, 0, 8)
-			reqN := 0
+			// reqN counts requests for the open-loop schedule; turn
+			// counts loop turns for the flush cadence. A turn sends one
+			// to three requests, so a request-count cadence can skip
+			// every multiple of 64 after the first flush.
+			reqN, turn := 0, 0
 			for runCtx.Err() == nil {
+				turn++
 				// Fill the set batch from the trace's stores; loads
 				// accumulate into a dirty-query batch sent when full.
 				setBatch = setBatch[:0]
@@ -189,7 +194,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 					}
 				}
 				// Periodic AWB harvest of recently written rows.
-				if reqN%64 == 0 && len(recentRows) > 0 {
+				if turn%64 == 0 && len(recentRows) > 0 {
 					opCtx, opDone := context.WithTimeout(ctx, cfg.Timeout)
 					t0 := time.Now()
 					fl, err := cl.FlushRows(opCtx, recentRows)

@@ -68,3 +68,27 @@ func TestRunLoadOpenLoop(t *testing.T) {
 		t.Errorf("paced run sent %d requests, want ~100", rep.Requests)
 	}
 }
+
+// TestRunLoadFlushesPeriodically checks that the periodic AWB harvest
+// keeps firing: each client flushes a batch of up to 8 recently written
+// rows every 64 loop turns, so a run of hundreds of turns per client
+// flushes more rows than one batch per client. At 128-key batches, the
+// loadtest's size, every stream turn sends a SetDirty and an IsDirty.
+func TestRunLoadFlushesPeriodically(t *testing.T) {
+	srv, _, baddr := testServer(t)
+	const clients = 2
+	rep, err := RunLoad(context.Background(), LoadConfig{
+		Addr: baddr, Protocol: "binary", Clients: clients, Batch: 128,
+		Duration: 500 * time.Millisecond, Profile: "stream", Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 {
+		t.Fatalf("%d errors", rep.Errors)
+	}
+	if got := srv.tr.Stats().Flushes; got <= 8*clients {
+		t.Fatalf("%d row flushes in %d requests from %d clients, want more than %d",
+			got, rep.Requests, clients, 8*clients)
+	}
+}

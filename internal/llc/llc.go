@@ -47,7 +47,6 @@ type Stats struct {
 	DBIEvictionWBs stats.Counter // writebacks forced by DBI evictions
 	VictimWBs      stats.Counter // dirty blocks written back on eviction
 	WriteThroughs  stats.Counter // Skip Cache write-through traffic
-	MSHRMergeSkips stats.Counter // fills issued without MSHR merge (file full)
 	ScanDrops      stats.Counter // harvest scans dropped on a full scan queue
 }
 
@@ -78,7 +77,6 @@ type LLC struct {
 	Port  *cache.Port
 	DBI   *dbi.DBI            // nil unless Mech.UsesDBI()
 	Pred  *misspred.Predictor // nil unless CLB or Skip Cache
-	mshr  *cache.MSHR
 	mem   Memory
 
 	// Trc, when non-nil, receives tag-lookup spans, bypass instants and
@@ -225,7 +223,6 @@ func New(eng *event.Engine, geo addr.Geometry, c Config) (*LLC, error) {
 		Prm:      sys.L3,
 		Cache:    l3,
 		Port:     &cache.Port{Eng: eng},
-		mshr:     cache.NewMSHR(sys.L3.MSHRs),
 		mem:      c.Mem,
 		vwqDepth: 2,
 	}
@@ -397,13 +394,11 @@ func (rr *tagReq) lookupDone() {
 }
 
 // fillReq is a pooled memory-fill request with its callback bound once
-// at allocation. Merged fills complete the MSHR entry on arrival;
-// unmerged (MSHR-full) fills invoke done directly.
+// at allocation.
 type fillReq struct {
 	b        addr.BlockAddr
 	thread   int
 	allocate bool
-	merged   bool
 	done     func()
 	fn       func()
 	next     *fillReq
@@ -411,7 +406,7 @@ type fillReq struct {
 
 // getFill takes a fill record from the free list, binding its callback
 // only on first allocation.
-func (l *LLC) getFill(b addr.BlockAddr, thread int, allocate, merged bool, done func()) *fillReq {
+func (l *LLC) getFill(b addr.BlockAddr, thread int, allocate bool, done func()) *fillReq {
 	r := l.fillFree
 	if r == nil {
 		r = &fillReq{}
@@ -420,50 +415,38 @@ func (l *LLC) getFill(b addr.BlockAddr, thread int, allocate, merged bool, done 
 		l.fillFree = r.next
 	}
 	r.next = nil
-	r.b, r.thread, r.allocate, r.merged, r.done = b, thread, allocate, merged, done
+	r.b, r.thread, r.allocate, r.done = b, thread, allocate, done
 	return r
 }
 
 // completeFill runs when the memory read arrives. The record is
-// recycled before the fill executes: completing the MSHR entry wakes
-// demand waiters that may synchronously issue the next miss and reuse
-// it, so all state is copied out first.
+// recycled before the fill executes: done may synchronously issue the
+// next miss and reuse it, so all state is copied out first.
 func (l *LLC) completeFill(r *fillReq) {
-	b, thread, allocate, merged, done := r.b, r.thread, r.allocate, r.merged, r.done
+	b, thread, allocate, done := r.b, r.thread, r.allocate, r.done
 	r.done = nil
 	r.next = l.fillFree
 	l.fillFree = r
 	if allocate {
 		l.fill(b, thread)
 	}
-	if merged {
-		l.mshr.Complete(uint64(b))
-	} else {
+	if done != nil {
 		done()
 	}
 }
 
-// fetch issues the memory read (with MSHR merging) and optionally
-// allocates the block on fill.
+// fetch issues the memory read and optionally allocates the block on
+// fill. The LLC never merges reads: each core merges its own concurrent
+// misses to a block before they reach the LLC (cpu.Core's outstanding
+// map), and the cores' footprints are disjoint, so no block is ever
+// fetched twice at once.
 func (l *LLC) fetch(b addr.BlockAddr, done func(), allocate bool, thread int) {
-	key := uint64(b)
-	if l.mshr.Outstanding(key) {
-		l.mshr.Register(key, done)
-		return
-	}
 	cat := telemetry.ABytesReadBypass
 	if allocate {
 		cat = telemetry.ABytesReadFill
 	}
 	l.Attr.Charge(cat, l.Geo.BlockSize)
-	if l.mshr.Full() {
-		// No MSHR available: issue an unmerged fill (counted; rare).
-		l.Stat.MSHRMergeSkips.Inc()
-		l.mem.Read(b, l.getFill(b, thread, allocate, false, done).fn)
-		return
-	}
-	l.mshr.Register(key, done)
-	l.mem.Read(b, l.getFill(b, thread, allocate, true, nil).fn)
+	l.mem.Read(b, l.getFill(b, thread, allocate, done).fn)
 }
 
 // fill inserts a clean block fetched from memory and handles the victim.
@@ -679,16 +662,10 @@ func (l *LLC) harvestVWQ(b addr.BlockAddr) {
 
 // harvestAWB implements the paper's aggressive writeback (Section 3.1):
 // one DBI query yields exactly the dirty row-mates, so the tag store is
-// looked up only for blocks that are actually dirty.
+// looked up only for blocks that are actually dirty. The victim is not
+// among them: handleEviction cleared its DBI bit first.
 func (l *LLC) harvestAWB(b addr.BlockAddr) {
 	mates := l.DBI.DirtyBlocksInRegionInto(b, l.getMates())
-	for i := 0; i < len(mates); {
-		if mates[i] == b {
-			mates = append(mates[:i], mates[i+1:]...)
-			continue
-		}
-		i++
-	}
 	if len(mates) > 0 {
 		// One AWB aggregated-writeback drain: a whole row's dirty mates
 		// head for the write buffer together.

@@ -78,7 +78,10 @@ func TestReadHitStaysOnChip(t *testing.T) {
 	}
 }
 
-func TestMSHRMergesConcurrentReads(t *testing.T) {
+// TestConcurrentReadsFetchSeparately pins that the LLC does not merge
+// misses: the cores merge their own, so two reads of one block in
+// flight at once each go to memory, and both are served.
+func TestConcurrentReadsFetchSeparately(t *testing.T) {
 	eng, l, mem := build(t, config.TADIP)
 	served := 0
 	l.Read(9, 0, func() { served++ })
@@ -87,8 +90,35 @@ func TestMSHRMergesConcurrentReads(t *testing.T) {
 	if served != 2 {
 		t.Fatalf("served = %d", served)
 	}
-	if len(mem.reads) != 1 {
-		t.Fatalf("memory reads = %v, want 1 (merged)", mem.reads)
+	if len(mem.reads) != 2 {
+		t.Fatalf("memory reads = %v, want 2 (no merging in the LLC)", mem.reads)
+	}
+	if l.Cache.CountValid() != 1 {
+		t.Fatalf("%d blocks resident, want 1", l.Cache.CountValid())
+	}
+}
+
+func TestReadHitDoesNotTouchPredictorOutsideSamples(t *testing.T) {
+	var eng event.Engine
+	mem := &fakeMem{eng: &eng, lat: 50}
+	sys := config.Scaled(1, config.DBICLB)
+	sys.L3.SizeBytes = 64 << 10
+	sys.L3.Ways = 4
+	l, err := New(&eng, addr.Default(), Config{Cores: 1, Sys: sys, Mem: mem, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With no miss evidence, nothing bypasses regardless of set.
+	served := 0
+	for i := 0; i < 10; i++ {
+		l.Read(addr.BlockAddr(i), 0, func() { served++ })
+	}
+	eng.Run()
+	if served != 10 {
+		t.Fatalf("served %d of 10", served)
+	}
+	if l.Stat.Bypasses.Value() != 0 {
+		t.Fatal("bypassed without evidence")
 	}
 }
 

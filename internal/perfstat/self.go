@@ -3,11 +3,10 @@ package perfstat
 import "sync/atomic"
 
 // cellsDone counts simulation cells completed process-wide. The sweep
-// worker pool increments it after every finished cell; the telemetry
-// self-metrics gauges (internal/system) and dbistat's macro targets
-// read it to derive cells/sec and allocs/cell. One atomic add per cell
-// is host-side bookkeeping only — it can never perturb simulated
-// state.
+// worker pool increments it after every finished cell; dbistat's macro
+// targets read it to derive cells/sec and allocs/cell, and the ops
+// plane exports it as proc.cells_done. One atomic add per cell is
+// host-side bookkeeping only — it can never perturb simulated state.
 var cellsDone atomic.Uint64
 
 // CellDone records n completed simulation cells.

@@ -1,10 +1,12 @@
 package system
 
 import (
+	"sort"
 	"testing"
 
 	"dbisim/internal/config"
 	"dbisim/internal/event"
+	"dbisim/internal/telemetry"
 )
 
 // TestDBIDirtyImpliesResident checks the system-wide invariant behind
@@ -112,6 +114,57 @@ func TestWritebacksNeverLost(t *testing.T) {
 		}
 		if sys.Mem.Stat.Writes.Value() == 0 && sys.Mem.WriteQueueLen() == 0 {
 			t.Fatalf("%v: no writes reached memory", mech)
+		}
+	}
+}
+
+// TestNoBlockFetchedTwiceAtOnce pins the invariant that lets the LLC go
+// without an MSHR of its own: two shared-level reads of one block are
+// never in flight together. Each core merges its concurrent misses to a
+// block (cpu.Core's outstanding map) and the cores' trace footprints are
+// disjoint, so a block's cpu/llc_read spans never overlap in time — not
+// even across cores running the same benchmark. astar's small footprint
+// makes same-benchmark cores reuse blocks densely: with every core's
+// trace at one base, its mixes overlap within these budgets.
+func TestNoBlockFetchedTwiceAtOnce(t *testing.T) {
+	mixes := [][]string{
+		{"astar", "astar"},
+		{"stream", "stream", "stream", "stream"},
+		{"astar", "astar", "astar", "astar", "astar", "astar", "astar", "astar"},
+	}
+	type span struct{ start, end uint64 }
+	for _, mech := range []config.Mechanism{config.DAWB, config.DBIAWBCLB, config.SkipCache} {
+		for _, benches := range mixes {
+			cfg := smallCfg(len(benches), mech)
+			cfg.WarmupInstructions = 20_000
+			cfg.MeasureInstructions = 40_000
+			tr := telemetry.NewTracer(1 << 17)
+			sys, err := New(cfg, benches, 11, WithTracer(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Run()
+			if d := tr.Dropped(); d != 0 {
+				t.Fatalf("%v %v: tracer dropped %d of %d events", mech, benches, d, tr.Emitted())
+			}
+			byBlock := map[uint64][]span{}
+			for _, e := range tr.Events() {
+				if e.Cat == "cpu" && e.Name == "llc_read" {
+					byBlock[e.Arg] = append(byBlock[e.Arg], span{e.TS, e.TS + e.Dur})
+				}
+			}
+			if len(byBlock) == 0 {
+				t.Fatalf("%v %v: no llc_read spans", mech, benches)
+			}
+			for b, ss := range byBlock {
+				sort.Slice(ss, func(i, j int) bool { return ss[i].start < ss[j].start })
+				for i := 1; i < len(ss); i++ {
+					if ss[i].start < ss[i-1].end {
+						t.Fatalf("%v %v: block %#x read over [%d,%d) and again from %d",
+							mech, benches, b, ss[i-1].start, ss[i-1].end, ss[i].start)
+					}
+				}
+			}
 		}
 	}
 }

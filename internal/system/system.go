@@ -6,7 +6,6 @@ package system
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 	"dbisim/internal/dram"
 	"dbisim/internal/event"
 	"dbisim/internal/llc"
-	"dbisim/internal/perfstat"
 	"dbisim/internal/stats"
 	"dbisim/internal/telemetry"
 	"dbisim/internal/trace"
@@ -41,14 +39,10 @@ type System struct {
 	tracer  *telemetry.Tracer
 	sampler *telemetry.Sampler
 
-	// Self-throughput baselines, captured at Run entry when time series
-	// are armed. They live in the host domain (wall clock, allocation
-	// counters, process-wide cell count), so the self.* gauges can
-	// report how fast the simulator itself is running without touching
-	// simulated state.
-	perfStart   time.Time
-	perfMallocs uint64
-	perfCells   uint64
+	// perfStart is the host wall clock at Run entry when time series
+	// are armed: the self.* gauges report how fast the simulator itself
+	// is running without touching simulated state.
+	perfStart time.Time
 }
 
 // CoreResult is one core's measured performance.
@@ -214,9 +208,8 @@ func (s *System) registerComponentMetrics(reg *telemetry.Registry) {
 
 // registerSelfMetrics adds the simulator-throughput gauges — how fast
 // the simulation itself executes on the host — so they ride the same
-// time-series export path as the workload metrics. All four only read
-// host-domain state (wall clock, engine counters, allocation totals,
-// the process-wide sweep cell count), so they preserve the
+// time-series export path as the workload metrics. Both only read
+// host-domain state (wall clock, engine counters), so they preserve the
 // bit-identical-Results guarantee like every other probe.
 func (s *System) registerSelfMetrics(reg *telemetry.Registry) {
 	elapsed := func() float64 { return time.Since(s.perfStart).Seconds() }
@@ -231,21 +224,6 @@ func (s *System) registerSelfMetrics(reg *telemetry.Registry) {
 			return float64(s.Eng.Fired()) / el
 		}
 		return 0
-	})
-	reg.Gauge("self.cells_per_sec", func() float64 {
-		if el := elapsed(); el > 0 {
-			return float64(perfstat.CellCount()-s.perfCells) / el
-		}
-		return 0
-	})
-	reg.Gauge("self.allocs_per_cell", func() float64 {
-		cells := perfstat.CellCount() - s.perfCells
-		if cells == 0 {
-			return 0
-		}
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return float64(m.Mallocs-s.perfMallocs) / float64(cells)
 	})
 }
 
@@ -302,7 +280,7 @@ func (s *System) takeSnapshot() snapshot {
 }
 
 // armSampler arms the epoch sampler's engine event, captures the
-// host-domain baselines for the self.* gauges and returns the function
+// host-domain baseline for the self.* gauges and returns the function
 // that cancels the event and records the final partial-epoch sample.
 // Without a sampler it does nothing.
 func (s *System) armSampler() (finish func()) {
@@ -310,10 +288,6 @@ func (s *System) armSampler() (finish func()) {
 		return func() {}
 	}
 	s.perfStart = time.Now()
-	s.perfCells = perfstat.CellCount()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	s.perfMallocs = m.Mallocs
 	smp := s.sampler
 	cancel := s.Eng.Every(event.Cycle(smp.Epoch()), func() {
 		smp.Tick(uint64(s.Eng.Now()))

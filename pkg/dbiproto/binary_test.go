@@ -7,20 +7,29 @@ import (
 	"testing"
 )
 
-// TestFrameGolden pins the exact wire bytes of a SetDirty request so
-// an incompatible re-encode fails loudly rather than silently: length
-// 4+varint+2*8 = 21+6=27... computed below, version 1, opcode 0x02,
+// goldenSetWire is a SetDirty request frame: version 1, opcode 0x02,
 // seq 0x01020304, payload = uvarint(2) + keys 5 and 0x0102030405060708.
+const goldenSetWire = "17000000" + // length: 6 header + 17 payload = 23 = 0x17, LE
+	"01" + "02" + // version, opcode
+	"04030201" + // seq LE
+	"02" + // uvarint key count
+	"0500000000000000" + // key 5 LE
+	"0807060504030201" // key 0x0102030405060708 LE
+
+// goldenIsDirtyRespWire is an IsDirty response frame: status OK then a
+// bool vector.
+const goldenIsDirtyRespWire = "0b000000" + // length 6+5
+	"01" + "83" + // version, OpIsDirty|RespBit
+	"07000000" + // seq
+	"00" + // StatusOK
+	"03" + "010001" // 3 answers: true,false,true
+
+// TestFrameGolden pins the exact wire bytes of a SetDirty request so
+// an incompatible re-encode fails loudly rather than silently.
 func TestFrameGolden(t *testing.T) {
 	payload := AppendKeys(nil, []uint64{5, 0x0102030405060708})
 	wire := AppendFrame(nil, Frame{Version: 1, Op: OpSet, Seq: 0x01020304, Payload: payload})
-	const want = "17000000" + // length: 6 header + 17 payload = 23 = 0x17, LE
-		"01" + "02" + // version, opcode
-		"04030201" + // seq LE
-		"02" + // uvarint key count
-		"0500000000000000" + // key 5 LE
-		"0807060504030201" // key 0x0102030405060708 LE
-	if got := hex.EncodeToString(wire); got != want {
+	if got, want := hex.EncodeToString(wire), goldenSetWire; got != want {
 		t.Fatalf("wire bytes changed:\n got %s\nwant %s", got, want)
 	}
 
@@ -45,12 +54,7 @@ func TestFrameGolden(t *testing.T) {
 func TestResponseGolden(t *testing.T) {
 	payload := append([]byte{StatusOK}, AppendBools(nil, []bool{true, false, true})...)
 	wire := AppendFrame(nil, Frame{Version: 1, Op: OpIsDirty | RespBit, Seq: 7, Payload: payload})
-	const want = "0b000000" + // length 6+5
-		"01" + "83" + // version, OpIsDirty|RespBit
-		"07000000" + // seq
-		"00" + // StatusOK
-		"03" + "010001" // 3 answers: true,false,true
-	if got := hex.EncodeToString(wire); got != want {
+	if got, want := hex.EncodeToString(wire), goldenIsDirtyRespWire; got != want {
 		t.Fatalf("wire bytes changed:\n got %s\nwant %s", got, want)
 	}
 	f, _, err := ReadFrame(bytes.NewReader(wire), nil)
