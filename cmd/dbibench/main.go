@@ -192,10 +192,6 @@ func main() {
 		}()
 	}
 
-	// The pool schedulers construct Systems internally, so the -attr
-	// flag reaches them through the process-wide default.
-	system.SetAttributionEnabled(*attr)
-
 	srv, err := ops.Start(nil, "dbibench", term)
 	if err != nil {
 		fmt.Fprintf(term, "dbibench: %v\n", err)
@@ -208,7 +204,7 @@ func main() {
 	rec := &sweep.Recorder{}
 	o := experiments.Options{
 		Out: os.Stdout, Quick: !*full, Seed: *seed,
-		Parallel: *par, Recorder: rec,
+		Parallel: *par, Recorder: rec, Attr: *attr,
 	}
 	var prog *progressPrinter
 	if *progress {

@@ -1,13 +1,15 @@
-// Command tracegen materializes a synthetic benchmark trace to a file
-// for inspection or replay.
+// Command tracegen prints a synthetic benchmark trace as text, one
+// record per line (instruction gap, access kind, physical address), for
+// inspection.
 //
 // Usage:
 //
-//	tracegen -bench lbm -n 100000 -o lbm.trace
-//	tracegen -bench mcf -n 1000 -dump   # print records to stdout
+//	tracegen -bench mcf -n 1000            # print records to stdout
+//	tracegen -bench lbm -n 100000 -o lbm.txt
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -19,8 +21,7 @@ func main() {
 	var (
 		bench = flag.String("bench", "stream", "benchmark model")
 		n     = flag.Uint64("n", 100_000, "records to generate")
-		out   = flag.String("o", "", "output file (required unless -dump)")
-		dump  = flag.Bool("dump", false, "print records as text instead of writing a file")
+		out   = flag.String("o", "", "output file (default stdout)")
 		seed  = flag.Int64("seed", 42, "generator seed")
 	)
 	flag.Parse()
@@ -30,39 +31,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	gen := trace.New(p, 0, *seed)
-
-	if *dump {
-		for i := uint64(0); i < *n; i++ {
-			r := gen.Next()
-			fmt.Printf("+%d %-5s %#x\n", r.Gap, r.Kind, r.Addr)
-		}
-		return
-	}
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "need -o or -dump")
-		os.Exit(2)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for i := uint64(0); i < *n; i++ {
-		if err := w.Write(gen.Next()); err != nil {
+	dst := os.Stdout
+	if *out != "" {
+		if dst, err = os.Create(*out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+	}
+	w := bufio.NewWriter(dst)
+	gen := trace.New(p, 0, *seed)
+	for i := uint64(0); i < *n; i++ {
+		r := gen.Next()
+		fmt.Fprintf(w, "+%d %-5s %#x\n", r.Gap, r.Kind, r.Addr)
 	}
 	if err := w.Flush(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %d records of %s to %s\n", w.Count(), *bench, *out)
+	if err := dst.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

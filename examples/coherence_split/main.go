@@ -23,10 +23,8 @@ import (
 
 func main() {
 	geo := addr.Default()
-	index, err := dbi.New(dbi.WithGeometry(geo), dbi.WithParams(config.DBIParams{
-		AlphaNum: 1, AlphaDen: 4, Granularity: 64,
-		Associativity: 16, Latency: 4, Replacement: config.DBILRW,
-	}), dbi.WithCacheBlocks(32768), dbi.WithSeed(1))
+	index, err := dbi.New(dbi.WithGeometry(geo), dbi.WithParams(config.PaperDBI()),
+		dbi.WithCacheBlocks(32768), dbi.WithSeed(1))
 	if err != nil {
 		panic(err)
 	}

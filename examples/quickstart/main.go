@@ -22,16 +22,12 @@ import (
 func main() {
 	geo := addr.Default() // 64B blocks, 8KB DRAM rows, 8 banks
 
-	// A DBI for a 1MB cache (16384 blocks), α=1/4, one entry per 64
-	// blocks: 128 entries of a 64-bit dirty vector each.
-	params := config.DBIParams{
-		AlphaNum: 1, AlphaDen: 2,
-		Granularity:   64,
-		Associativity: 8,
-		Latency:       4,
-		Replacement:   config.DBILRW,
-		BIPEpsilonDen: 64,
-	}
+	// A DBI for a 1MB cache (16384 blocks), α=1/2, one entry per 64
+	// blocks: 128 entries of a 64-bit dirty vector each, 8 ways — Table
+	// 1's DBI as the scaled 1-core preset sizes it.
+	params := config.PaperDBI()
+	params.AlphaDen = 2
+	params.Associativity = 8
 	index, err := dbi.New(dbi.WithGeometry(geo), dbi.WithParams(params),
 		dbi.WithCacheBlocks(16384), dbi.WithSeed(1))
 	if err != nil {

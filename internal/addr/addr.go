@@ -29,7 +29,6 @@ type Geometry struct {
 	RowSize       uint64 // bytes per DRAM row (power of two)
 	NumBanks      uint64 // DRAM banks (power of two)
 	blockShift    uint   // log2(BlockSize)
-	rowShift      uint   // log2(RowSize)
 	blocksPerRow  uint64
 	blockRowShift uint // log2(blocksPerRow)
 }
@@ -64,7 +63,6 @@ func NewGeometry(blockSize, rowSize, numBanks uint64) (Geometry, error) {
 		blocksPerRow: rowSize / blockSize,
 	}
 	g.blockShift = log2(blockSize)
-	g.rowShift = log2(rowSize)
 	g.blockRowShift = log2(g.blocksPerRow)
 	return g, nil
 }
@@ -84,14 +82,8 @@ func (g Geometry) BlocksPerRow() int { return int(g.blocksPerRow) }
 // BlockOf strips the block offset from a physical address.
 func (g Geometry) BlockOf(a Addr) BlockAddr { return BlockAddr(uint64(a) >> g.blockShift) }
 
-// AddrOf returns the base physical address of a block.
-func (g Geometry) AddrOf(b BlockAddr) Addr { return Addr(uint64(b) << g.blockShift) }
-
 // RowOf returns the DRAM row containing a block.
 func (g Geometry) RowOf(b BlockAddr) RowID { return RowID(uint64(b) >> g.blockRowShift) }
-
-// RowOfAddr returns the DRAM row containing a physical address.
-func (g Geometry) RowOfAddr(a Addr) RowID { return RowID(uint64(a) >> g.rowShift) }
 
 // ColumnOf returns the block's index within its DRAM row, in
 // [0, BlocksPerRow).
@@ -101,9 +93,6 @@ func (g Geometry) ColumnOf(b BlockAddr) int {
 
 // BankOf returns the DRAM bank a row maps to under row interleaving.
 func (g Geometry) BankOf(r RowID) int { return int(uint64(r) & (g.NumBanks - 1)) }
-
-// RowInBank returns the row index within its bank.
-func (g Geometry) RowInBank(r RowID) uint64 { return uint64(r) / g.NumBanks }
 
 // BlockInRow reconstructs the block address of column col in row r.
 func (g Geometry) BlockInRow(r RowID, col int) BlockAddr {

@@ -41,11 +41,11 @@ func TestBlockRowMapping(t *testing.T) {
 	g := Default()
 	a := Addr(0x12345678)
 	b := g.BlockOf(a)
-	if got := g.AddrOf(b); got != a&^63 {
-		t.Fatalf("AddrOf(BlockOf(a)) = %#x, want %#x", got, a&^63)
+	if b != BlockAddr(a>>6) {
+		t.Fatalf("BlockOf(%#x) = %#x, want %#x", a, b, a>>6)
 	}
-	if g.RowOf(b) != g.RowOfAddr(a) {
-		t.Fatalf("RowOf(block) %d != RowOfAddr(addr) %d", g.RowOf(b), g.RowOfAddr(a))
+	if g.RowOf(b) != RowID(a>>13) {
+		t.Fatalf("RowOf(BlockOf(%#x)) = %d, want %d", a, g.RowOf(b), a>>13)
 	}
 }
 
@@ -71,9 +71,6 @@ func TestBankInterleaving(t *testing.T) {
 		if got := g.BankOf(r); got != want {
 			t.Fatalf("BankOf(%d) = %d, want %d", r, got, want)
 		}
-	}
-	if g.RowInBank(17) != 2 {
-		t.Fatalf("RowInBank(17) = %d, want 2", g.RowInBank(17))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dbisim/internal/config"
-	"dbisim/internal/dram"
 )
 
 func cache16MB() config.CacheParams {
@@ -142,15 +141,12 @@ func TestSRAMModelMonotonic(t *testing.T) {
 
 func TestDRAMEnergyRowHitsSave(t *testing.T) {
 	m := DefaultDRAMEnergy()
-	var allMiss, allHit dram.Stats
-	allMiss.Reads.Add(1000)
-	allMiss.Activates.Add(1000)
-	allHit.Reads.Add(1000)
-	allHit.Activates.Add(100)
-	if m.EnergyPJ(&allHit) >= m.EnergyPJ(&allMiss) {
+	allMiss := m.EnergyFromCounts(1000, 1000, 0)
+	allHit := m.EnergyFromCounts(100, 1000, 0)
+	if allHit >= allMiss {
 		t.Fatal("row hits must save DRAM energy")
 	}
-	saving := 1 - m.EnergyPJ(&allHit)/m.EnergyPJ(&allMiss)
+	saving := 1 - allHit/allMiss
 	if saving < 0.3 {
 		t.Fatalf("saving = %v, activates must dominate", saving)
 	}

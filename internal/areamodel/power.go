@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dbisim/internal/config"
-	"dbisim/internal/dram"
 )
 
 // SRAMModel is the analytical stand-in for CACTI: area scales with bit
@@ -127,15 +126,10 @@ func DefaultDRAMEnergy() DRAMEnergyModel {
 	}
 }
 
-// EnergyPJ totals the DRAM energy of a simulation from its command
-// counts. Row hits skip the activate energy — the source of the paper's
-// 14% single-core memory-energy reduction.
-func (m DRAMEnergyModel) EnergyPJ(s *dram.Stats) float64 {
-	return m.EnergyFromCounts(s.Activates.Value(), s.Reads.Value(), s.Writes.Value())
-}
-
-// EnergyFromCounts totals DRAM energy from explicit command counts
-// (e.g. the measured-window deltas a system run reports).
+// EnergyFromCounts totals DRAM energy from command counts (the
+// measured-window deltas a system run reports). Row hits skip the
+// activate energy — the source of the paper's 14% single-core
+// memory-energy reduction.
 func (m DRAMEnergyModel) EnergyFromCounts(activates, reads, writes uint64) float64 {
 	return float64(activates)*m.ActivatePJ +
 		float64(reads)*m.ReadBurstPJ +

@@ -217,14 +217,6 @@ func (c *Cache) Access(b addr.BlockAddr, thread int) (hit bool) {
 	return false
 }
 
-// Touch promotes a resident block without a counted lookup (used when the
-// lookup cost was already paid by the caller in the same operation).
-func (c *Cache) Touch(b addr.BlockAddr) {
-	if way, ok := c.find(b); ok {
-		c.policy.Touch(c.SetOf(b), way)
-	}
-}
-
 // Insert fills a block, returning the evicted victim (Valid=false when an
 // invalid way was used). The caller decides what to do with a dirty
 // victim (writeback) and with the victim's DBI state.
@@ -269,18 +261,6 @@ func b2u8(b bool) uint8 {
 	return 0
 }
 
-// Invalidate removes a block if present and returns its prior state.
-func (c *Cache) Invalidate(b addr.BlockAddr) (old Block, ok bool) {
-	way, ok := c.find(b)
-	if !ok {
-		return Block{}, false
-	}
-	set := c.SetOf(b)
-	old = c.BlockAt(set, way)
-	c.addrs[c.slot(set, way)] = empty
-	return old, true
-}
-
 // SetDirty marks a resident block dirty (conventional organization).
 // It reports whether the block was found.
 func (c *Cache) SetDirty(b addr.BlockAddr, dirty bool) bool {
@@ -297,33 +277,4 @@ func (c *Cache) SetDirty(b addr.BlockAddr, dirty bool) bool {
 func (c *Cache) IsDirty(b addr.BlockAddr) bool {
 	way, ok := c.find(b)
 	return ok && c.dirty[c.slot(c.SetOf(b), way)] != 0
-}
-
-// DirtyBlocksInto appends the addresses of all dirty blocks to dst and
-// returns the extended slice, so a caller can reuse one scratch buffer.
-func (c *Cache) DirtyBlocksInto(dst []addr.BlockAddr) []addr.BlockAddr {
-	for i := range c.addrs {
-		if c.validAt(i) && c.dirty[i] != 0 {
-			dst = append(dst, addr.BlockAddr(c.addrs[i]))
-		}
-	}
-	return dst
-}
-
-// DirtyBlocks returns the addresses of all dirty blocks, the tests'
-// oracle for the tag store's dirty state (the timed flush walks the
-// sets through the tag port instead).
-func (c *Cache) DirtyBlocks() []addr.BlockAddr {
-	return c.DirtyBlocksInto(nil)
-}
-
-// CountValid returns the number of valid blocks (diagnostics).
-func (c *Cache) CountValid() int {
-	n := 0
-	for i := range c.addrs {
-		if c.validAt(i) {
-			n++
-		}
-	}
-	return n
 }

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -236,29 +235,6 @@ func TestBlockAt(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("inserted block not found via BlockAt")
-	}
-}
-
-// TestDirtyBlocksInto checks the scratch-reuse variant appends into the
-// provided buffer and agrees with DirtyBlocks.
-func TestDirtyBlocksInto(t *testing.T) {
-	c := mustNew(t, smallParams())
-	for i := 0; i < 32; i++ {
-		c.Insert(addr.BlockAddr(i), 0, i%2 == 0)
-	}
-	want := c.DirtyBlocks()
-	scratch := make([]addr.BlockAddr, 0, 64)
-	got := c.DirtyBlocksInto(scratch)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DirtyBlocksInto = %v, want %v", got, want)
-	}
-	if cap(got) != cap(scratch) {
-		t.Errorf("DirtyBlocksInto reallocated: cap %d, scratch cap %d", cap(got), cap(scratch))
-	}
-	// Reuse with stale contents must not leak them.
-	got2 := c.DirtyBlocksInto(got[:0])
-	if !reflect.DeepEqual(got2, want) {
-		t.Errorf("reused DirtyBlocksInto = %v, want %v", got2, want)
 	}
 }
 

@@ -56,9 +56,6 @@ func (p *Port) Submit(background bool, dur event.Cycle, done func()) {
 // QueueLen reports queued (not in-flight) operations.
 func (p *Port) QueueLen() int { return len(p.demand) + len(p.background) }
 
-// Busy reports whether an operation is in flight.
-func (p *Port) Busy() bool { return p.busy }
-
 func (p *Port) dispatch() {
 	if p.busy {
 		return

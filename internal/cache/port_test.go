@@ -75,7 +75,7 @@ func TestPortCounters(t *testing.T) {
 	if p.DemandOps.Value() != 1 || p.BackgroundOps.Value() != 2 {
 		t.Fatalf("ops = %d demand, %d background", p.DemandOps.Value(), p.BackgroundOps.Value())
 	}
-	if p.Busy() || p.QueueLen() != 0 {
+	if p.busy || p.QueueLen() != 0 {
 		t.Fatal("port not idle after run")
 	}
 }

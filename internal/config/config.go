@@ -192,6 +192,17 @@ type DBIParams struct {
 	BIPEpsilonDen int
 }
 
+// PaperDBI returns Table 1's DBI: α = 1/4, 64-block granularity, 16
+// ways, a 4-cycle lookup and LRW replacement (LRW-BIP inserts at MRU
+// once in 64). Every preset and the dbi package's default start from it.
+func PaperDBI() DBIParams {
+	return DBIParams{
+		AlphaNum: 1, AlphaDen: 4, Granularity: 64,
+		Associativity: 16, Latency: 4,
+		Replacement: DBILRW, BIPEpsilonDen: 64,
+	}
+}
+
 // Entries returns the number of DBI entries needed to track
 // α × cacheBlocks blocks at the configured granularity.
 func (d DBIParams) Entries(cacheBlocks int) int {
@@ -212,6 +223,8 @@ func (d DBIParams) Validate() error {
 		return fmt.Errorf("config: DBI granularity %d not a power of two", d.Granularity)
 	case d.Associativity <= 0:
 		return fmt.Errorf("config: DBI associativity %d", d.Associativity)
+	case d.BIPEpsilonDen < 1:
+		return fmt.Errorf("config: DBI BIP epsilon 1/%d", d.BIPEpsilonDen)
 	}
 	return nil
 }
@@ -232,17 +245,6 @@ type DRAMParams struct {
 	// WriteDrainLow is the buffer occupancy at which a drain stops
 	// (drain-when-full policy: start at full, stop at low watermark).
 	WriteDrainLow int
-}
-
-// RowHitLatency is the read latency when the row is already open.
-func (d DRAMParams) RowHitLatency() uint64 { return d.TCAS + d.TBurst }
-
-// RowClosedLatency is the read latency when the bank is precharged.
-func (d DRAMParams) RowClosedLatency() uint64 { return d.TRCD + d.TCAS + d.TBurst }
-
-// RowConflictLatency is the read latency when another row is open.
-func (d DRAMParams) RowConflictLatency() uint64 {
-	return d.TRP + d.TRCD + d.TCAS + d.TBurst
 }
 
 // Validate reports configuration errors.
@@ -390,11 +392,7 @@ func PaperWithL3PerCore(cores int, mech Mechanism, l3PerCore uint64) SystemConfi
 			TagLatency: tagLat, DataLatency: dataLat,
 			Replacement: l3Repl,
 		},
-		DBI: DBIParams{
-			AlphaNum: 1, AlphaDen: 4, Granularity: 64,
-			Associativity: 16, Latency: 4,
-			Replacement: DBILRW, BIPEpsilonDen: 64,
-		},
+		DBI: PaperDBI(),
 		MissPred: MissPredictorParams{
 			Threshold:   0.95,
 			EpochCycles: 2_000_000,

@@ -87,7 +87,7 @@ func TestCacheParamsValidate(t *testing.T) {
 }
 
 func TestDBIEntries(t *testing.T) {
-	d := DBIParams{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 16}
+	d := DBIParams{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 16, BIPEpsilonDen: 64}
 	// 2MB cache, 64B blocks -> 32768 blocks; α=1/4 -> 8192 tracked;
 	// granularity 64 -> 128 entries.
 	if got := d.Entries(32768); got != 128 {
@@ -101,9 +101,10 @@ func TestDBIEntries(t *testing.T) {
 		t.Fatalf("valid DBI params rejected: %v", err)
 	}
 	for _, bad := range []DBIParams{
-		{AlphaNum: 0, AlphaDen: 4, Granularity: 64, Associativity: 16},
-		{AlphaNum: 1, AlphaDen: 4, Granularity: 48, Associativity: 16},
-		{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 0},
+		{AlphaNum: 0, AlphaDen: 4, Granularity: 64, Associativity: 16, BIPEpsilonDen: 64},
+		{AlphaNum: 1, AlphaDen: 4, Granularity: 48, Associativity: 16, BIPEpsilonDen: 64},
+		{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 0, BIPEpsilonDen: 64},
+		{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 16, BIPEpsilonDen: 0},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("invalid DBI params accepted: %+v", bad)
@@ -111,19 +112,14 @@ func TestDBIEntries(t *testing.T) {
 	}
 }
 
+// TestDRAMLatencies pins the preset's DDR3-1066 read latencies: a row
+// hit costs tCAS plus the burst, a closed bank adds tRCD and a row
+// conflict adds tRP on top.
 func TestDRAMLatencies(t *testing.T) {
 	d := Paper(1, TADIP).DRAM
-	if d.RowHitLatency() != 55 {
-		t.Fatalf("RowHitLatency = %d, want 55", d.RowHitLatency())
-	}
-	if d.RowClosedLatency() != 90 {
-		t.Fatalf("RowClosedLatency = %d, want 90", d.RowClosedLatency())
-	}
-	if d.RowConflictLatency() != 125 {
-		t.Fatalf("RowConflictLatency = %d, want 125", d.RowConflictLatency())
-	}
-	if d.RowHitLatency() >= d.RowClosedLatency() || d.RowClosedLatency() >= d.RowConflictLatency() {
-		t.Fatal("latency ordering violated")
+	hit, closed, conflict := d.TCAS+d.TBurst, d.TRCD+d.TCAS+d.TBurst, d.TRP+d.TRCD+d.TCAS+d.TBurst
+	if hit != 55 || closed != 90 || conflict != 125 {
+		t.Fatalf("row hit/closed/conflict = %d/%d/%d, want 55/90/125", hit, closed, conflict)
 	}
 }
 

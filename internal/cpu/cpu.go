@@ -66,7 +66,6 @@ type Core struct {
 	stalled       bool
 	stallAt       event.Cycle  // cycle the current stall episode began
 	deferred      trace.Record // record waiting on a full window
-	stopped       bool
 
 	// outstanding merges concurrent shared-level fetches to the same
 	// block (the private-level MSHRs). Requests are pooled records with
@@ -199,7 +198,7 @@ func (c *Core) getShared(b addr.BlockAddr) *sharedReq {
 
 // Start begins execution: the core will call onDone once after issuing
 // budget instructions, then keep running (to preserve contention for
-// other cores) until Stop.
+// other cores) for as long as its engine runs.
 func (c *Core) Start(budget uint64, onDone func()) {
 	c.Rebudget(budget, onDone)
 	c.Eng.After(1, c.stepFn)
@@ -216,20 +215,15 @@ func (c *Core) Rebudget(budget uint64, onDone func()) {
 	c.issuedAtStart = c.issued
 }
 
-// Stop halts the core after its current event.
-func (c *Core) Stop() { c.stopped = true }
-
-// Done reports whether the budget has been reached.
-func (c *Core) Done() bool { return c.done }
-
 // Issued returns the total instructions issued since construction.
 func (c *Core) Issued() uint64 { return c.issued }
 
 // Cycles returns the cycles the core took to issue its budget
-// (valid after Done).
+// (valid after onDone).
 func (c *Core) Cycles() uint64 { return uint64(c.doneCycle - c.startCycle) }
 
-// IPC returns budget/cycles for the measured window (valid after Done).
+// IPC returns budget/cycles for the measured window (valid after
+// onDone).
 func (c *Core) IPC() float64 {
 	if c.doneCycle <= c.startCycle {
 		return 0
@@ -251,17 +245,8 @@ func (c *Core) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge(p+"inflight_loads", func() float64 { return float64(len(c.inflight)) })
 }
 
-// L1 exposes the private L1 (tests, diagnostics).
-func (c *Core) L1() *cache.Cache { return c.l1 }
-
-// L2 exposes the private L2.
-func (c *Core) L2() *cache.Cache { return c.l2 }
-
 // step issues the next trace record.
 func (c *Core) step() {
-	if c.stopped {
-		return
-	}
 	// The budget completes here, after the issued instructions' cycles
 	// have elapsed, so IPC never exceeds the issue width.
 	if !c.done && c.budget > 0 && c.issued-c.issuedAtStart >= c.budget {
@@ -269,9 +254,6 @@ func (c *Core) step() {
 		c.doneCycle = c.Eng.Now()
 		if c.onDone != nil {
 			c.onDone()
-		}
-		if c.stopped {
-			return
 		}
 	}
 	rec := c.gen.Next()
@@ -301,7 +283,7 @@ func (c *Core) windowFull(cost uint64) bool {
 // resume re-checks the window after a load completion and restarts issue
 // if the stalled record now fits.
 func (c *Core) resume() {
-	if !c.stalled || c.stopped {
+	if !c.stalled {
 		return
 	}
 	c.reapLoads()

@@ -43,20 +43,6 @@ func (d *DBI) BankHasDirty(bank int) bool {
 	return false
 }
 
-// AllDirtyBlocks lists every dirty block the DBI tracks, grouped by
-// entry (and therefore by DRAM row) — the access order a cache flush
-// wants.
-func (d *DBI) AllDirtyBlocks() []addr.BlockAddr {
-	d.Stat.Lookups.Inc()
-	var out []addr.BlockAddr
-	for e := range d.stamps {
-		if d.validAt(e) {
-			out = d.blocksOfInto(e, out)
-		}
-	}
-	return out
-}
-
 // Flush evicts every valid entry, returning the row-grouped writeback
 // work a whole-cache flush must perform (powering down a bank,
 // persistent-memory commit). After Flush the DBI is empty: no block is

@@ -54,16 +54,6 @@ import (
 // row ID.
 type RegionID uint64
 
-// Entry is a value snapshot (view) of one DBI entry: the valid bit, the
-// region (row) tag and the population of the dirty bit vector. It is
-// how diagnostics and tests observe the columnar store; the store
-// itself holds no Entry records.
-type Entry struct {
-	Valid  bool
-	Region RegionID
-	Dirty  int // number of dirty blocks the entry tracks
-}
-
 // Eviction describes a DBI eviction: every listed block must be written
 // back to memory and transitioned dirty→clean in the cache (the blocks
 // themselves stay resident).
@@ -120,7 +110,7 @@ type DBI struct {
 // service framing); everything else defaults to the paper's Table-1
 // DBI against the default geometry.
 func New(opts ...Option) (*DBI, error) {
-	o := options{geo: addr.Default(), prm: DefaultParams()}
+	o := options{geo: addr.Default(), prm: config.PaperDBI()}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -170,9 +160,6 @@ func New(opts ...Option) (*DBI, error) {
 	simrand.Seed(&d.pcg, o.seed)
 	d.rng = rand.New(&d.pcg)
 	d.regionShift = log2(uint64(prm.Granularity))
-	if prm.BIPEpsilonDen <= 0 {
-		d.prm.BIPEpsilonDen = 64
-	}
 	d.Stat.DirtyAtEviction = stats.NewHistogram(prm.Granularity)
 	return d, nil
 }
@@ -185,12 +172,6 @@ func log2(v uint64) uint {
 	}
 	return n
 }
-
-// Sets returns the number of DBI sets.
-func (d *DBI) Sets() int { return d.sets }
-
-// Ways returns the DBI associativity.
-func (d *DBI) Ways() int { return d.ways }
 
 // Entries returns the total entry count.
 func (d *DBI) Entries() int { return len(d.regions) }
@@ -269,18 +250,6 @@ func (d *DBI) find(r RegionID) int {
 		}
 	}
 	return -1
-}
-
-// EntryAt exposes a value snapshot of the entry at (set, way) for
-// diagnostics and tests — the DBI-level replacement for the per-entry
-// accessors the columnar store no longer has. Invalid slots read as the
-// zero Entry regardless of their stale contents.
-func (d *DBI) EntryAt(set, way int) Entry {
-	e := set*d.ways + way
-	if !d.validAt(e) {
-		return Entry{}
-	}
-	return Entry{Valid: true, Region: d.regions[e], Dirty: d.dirtyCountOf(e)}
 }
 
 // IsDirty implements the DBI's defining query: the block is dirty iff a

@@ -43,8 +43,8 @@ func sameSetBlocks(d *DBI, n int) []addr.BlockAddr {
 
 func TestGeometry(t *testing.T) {
 	d := newDBI(t, config.DBILRW)
-	if d.Entries() != 128 || d.Sets() != 32 || d.Ways() != 4 {
-		t.Fatalf("geometry: %d entries, %d sets, %d ways", d.Entries(), d.Sets(), d.Ways())
+	if d.Entries() != 128 || d.sets != 32 || d.ways != 4 {
+		t.Fatalf("geometry: %d entries, %d sets, %d ways", d.Entries(), d.sets, d.ways)
 	}
 	if d.TrackedBlocks() != 8192 {
 		t.Fatalf("tracked = %d, want 8192 (α=1/4 of 32768)", d.TrackedBlocks())

@@ -6,8 +6,8 @@ import (
 )
 
 // Option configures New. The constructor follows the system.New
-// functional-options style: every knob has a default (the paper's
-// Table-1 DBI against the default geometry), capacity is the one thing
+// functional-options style: every knob has a default (config.PaperDBI
+// against the default geometry), capacity is the one thing
 // a caller must state — either WithCacheBlocks (simulator usage: the
 // DBI tracks α × the cache's blocks) or WithRows (service usage: an
 // explicit entry budget, one entry per row-region).
@@ -19,16 +19,6 @@ type options struct {
 	cacheBlocks int
 	rows        int
 	seed        int64
-}
-
-// DefaultParams returns the paper's Table-1 DBI parameters: α = 1/4,
-// 64-block granularity, 16 ways, 4-cycle lookup, LRW replacement.
-func DefaultParams() config.DBIParams {
-	return config.DBIParams{
-		AlphaNum: 1, AlphaDen: 4, Granularity: 64,
-		Associativity: 16, Latency: 4,
-		Replacement: config.DBILRW, BIPEpsilonDen: 64,
-	}
 }
 
 // WithGeometry sets the address geometry the DBI maps blocks and rows

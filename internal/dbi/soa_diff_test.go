@@ -51,14 +51,14 @@ func newRefDBI(d *DBI, seed int64) *refDBI {
 	var pcg randv2.PCG
 	simrand.Seed(&pcg, seed)
 	r := &refDBI{
-		sets: d.Sets(), ways: d.Ways(),
+		sets: d.sets, ways: d.ways,
 		granularity: d.Granularity(),
 		regionShift: d.regionShift,
 		wpe:         (d.Granularity() + 63) / 64,
 		repl:        d.prm.Replacement,
 		epsDen:      d.prm.BIPEpsilonDen,
 		rng:         randv2.New(&pcg),
-		entries:     make([]refDBIEntry, d.Sets()*d.Ways()),
+		entries:     make([]refDBIEntry, d.sets*d.ways),
 	}
 	for i := range r.entries {
 		r.entries[i].bits = make([]uint64, r.wpe)
@@ -307,8 +307,8 @@ func TestDifferentialSoAvsAoS(t *testing.T) {
 				}
 			}
 			// Full structural state must agree: every (set, way) entry view.
-			for set := 0; set < d.Sets(); set++ {
-				for way := 0; way < d.Ways(); way++ {
+			for set := 0; set < d.sets; set++ {
+				for way := 0; way < d.ways; way++ {
 					got := d.EntryAt(set, way)
 					re := &ref.entries[set*ref.ways+way]
 					want := Entry{}
@@ -345,7 +345,7 @@ func TestDifferentialSoAvsAoS(t *testing.T) {
 // harvest (DirtyBlocksInRegionInto).
 func TestProbeLoopsDoNotAllocate(t *testing.T) {
 	d := newDBI(t, config.DBILRW)
-	blocks := sameSetBlocks(d, d.Ways()+1)
+	blocks := sameSetBlocks(d, d.ways+1)
 	for _, b := range blocks {
 		d.SetDirty(b)
 	}

@@ -59,9 +59,6 @@ func New(tr dbi.Batcher, reg *telemetry.Registry) *Server {
 	return s
 }
 
-// Tracker returns the served tracker.
-func (s *Server) Tracker() dbi.Batcher { return s.tr }
-
 // --- HTTP + JSON v1 ------------------------------------------------
 
 // Handler returns the full HTTP surface: /v1/* plus the ops plane.

@@ -313,7 +313,7 @@ func TestDifferentialJSONvsBinary(t *testing.T) {
 func TestRowBatchBoundedByAnswer(t *testing.T) {
 	const rows, rowSize = 1 << 12, 64 // testServer's tracker
 	srv, hs, baddr := testServer(t)
-	tr := srv.Tracker()
+	tr := srv.tr
 	fill := make([]dbi.Key, rows*rowSize)
 	for i := range fill {
 		fill[i] = dbi.Key(i)

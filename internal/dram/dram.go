@@ -217,17 +217,6 @@ func (c *Controller) Write(b addr.BlockAddr) {
 	c.kick()
 }
 
-// WriteQueueLen reports buffered writes (diagnostics).
-func (c *Controller) WriteQueueLen() int { return len(c.writeQ) }
-
-// Draining reports whether the controller is in its write-drain phase.
-func (c *Controller) Draining() bool { return c.draining }
-
-// Idle reports whether no transaction is in flight and no work is queued.
-func (c *Controller) Idle() bool {
-	return c.inflight == 0 && len(c.readQ) == 0 && len(c.writeQ) == 0
-}
-
 // lookahead is how far ahead of the bus horizon the scheduler issues,
 // letting the next transaction's bank preparation overlap the current
 // burst.
@@ -292,7 +281,8 @@ func (c *Controller) selectQueue() (*[]request, bool) {
 }
 
 // pick implements FR-FCFS within a queue: the oldest row-hit request
-// wins; with no row hits, the oldest request whose bank is soonest free.
+// wins; with no row hits, the oldest request, whatever its bank's
+// state (issue then waits for that bank to come free).
 func (c *Controller) pick(q []request) int {
 	for i := range q {
 		b := &c.banks[q[i].bank]
@@ -380,22 +370,6 @@ func (c *Controller) prepTime(bank *bankState, r request, isWrite bool) event.Cy
 		c.Attr.Charge(telemetry.ADRAMBankConflict, uint64(c.Prm.TRP+c.Prm.TRCD))
 		return event.Cycle(c.Prm.TRP + c.Prm.TRCD)
 	}
-}
-
-// ReadRowHitRate returns the fraction of DRAM reads that hit an open row.
-func (s *Stats) ReadRowHitRate() float64 {
-	return stats.Ratio(s.ReadRowHits.Value(), s.Reads.Value())
-}
-
-// WriteRowHitRate returns the fraction of DRAM writes that hit an open
-// row — the quantity Figure 6b reports.
-func (s *Stats) WriteRowHitRate() float64 {
-	return stats.Ratio(s.WriteRowHits.Value(), s.Writes.Value())
-}
-
-// AvgReadLatency returns mean cycles from read enqueue to data.
-func (s *Stats) AvgReadLatency() float64 {
-	return stats.Ratio(s.ReadLatencySum.Value(), s.Reads.Value())
 }
 
 // RegisterMetrics adds the controller's probes to a telemetry registry:

@@ -76,7 +76,7 @@ func TestWriteBufferDrainWhenFull(t *testing.T) {
 	var refill func()
 	refill = func() {
 		busy++
-		if busy < 200 && c.WriteQueueLen() < 64 {
+		if busy < 200 && len(c.writeQ) < 64 {
 			c.Read(blockInRow(uint64(busy%4), uint64(busy%128)), refill)
 		}
 	}
@@ -84,7 +84,7 @@ func TestWriteBufferDrainWhenFull(t *testing.T) {
 	for i := 0; i < 63; i++ {
 		c.Write(blockInRow(uint64(100+i/16), uint64(i%16)))
 	}
-	if c.Draining() {
+	if c.draining {
 		t.Fatal("draining below capacity")
 	}
 	c.Write(blockInRow(200, 0)) // 64th write: buffer full
@@ -92,8 +92,8 @@ func TestWriteBufferDrainWhenFull(t *testing.T) {
 	if c.Stat.DrainsStarted.Value() == 0 {
 		t.Fatal("no drain started at capacity")
 	}
-	if c.WriteQueueLen() != 0 {
-		t.Fatalf("writes left: %d", c.WriteQueueLen())
+	if len(c.writeQ) != 0 {
+		t.Fatalf("writes left: %d", len(c.writeQ))
 	}
 }
 
@@ -108,7 +108,7 @@ func TestOpportunisticWritesWhenNoReads(t *testing.T) {
 	if c.Stat.DrainsStarted.Value() != 0 {
 		t.Fatal("opportunistic writes must not count as drains")
 	}
-	if !c.Idle() {
+	if c.inflight != 0 || len(c.readQ) != 0 || len(c.writeQ) != 0 {
 		t.Fatal("controller not idle after draining")
 	}
 }
@@ -123,8 +123,8 @@ func TestRowGroupedWritesHitRows(t *testing.T) {
 	if got := c.Stat.WriteRowHits.Value(); got != 31 {
 		t.Fatalf("write row hits = %d, want 31", got)
 	}
-	if rate := c.Stat.WriteRowHitRate(); rate < 0.9 {
-		t.Fatalf("write RHR = %v", rate)
+	if got := c.Stat.Writes.Value(); got != 32 {
+		t.Fatalf("writes = %d, want 32", got)
 	}
 }
 
@@ -154,7 +154,8 @@ func TestWriteBufferForwardsToReads(t *testing.T) {
 	c.Write(blockInRow(7, 7))
 	served := false
 	c.Read(blockInRow(7, 7), func() { served = true })
-	eng.RunUntil(25) // less than any DRAM access latency
+	eng.At(25, eng.Stop) // less than any DRAM access latency
+	eng.Run()
 	if !served {
 		t.Fatal("read not forwarded from write buffer")
 	}
@@ -213,7 +214,7 @@ func TestReadsResumeAfterDrain(t *testing.T) {
 	if !served {
 		t.Fatal("read starved")
 	}
-	if c.WriteQueueLen() != 0 {
+	if len(c.writeQ) != 0 {
 		t.Fatal("writes left")
 	}
 }
@@ -222,8 +223,8 @@ func TestAvgReadLatency(t *testing.T) {
 	eng, c := newCtl(t)
 	c.Read(blockInRow(0, 0), nil)
 	eng.Run()
-	if got := c.Stat.AvgReadLatency(); got != 90 {
-		t.Fatalf("avg read latency = %v, want 90", got)
+	if got := c.Stat.ReadLatencySum.Value(); got != 90 {
+		t.Fatalf("read latency = %v, want 90", got)
 	}
 }
 

@@ -76,7 +76,6 @@ type Engine struct {
 	now     Cycle
 	seq     uint64
 	fired   uint64
-	pending int
 	stopped bool
 
 	ring [ringSlots]slot
@@ -92,9 +91,6 @@ func (e *Engine) Now() Cycle { return e.now }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are waiting to fire.
-func (e *Engine) Pending() int { return e.pending }
-
 // At registers fn to run at absolute cycle at. Scheduling in the past
 // (at < Now) panics: it is always a component bug, and silently
 // reordering time would corrupt the simulation.
@@ -108,7 +104,6 @@ func (e *Engine) At(at Cycle, fn Func) {
 	e.seq++
 	r := e.newRecord()
 	r.at, r.seq, r.fn = at, e.seq, fn
-	e.pending++
 	if at-e.now >= ringSlots {
 		e.insertFar(r)
 		return
@@ -209,7 +204,6 @@ func (e *Engine) fire(r *record) {
 	}
 	e.now = r.at
 	e.fired++
-	e.pending--
 	fn := r.fn
 	r.fn = nil
 	r.next = e.free
@@ -228,22 +222,6 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// RunUntil executes events until none are pending or the next event is
-// scheduled after the limit cycle. The clock never advances past limit.
-func (e *Engine) RunUntil(limit Cycle) {
-	e.stopped = false
-	for !e.stopped {
-		r := e.next()
-		if r == nil || r.at > limit {
-			break
-		}
-		e.fire(r)
-	}
-	if e.now < limit && !e.stopped {
-		e.now = limit
-	}
-}
-
 // Run executes events until none are pending or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
@@ -251,8 +229,8 @@ func (e *Engine) Run() {
 	}
 }
 
-// Stop makes the current Run or RunUntil return after the in-flight
-// event completes. Pending events remain queued.
+// Stop makes the current Run return after the in-flight event
+// completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Every schedules fn to run every period cycles, first firing period

@@ -68,28 +68,6 @@ func TestNilCallbackPanics(t *testing.T) {
 	e.At(1, nil)
 }
 
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.At(3, func() { fired++ })
-	e.At(8, func() { fired++ })
-	e.At(20, func() { fired++ })
-	e.RunUntil(10)
-	if fired != 2 {
-		t.Fatalf("fired %d events by cycle 10, want 2", fired)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %d, want clock advanced to limit 10", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	e.RunUntil(25)
-	if fired != 3 || e.Now() != 25 {
-		t.Fatalf("after second RunUntil: fired=%d now=%d", fired, e.Now())
-	}
-}
-
 func TestScheduleAfterChains(t *testing.T) {
 	var e Engine
 	var ticks []Cycle
@@ -208,7 +186,8 @@ func TestEveryDoesNotReorderSameCycleEvents(t *testing.T) {
 			i := i
 			e.At(Cycle(5*(i%4)), func() { order = append(order, i) })
 		}
-		e.RunUntil(16) // the live periodic event means Run would never drain
+		e.At(16, e.Stop) // the live periodic event means Run would never drain
+		e.Run()
 		return order
 	}
 	a, b := run(false), run(true)

@@ -370,37 +370,6 @@ func TestWheelWrapAround(t *testing.T) {
 	}
 }
 
-// TestRunUntilPutBack checks that RunUntil leaves an over-limit event
-// intact and correctly ordered among same-cycle peers scheduled later,
-// whether the event and its peers sit in the ring (100), the event in
-// the far list and the peers in the ring (300), or all in the far list
-// (1000).
-func TestRunUntilPutBack(t *testing.T) {
-	for _, at := range []Cycle{100, 300, 1000} {
-		var e Engine
-		var got []int
-		e.At(at, func() { got = append(got, 0) })
-		e.RunUntil(50) // sees at > limit, leaves it pending
-		if e.Now() != 50 {
-			t.Fatalf("at %d: Now = %d, want 50", at, e.Now())
-		}
-		if e.Pending() != 1 {
-			t.Fatalf("at %d: Pending = %d, want 1", at, e.Pending())
-		}
-		// Same-cycle events scheduled after the put-back must still fire
-		// after the original (lower seq first).
-		e.At(at, func() { got = append(got, 1) })
-		e.At(at, func() { got = append(got, 2) })
-		e.Run()
-		want := []int{0, 1, 2}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("at %d: fired %v, want %v", at, got, want)
-			}
-		}
-	}
-}
-
 // TestSteadyStateZeroAllocs is the tentpole's allocation criterion:
 // once the record arena has warmed up, scheduling and firing events —
 // chained After calls, the hottest pattern in the simulator — performs

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dbisim/internal/sweep"
-	"dbisim/internal/system"
 )
 
 // TestEveryRunnerAttributionReconciles runs every simulation-backed
@@ -22,8 +21,6 @@ func TestEveryRunnerAttributionReconciles(t *testing.T) {
 	if raceEnabled {
 		t.Skip("deterministic single-run property; -race only multiplies the runtime")
 	}
-	system.SetAttributionEnabled(true)
-	defer system.SetAttributionEnabled(false)
 	runners := []struct {
 		name string
 		run  func(Options) error
@@ -47,6 +44,7 @@ func TestEveryRunnerAttributionReconciles(t *testing.T) {
 			o := tiny()
 			o.Out = io.Discard
 			o.Recorder = rec
+			o.Attr = true
 			if err := r.run(o); err != nil {
 				t.Fatal(err)
 			}

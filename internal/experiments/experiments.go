@@ -28,10 +28,15 @@ type Options struct {
 	// Seed fixes all randomness.
 	Seed int64
 	// Parallel caps the worker goroutines each sweep fans out over:
-	// 0 means one per CPU, 1 reproduces the old sequential path. Cell
-	// seeds are derived from the cell identity (sweep.CellSeed), so
-	// every worker count yields the identical result set.
+	// 0 means one per CPU, 1 reproduces the old sequential path. Every
+	// cell runs at Seed, so every worker count yields the identical
+	// result set.
 	Parallel int
+	// Attr attaches an attribution ledger to every simulated machine
+	// (dbibench -attr): each Results carries its Attr report, and the
+	// measure windows fold into telemetry.AttrTotals. Results are
+	// otherwise bit-identical with and without it.
+	Attr bool
 	// Recorder, when non-nil, receives one machine-readable record per
 	// simulation cell for the -json report.
 	Recorder *sweep.Recorder

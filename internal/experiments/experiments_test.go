@@ -320,8 +320,7 @@ func TestRunCellsForksEveryRepeat(t *testing.T) {
 		t.Errorf("sweep reused %d cells, want 3", d.CkptHits)
 	}
 	for i, c := range cells {
-		seed := sweep.CellSeed(o.seed(), c.key.Benchmark, c.key.Mechanism, c.key.Run)
-		fresh, err := system.New(c.cfg, c.benches, seed)
+		fresh, err := system.New(c.cfg, c.benches, o.seed())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,24 +55,26 @@ func (o Options) multiCell(exp string, mech config.Mechanism, mixName string, be
 }
 
 // runCells executes the cells across the worker pool and returns their
-// results in cell order. Per-cell seeds come from sweep.CellSeed, so
-// the result set is identical for every worker count; each outcome is
-// also pushed to the Recorder for the -json report. Each worker keeps
+// results in cell order. Every cell runs at the base seed, so the
+// result set is identical for every worker count; each outcome is also
+// pushed to the Recorder for the -json report. Each worker keeps
 // one system.Pool, and cells are grouped by their full identity, so
 // the repeats of a cell run back to back on one worker and the pool
 // answers them from the first one's result. Experiments whose
 // sub-sweeps repeat cells run them as one runCells call, so every
 // repeat is grouped.
 func (o Options) runCells(cells []simCell) ([]system.Results, error) {
+	seed := o.seed()
+	var opts []system.Option
+	if o.Attr {
+		opts = append(opts, system.WithAttribution())
+	}
 	sc := make([]sweep.StateCell[system.Results, system.Pool], len(cells))
-	seeds := make([]int64, len(cells))
 	for i, c := range cells {
-		seed := sweep.CellSeed(o.seed(), c.key.Benchmark, c.key.Mechanism, c.key.Run)
-		seeds[i] = seed
 		sc[i] = sweep.StateCell[system.Results, system.Pool]{
 			Key: c.key,
 			Run: func(p *system.Pool) (system.Results, error) {
-				return p.Run(c.cfg, c.benches, seed)
+				return p.Run(c.cfg, c.benches, seed, opts...)
 			},
 			Group: fmt.Sprintf("%+v|%v|%d", c.cfg, c.benches, seed),
 		}
@@ -91,8 +93,7 @@ func (o Options) runCells(cells []simCell) ([]system.Results, error) {
 			Mechanism:  out.Key.Mechanism,
 			Cores:      out.Key.Cores,
 			Param:      out.Key.Param,
-			Run:        out.Key.Run,
-			Seed:       seeds[i],
+			Seed:       seed,
 			Metrics:    out.Value.Metrics(),
 			Attr:       out.Value.Attr,
 			ElapsedMS:  float64(out.Elapsed.Microseconds()) / 1000,

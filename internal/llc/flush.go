@@ -79,8 +79,8 @@ func (l *LLC) flushViaDBI(start event.Cycle, done func(int, event.Cycle)) {
 		b := blocks[i]
 		i++
 		// DBI entry read + tag access for the block's data.
-		l.Attr.Charge(telemetry.ADBIProbe, uint64(l.dbiLatency()))
-		l.Eng.After(l.dbiLatency(), func() {
+		l.Attr.Charge(telemetry.ADBIProbe, uint64(l.dbiLat))
+		l.Eng.After(l.dbiLat, func() {
 			l.Attr.Charge(telemetry.ALLCTagFiller, uint64(l.tagLatency()))
 			l.Port.Submit(true, l.tagLatency(), func() {
 				l.Cache.Stats.TagLookups.Inc()

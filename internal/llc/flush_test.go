@@ -36,7 +36,7 @@ func TestFlushTimedConventional(t *testing.T) {
 		t.Fatalf("conventional flush took %d cycles, want >= %d (full set walk)",
 			cycles, minCycles)
 	}
-	if len(l.Cache.DirtyBlocks()) != 0 {
+	if len(dirtyBlocks(l.Cache)) != 0 {
 		t.Fatal("dirty blocks remain")
 	}
 }

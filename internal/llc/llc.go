@@ -94,7 +94,8 @@ type LLC struct {
 	// covers this many ways per set).
 	vwqDepth int
 
-	// dbiLat is the configured DBI lookup latency in cycles.
+	// dbiLat is the configured DBI lookup latency in cycles (0 without
+	// a DBI).
 	dbiLat event.Cycle
 
 	// scanQ bounds in-flight proactive-writeback work: one lookup at a
@@ -234,9 +235,6 @@ func New(eng *event.Engine, geo addr.Geometry, c Config) (*LLC, error) {
 		}
 		l.DBI = d
 		l.dbiLat = event.Cycle(sys.DBI.Latency)
-		if l.dbiLat == 0 {
-			l.dbiLat = 4
-		}
 	}
 	if sys.Mechanism.HasCLB() || sys.Mechanism == config.SkipCache {
 		p, err := misspred.New(sys.MissPred, sys.L3.Sets(), c.Cores)
@@ -307,14 +305,6 @@ func (l *LLC) tagLatency() event.Cycle { return event.Cycle(l.Prm.TagLatency) }
 // dataLatency is the additional latency of the (serial) data access.
 func (l *LLC) dataLatency() event.Cycle { return event.Cycle(l.Prm.DataLatency) }
 
-// dbiLatency is the DBI lookup latency.
-func (l *LLC) dbiLatency() event.Cycle {
-	if l.DBI == nil {
-		return 0
-	}
-	return l.dbiLat
-}
-
 // Read handles a demand read from the private levels. done fires when
 // the data is available to the requester.
 func (l *LLC) Read(b addr.BlockAddr, thread int, done func()) {
@@ -333,8 +323,8 @@ func (l *LLC) Read(b addr.BlockAddr, thread int, done func()) {
 		// The DBI answers in a few cycles, far cheaper than the tag
 		// store (Figure 4).
 		rr := l.getReq(b, thread, done)
-		l.Attr.Charge(telemetry.ADBIProbe, uint64(l.dbiLatency()))
-		l.Eng.After(l.dbiLatency(), rr.clbFn)
+		l.Attr.Charge(telemetry.ADBIProbe, uint64(l.dbiLat))
+		l.Eng.After(l.dbiLat, rr.clbFn)
 		return
 	}
 	l.lookupRead(b, thread, done)

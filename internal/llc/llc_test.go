@@ -6,6 +6,7 @@ import (
 	"dbisim/internal/addr"
 	"dbisim/internal/config"
 	"dbisim/internal/event"
+	"dbisim/internal/telemetry"
 )
 
 // fakeMem records traffic and answers reads after a fixed latency.
@@ -93,8 +94,8 @@ func TestConcurrentReadsFetchSeparately(t *testing.T) {
 	if len(mem.reads) != 2 {
 		t.Fatalf("memory reads = %v, want 2 (no merging in the LLC)", mem.reads)
 	}
-	if l.Cache.CountValid() != 1 {
-		t.Fatalf("%d blocks resident, want 1", l.Cache.CountValid())
+	if n := countValid(l.Cache); n != 1 {
+		t.Fatalf("%d blocks resident, want 1", n)
 	}
 }
 
@@ -172,7 +173,7 @@ func TestDBIEvictionWritesBackTrackedBlocks(t *testing.T) {
 	// spreading across cache sets (so cache evictions don't clean the
 	// DBI first).
 	entries := l.DBI.Entries()
-	for k := 0; k <= entries*l.DBI.Ways(); k++ {
+	for k := 0; k <= entries*dbiWays; k++ {
 		l.Writeback(addr.BlockAddr(k*65), 0)
 		eng.Run()
 	}
@@ -194,7 +195,7 @@ func TestDBIEvictionKeepsBlocksResident(t *testing.T) {
 	eng.Run()
 	// Force DBI evictions with many distinct regions that spread over
 	// cache sets (stride 65) so cache pressure stays low.
-	for k := 1; k <= l.DBI.Entries()*l.DBI.Ways(); k++ {
+	for k := 1; k <= l.DBI.Entries()*dbiWays; k++ {
 		l.Writeback(addr.BlockAddr(k*65), 0)
 		eng.Run()
 	}
@@ -319,7 +320,7 @@ func TestFlushConventional(t *testing.T) {
 	if n != 5 || len(mem.writes) != 5 {
 		t.Fatalf("flushed %d, writes %v", n, mem.writes)
 	}
-	if len(l.Cache.DirtyBlocks()) != 0 {
+	if len(dirtyBlocks(l.Cache)) != 0 {
 		t.Fatal("dirty blocks remain")
 	}
 }
@@ -353,7 +354,8 @@ func TestDemandBeatsFillerOnPort(t *testing.T) {
 	}
 	// Fresh dirty eviction to enqueue fillers:
 	l.Writeback(addr.BlockAddr(5*256), 0)
-	eng.RunUntil(eng.Now() + 14) // let the writeback lookup complete
+	eng.After(14, eng.Stop) // let the writeback lookup complete
+	eng.Run()
 	l.Read(addr.BlockAddr(6*256), 0, nil)
 	done := eng.Now()
 	eng.Run()
@@ -440,5 +442,41 @@ func TestCLBDoesNotBypassDirty(t *testing.T) {
 		if r == dirty {
 			t.Fatal("dirty block fetched from memory — stale data")
 		}
+	}
+}
+
+// TestDBILatencyZeroIsHonored: a DBI+CLB LLC configured with a 0-cycle
+// DBI lookup answers a bypassed read's dirty check at once, instead of
+// substituting a default latency.
+func TestDBILatencyZeroIsHonored(t *testing.T) {
+	var eng event.Engine
+	mem := &fakeMem{eng: &eng, lat: 100}
+	sys := config.Paper(1, config.DBICLB)
+	sys.L3.SizeBytes = 64 << 10
+	sys.L3.Ways = 4
+	sys.DBI.Latency = 0
+	sys.MissPred.EpochCycles = 1000
+	l, err := New(&eng, addr.Default(), Config{Cores: 1, Sys: sys, Mem: mem, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &telemetry.Attribution{}
+	l.Attr = a
+	// An epoch of sampled-set misses puts thread 0 in bypass mode.
+	for i := 0; i < 100; i++ {
+		l.Pred.Observe(0, 0, false, event.Cycle(i))
+	}
+	const start = 1001
+	var served event.Cycle
+	eng.At(start, func() { l.Read(1, 0, func() { served = eng.Now() }) }) // set 1 is not sampled
+	eng.Run()
+	if l.Stat.Bypasses.Value() != 1 {
+		t.Fatalf("bypasses = %d, want 1", l.Stat.Bypasses.Value())
+	}
+	if got := a.Values().Cats[telemetry.ADBIProbe]; got != 0 {
+		t.Errorf("dirty check charged %d DBI cycles, want 0", got)
+	}
+	if served != start+mem.lat {
+		t.Errorf("read served at %d, want %d (no DBI delay before the memory read)", served, start+mem.lat)
 	}
 }

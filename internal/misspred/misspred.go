@@ -96,11 +96,6 @@ func (p *Predictor) Observe(thread, set int, hit bool, now event.Cycle) {
 	}
 }
 
-// Bypassing reports whether a thread is in bypass mode this epoch.
-func (p *Predictor) Bypassing(thread int) bool {
-	return p.threads[thread%len(p.threads)].bypass
-}
-
 // roll closes the epoch if it has expired, updating bypass decisions.
 func (p *Predictor) roll(now event.Cycle) {
 	if now-p.epochStart < event.Cycle(p.prm.EpochCycles) {

@@ -63,8 +63,8 @@ func TestBypassAfterHighMissEpoch(t *testing.T) {
 	if !p.PredictMiss(0, 1, 1001) {
 		t.Fatal("no bypass after a 100% miss epoch")
 	}
-	if !p.Bypassing(0) {
-		t.Fatal("Bypassing() false")
+	if !p.threads[0].bypass {
+		t.Fatal("thread 0 not in bypass mode")
 	}
 	// Sampled sets are never bypassed.
 	if p.PredictMiss(0, 0, 1002) {

@@ -118,10 +118,6 @@ func (f *FlightRecorder) record(laneID int, ph byte, name, detail string) {
 	})
 }
 
-// Note records a control-lane instant — CLI milestones like "experiment
-// fig6 start".
-func (f *FlightRecorder) Note(name, detail string) { f.record(0, 'i', name, detail) }
-
 // SweepStart..WorkerPanic implement sweep.Sink.
 
 func (f *FlightRecorder) SweepStart(label string, workers, total int) {

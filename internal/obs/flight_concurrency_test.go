@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestFlightRecordEndpointDuringSweep(t *testing.T) {
 	cells := make([]sweep.Cell[int], 64)
 	for i := range cells {
 		cells[i] = sweep.Cell[int]{
-			Key: Key{Experiment: "flight-race", Run: i},
+			Key: Key{Experiment: "flight-race", Param: strconv.Itoa(i)},
 			Run: func() (int, error) {
 				once.Do(func() { close(started) })
 				system.PoolStat.Rebuilds.Add(1)
@@ -96,7 +97,7 @@ func TestFlightRecordEndpointDuringSweep(t *testing.T) {
 	}
 	sweepDone := make(chan error, 1)
 	go func() {
-		_, err := sweep.Run(cells, 4)
+		_, err := sweep.RunWithProgress(cells, 4, nil)
 		sweepDone <- err
 	}()
 	<-started
@@ -141,7 +142,7 @@ func TestFlightRecorderWraparoundDump(t *testing.T) {
 	const cap = 8
 	f := NewFlightRecorder(cap)
 	for i := 0; i < 20; i++ {
-		f.Note(fmt.Sprintf("e%02d", i), "")
+		f.record(0, 'i', fmt.Sprintf("e%02d", i), "")
 	}
 	var buf bytes.Buffer
 	if err := f.WriteJSON(&buf); err != nil {

@@ -112,7 +112,7 @@ func TestTermLogInterleaving(t *testing.T) {
 	if out != want {
 		t.Errorf("interleaving:\n got %q\nwant %q", out, want)
 	}
-	if !tl.Dirty() {
+	if !tl.dirty {
 		t.Error("progress line not redrawn after the log write")
 	}
 
@@ -121,7 +121,7 @@ func TestTermLogInterleaving(t *testing.T) {
 	if got := buf.String(); got != clearSeq+"[fig6] 10/10 cells\n" {
 		t.Errorf("EndProgress wrote %q", got)
 	}
-	if tl.Dirty() {
+	if tl.dirty {
 		t.Error("EndProgress left the terminal dirty")
 	}
 
@@ -189,7 +189,7 @@ func TestServerEndpoints(t *testing.T) {
 		Run: func() (int, error) { return 1, nil },
 	}}
 	cells[0].Key.Experiment = "obs-test"
-	if _, err := sweep.Run(cells, 1); err != nil {
+	if _, err := sweep.RunWithProgress(cells, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	body, ctype := get("/sweep")
@@ -364,7 +364,7 @@ func TestSweepPoolDelta(t *testing.T) {
 				return 1, nil
 			},
 		}}
-		if _, err := sweep.Run(cells, 1); err != nil {
+		if _, err := sweep.RunWithProgress(cells, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -62,13 +62,6 @@ func (t *TermLog) ClearProgress() {
 	}
 }
 
-// Dirty reports whether a transient line is currently displayed.
-func (t *TermLog) Dirty() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dirty
-}
-
 // Write emits a durable log payload: the transient line is erased
 // first and redrawn after, so log lines never splice into a progress
 // line (io.Writer, for fmt.Fprintf and log.SetOutput).

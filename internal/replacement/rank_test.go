@@ -57,8 +57,8 @@ func checkLowRanks(t *testing.T, p Policy, sets, ways int, rank func(set, way in
 				}
 			}
 			if got != want {
-				t.Fatalf("%s %d ways, set %d, k %d: LowRanks %#x, reference %#x",
-					p.Name(), ways, set, k, got, want)
+				t.Fatalf("%T %d ways, set %d, k %d: LowRanks %#x, reference %#x",
+					p, ways, set, k, got, want)
 			}
 		}
 	}

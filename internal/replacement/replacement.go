@@ -19,8 +19,6 @@ import (
 
 // Policy is the replacement interface shared by all cache levels.
 type Policy interface {
-	// Name identifies the policy.
-	Name() string
 	// Touch records a hit on (set, way).
 	Touch(set, way int)
 	// Insert records a fill of (set, way) by thread.
@@ -82,9 +80,6 @@ type LRU struct{ s *lruState }
 
 // NewLRU returns an LRU policy for a sets×ways structure.
 func NewLRU(sets, ways int) *LRU { return &LRU{s: newLRUState(sets, ways)} }
-
-// Name implements Policy.
-func (l *LRU) Name() string { return "LRU" }
 
 // Touch implements Policy.
 func (l *LRU) Touch(set, way int) { l.s.touch(set, way) }
@@ -162,9 +157,6 @@ func NewTADIP(c TADIPConfig) *TADIP {
 	return d
 }
 
-// Name implements Policy.
-func (d *TADIP) Name() string { return "TA-DIP" }
-
 // leaderKind returns +1 for thread's LRU leader sets, -1 for BIP leader
 // sets and 0 for follower sets. Thread offsets decorrelate the leader
 // sets of different threads.
@@ -222,9 +214,6 @@ func (d *TADIP) Insert(set, way, thread int) {
 
 // Victim implements Policy.
 func (d *TADIP) Victim(set int) int { return d.s.victim(set) }
-
-// PSEL exposes the selector value for a thread (for tests/diagnostics).
-func (d *TADIP) PSEL(thread int) int { return d.psel[thread%len(d.psel)] }
 
 // rripState holds per-block re-reference prediction values.
 type rripState struct {
@@ -302,9 +291,6 @@ func NewDRRIP(c TADIPConfig) *DRRIP {
 	d.rng = rand.New(&d.pcg)
 	return d
 }
-
-// Name implements Policy.
-func (d *DRRIP) Name() string { return "DRRIP" }
 
 func (d *DRRIP) leaderKind(set, thread int) int {
 	t := thread % len(d.psel)

@@ -19,9 +19,6 @@ func TestLRUBasic(t *testing.T) {
 	if v := p.Victim(1); v != 1 {
 		t.Fatalf("victim after touch = %d, want 1", v)
 	}
-	if p.Name() != "LRU" {
-		t.Fatal("name")
-	}
 	p.OnMiss(1, 0) // no-op, must not panic
 }
 
@@ -96,7 +93,7 @@ func TestTADIPLeaderSetsDisjoint(t *testing.T) {
 
 func TestTADIPPSELMovement(t *testing.T) {
 	d := NewTADIP(TADIPConfig{Sets: 256, Ways: 4, Threads: 1, DuelingSets: 32, Seed: 1})
-	start := d.PSEL(0)
+	start := d.psel[0]
 	// Misses in LRU leader sets push PSEL up (toward BIP).
 	for s := 0; s < 256; s++ {
 		if d.leaderKind(s, 0) == 1 {
@@ -105,8 +102,8 @@ func TestTADIPPSELMovement(t *testing.T) {
 			}
 		}
 	}
-	if d.PSEL(0) <= start {
-		t.Fatalf("PSEL did not rise: %d -> %d", start, d.PSEL(0))
+	if d.psel[0] <= start {
+		t.Fatalf("PSEL did not rise: %d -> %d", start, d.psel[0])
 	}
 	// Misses in BIP leader sets push it back down.
 	for s := 0; s < 256; s++ {
@@ -116,8 +113,8 @@ func TestTADIPPSELMovement(t *testing.T) {
 			}
 		}
 	}
-	if d.PSEL(0) >= start {
-		t.Fatalf("PSEL did not fall below start: %d", d.PSEL(0))
+	if d.psel[0] >= start {
+		t.Fatalf("PSEL did not fall below start: %d", d.psel[0])
 	}
 }
 
@@ -135,14 +132,14 @@ func TestTADIPPSELSaturates(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		d.OnMiss(lruLeader, 0)
 	}
-	if d.PSEL(0) != 15 {
-		t.Fatalf("PSEL = %d, want saturation at 15", d.PSEL(0))
+	if d.psel[0] != 15 {
+		t.Fatalf("PSEL = %d, want saturation at 15", d.psel[0])
 	}
 	for i := 0; i < 1000; i++ {
 		d.OnMiss(bipLeader, 0)
 	}
-	if d.PSEL(0) != 0 {
-		t.Fatalf("PSEL = %d, want saturation at 0", d.PSEL(0))
+	if d.psel[0] != 0 {
+		t.Fatalf("PSEL = %d, want saturation at 0", d.psel[0])
 	}
 }
 
@@ -219,9 +216,6 @@ func TestDRRIPVictimPrefersMaxRRPV(t *testing.T) {
 	d.Touch(0, 1)     // way 1 becomes RRPV 0
 	if v := d.Victim(0); v == 1 {
 		t.Fatal("victim chose the just-touched way")
-	}
-	if d.Name() != "DRRIP" {
-		t.Fatal("name")
 	}
 }
 
@@ -311,7 +305,7 @@ func TestQuickVictimInRange(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%T: %v", p, err)
 		}
 	}
 }

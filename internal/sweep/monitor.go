@@ -95,9 +95,6 @@ func (m *Monitor) Disable() {
 	m.sink.Store(nil)
 }
 
-// Enabled reports whether sweeps publish live status.
-func (m *Monitor) Enabled() bool { return m.enabled.Load() }
-
 // Snapshot returns the current sweep status. The bool is false when no
 // sweep has ever been published.
 func (m *Monitor) Snapshot() (Status, bool) {

@@ -60,7 +60,7 @@ func TestMonitorPublishesSweep(t *testing.T) {
 	for i := range cells {
 		cells[i] = busyCell(i)
 	}
-	outs, err := Run(cells, 3)
+	outs, err := RunWithProgress(cells, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -19,7 +17,6 @@ type Record struct {
 	Mechanism  string             `json:"mechanism,omitempty"`
 	Cores      int                `json:"cores,omitempty"`
 	Param      string             `json:"param,omitempty"`
-	Run        int                `json:"run,omitempty"`
 	Seed       int64              `json:"seed"`
 	Metrics    map[string]float64 `json:"metrics"`
 	// Attr carries the cell's attribution report when the run had a
@@ -113,13 +110,4 @@ func (r *Recorder) Report(seed int64, workers int, quick bool, experiments []str
 		rep.Speedup = rep.BusySeconds / rep.WallSeconds
 	}
 	return rep
-}
-
-// WriteFile serializes the report as indented JSON.
-func (rep Report) WriteFile(path string) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -7,11 +7,9 @@
 //
 // Determinism contract: a cell's result may depend only on the cell's
 // own inputs — configuration, benchmarks and seed — never on scheduling
-// or on other cells. Run returns outcomes indexed exactly like the
-// input slice, so for any worker count (including 1, the old sequential
-// path) the merged result set is bit-identical. Seeds for replicated
-// cells come from CellSeed, which is a pure function of the cell's
-// identity, not of execution order.
+// or on other cells. RunWithProgress returns outcomes indexed exactly
+// like the input slice, so for any worker count (including 1, the old
+// sequential path) the merged result set is bit-identical.
 package sweep
 
 import (
@@ -37,8 +35,6 @@ type Key struct {
 	Cores int
 	// Param carries any extra sweep dimension ("gran=16,alpha=1/4").
 	Param string
-	// Run is the replica index; run 0 is the canonical paper cell.
-	Run int
 }
 
 func (k Key) String() string {
@@ -54,9 +50,6 @@ func (k Key) String() string {
 	}
 	if k.Param != "" {
 		s += "/" + k.Param
-	}
-	if k.Run > 0 {
-		s += fmt.Sprintf("/run%d", k.Run)
 	}
 	return s
 }
@@ -95,19 +88,14 @@ type Outcome[T any] struct {
 	Elapsed time.Duration
 }
 
-// Run executes the cells on `workers` goroutines (0 or less means
-// GOMAXPROCS) and returns their outcomes in input order. After the
-// first failure no new cells are started; cells already in flight
-// finish, and the error of the earliest-indexed failed cell is
-// returned, wrapped with its key.
-func Run[T any](cells []Cell[T], workers int) ([]Outcome[T], error) {
-	return RunWithProgress(cells, workers, nil)
-}
-
-// RunWithProgress is Run with a completion callback: progress(done,
-// total) fires after each cell finishes, from the finishing worker's
+// RunWithProgress executes the cells on `workers` goroutines (0 or
+// less means GOMAXPROCS) and returns their outcomes in input order.
+// After the first failure no new cells are started; cells already in
+// flight finish, and the error of the earliest-indexed failed cell is
+// returned, wrapped with its key. progress(done, total), when non-nil,
+// fires after each cell finishes, from the finishing worker's
 // goroutine, so it must be safe for concurrent use (an atomic counter
-// plus stderr writes in practice). A nil progress reproduces Run.
+// plus stderr writes in practice).
 func RunWithProgress[T any](cells []Cell[T], workers int, progress func(done, total int)) ([]Outcome[T], error) {
 	sc := make([]StateCell[T, struct{}], len(cells))
 	for i, c := range cells {
@@ -120,7 +108,7 @@ func RunWithProgress[T any](cells []Cell[T], workers int, progress func(done, to
 	return RunState(sc, workers, progress)
 }
 
-// RunState is the stateful-worker generalization behind Run and
+// RunState is the stateful-worker generalization behind
 // RunWithProgress: each of the `workers` goroutines owns one zero-valued
 // W and hands a pointer to it to every cell it executes. Scheduling,
 // ordering, failure and progress semantics are identical to

@@ -31,7 +31,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	var want []int
 	for _, workers := range []int{1, 2, 4, 8, 0} {
-		outs, err := Run(cells, workers)
+		outs, err := RunWithProgress(cells, workers, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -72,7 +72,7 @@ func TestRunErrorPropagation(t *testing.T) {
 				},
 			}
 		}
-		_, err := Run(cells, workers)
+		_, err := RunWithProgress(cells, workers, nil)
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
@@ -86,52 +86,18 @@ func TestRunErrorPropagation(t *testing.T) {
 }
 
 func TestRunEmptyAndFewerCellsThanWorkers(t *testing.T) {
-	if outs, err := Run[int](nil, 8); err != nil || len(outs) != 0 {
+	if outs, err := RunWithProgress[int](nil, 8, nil); err != nil || len(outs) != 0 {
 		t.Fatalf("empty run: %v %v", outs, err)
 	}
-	outs, err := Run([]Cell[string]{{Key: Key{Experiment: "t"}, Run: func() (string, error) { return "x", nil }}}, 64)
+	outs, err := RunWithProgress([]Cell[string]{{Key: Key{Experiment: "t"}, Run: func() (string, error) { return "x", nil }}}, 64, nil)
 	if err != nil || len(outs) != 1 || outs[0].Value != "x" {
 		t.Fatalf("single cell: %v %v", outs, err)
 	}
 }
 
-func TestCellSeedRunZeroKeepsBase(t *testing.T) {
-	for _, base := range []int64{0, 1, 42, -9} {
-		for _, b := range []string{"", "lbm", "mcf"} {
-			for _, m := range []string{"", "DBI+AWB"} {
-				if got := CellSeed(base, b, m, 0); got != base {
-					t.Fatalf("CellSeed(%d,%q,%q,0) = %d, want base", base, b, m, got)
-				}
-			}
-		}
-	}
-}
-
-func TestCellSeedReplicasDecorrelate(t *testing.T) {
-	seen := map[int64]string{}
-	for _, b := range []string{"lbm", "mcf"} {
-		for _, m := range []string{"DBI", "DAWB"} {
-			for run := 1; run <= 3; run++ {
-				id := fmt.Sprintf("%s/%s/%d", b, m, run)
-				s := CellSeed(42, b, m, run)
-				if s == 42 {
-					t.Fatalf("%s: replica seed equals base", id)
-				}
-				if prev, dup := seen[s]; dup {
-					t.Fatalf("seed collision between %s and %s", prev, id)
-				}
-				seen[s] = id
-				if again := CellSeed(42, b, m, run); again != s {
-					t.Fatalf("%s: CellSeed not deterministic", id)
-				}
-			}
-		}
-	}
-}
-
 func TestKeyString(t *testing.T) {
-	k := Key{Experiment: "tab6", Benchmark: "lbm", Mechanism: "DBI+AWB", Param: "gran=16", Run: 2}
-	want := "tab6/lbm/DBI+AWB/gran=16/run2"
+	k := Key{Experiment: "tab6", Benchmark: "lbm", Mechanism: "DBI+AWB", Param: "gran=16"}
+	want := "tab6/lbm/DBI+AWB/gran=16"
 	if k.String() != want {
 		t.Fatalf("Key.String() = %q, want %q", k, want)
 	}

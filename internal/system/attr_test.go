@@ -88,17 +88,15 @@ func TestAttributionReconciles(t *testing.T) {
 // TestAttributionReuseMatchesScratch: a reused cell must look exactly
 // like a simulated one to attribution — the same Attr report as a
 // scratch run, and its measure window folded into AttrTotals once per
-// cell, as a run would. The process-wide toggle routes the ledger into
-// the pool's internally constructed machines.
+// cell, as a run would. WithAttribution reaches the machines the pool
+// builds through Pool.Run's options.
 func TestAttributionReuseMatchesScratch(t *testing.T) {
-	SetAttributionEnabled(true)
-	defer SetAttributionEnabled(false)
 	cfg := config.Scaled(2, config.DBIAWBCLB)
 	cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, 20000
 	benches := []string{"stream", "mcf"}
 
 	t0 := attrTotals()
-	fresh, err := New(cfg, benches, 11)
+	fresh, err := New(cfg, benches, 11, WithAttribution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +104,12 @@ func TestAttributionReuseMatchesScratch(t *testing.T) {
 	t1 := attrTotals()
 	var pool Pool
 	for run := 0; run < 2; run++ {
-		got, err := pool.Run(cfg, benches, 11)
+		got, err := pool.Run(cfg, benches, 11, WithAttribution())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want.Attr == nil || got.Attr == nil {
-			t.Fatalf("run %d: missing Attr report (toggle not honored)", run)
+			t.Fatalf("run %d: missing Attr report (option not honored)", run)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("run %d: pooled vs scratch diverge\npooled:  %+v\nscratch: %+v", run, got, want)

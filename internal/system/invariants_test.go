@@ -1,12 +1,16 @@
 package system
 
 import (
+	"math"
 	"sort"
 	"testing"
 
+	"dbisim/internal/addr"
 	"dbisim/internal/config"
+	"dbisim/internal/cpu"
 	"dbisim/internal/event"
 	"dbisim/internal/telemetry"
+	"dbisim/internal/trace"
 )
 
 // TestDBIDirtyImpliesResident checks the system-wide invariant behind
@@ -20,9 +24,11 @@ func TestDBIDirtyImpliesResident(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Run()
-		for _, b := range sys.LLC.DBI.AllDirtyBlocks() {
-			if !sys.LLC.Cache.Contains(b) {
-				t.Fatalf("%v: block %d dirty in DBI but not resident", mech, b)
+		for _, ev := range sys.LLC.DBI.Flush() {
+			for _, b := range ev.Blocks {
+				if !sys.LLC.Cache.Contains(b) {
+					t.Fatalf("%v: block %d dirty in DBI but not resident", mech, b)
+				}
 			}
 		}
 	}
@@ -40,7 +46,7 @@ func TestConventionalDirtyStaysInTags(t *testing.T) {
 	if sys.LLC.DBI != nil {
 		t.Fatal("conventional mechanism built a DBI")
 	}
-	if len(sys.LLC.Cache.DirtyBlocks()) == 0 {
+	if len(tagDirtyBlocks(sys.LLC.Cache)) == 0 {
 		t.Fatal("no dirty blocks in the tag store after a write-heavy run")
 	}
 }
@@ -53,7 +59,7 @@ func TestSkipCacheHoldsNoDirtyData(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run()
-	if n := len(sys.LLC.Cache.DirtyBlocks()); n != 0 {
+	if n := len(tagDirtyBlocks(sys.LLC.Cache)); n != 0 {
 		t.Fatalf("write-through LLC holds %d dirty blocks", n)
 	}
 	if sys.LLC.Stat.WriteThroughs.Value() == 0 {
@@ -91,28 +97,29 @@ func TestWritebacksNeverLost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		gen := haltOnDemand(t, sys, "milc", 13)
 		sys.Run()
-		// Stop the cores and land the writebacks still in flight before
+		// Halt the core and land the writebacks still in flight before
 		// flushing: FlushTimed writes back what is dirty when its walk
 		// reaches it, so a writeback landing in a set the walk has
-		// passed would stay dirty.
-		for _, c := range sys.Cores {
-			c.Stop()
-		}
+		// passed would stay dirty. The halted core's next issue is
+		// 2^32 cycles away, far past this drain window.
+		gen.halted = true
+		sys.Eng.After(1<<20, sys.Eng.Stop)
 		sys.Eng.Run()
 		// Flush whatever is still dirty, then compare totals: writes to
 		// memory (run + flush) must be at least the number of distinct
 		// writeback requests minus merges — conservatively, > 0 and the
 		// flush must empty all dirty state.
-		sys.LLC.FlushTimed(func(int, event.Cycle) {})
+		sys.LLC.FlushTimed(func(int, event.Cycle) { sys.Eng.Stop() })
 		sys.Eng.Run()
 		if sys.LLC.DBI != nil && sys.LLC.DBI.DirtyCount() != 0 {
 			t.Fatalf("%v: dirty blocks remain after flush", mech)
 		}
-		if sys.LLC.DBI == nil && len(sys.LLC.Cache.DirtyBlocks()) != 0 {
+		if sys.LLC.DBI == nil && len(tagDirtyBlocks(sys.LLC.Cache)) != 0 {
 			t.Fatalf("%v: dirty tag entries remain after flush", mech)
 		}
-		if sys.Mem.Stat.Writes.Value() == 0 && sys.Mem.WriteQueueLen() == 0 {
+		if sys.Mem.Stat.Writes.Value() == 0 {
 			t.Fatalf("%v: no writes reached memory", mech)
 		}
 	}
@@ -167,4 +174,38 @@ func TestNoBlockFetchedTwiceAtOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// haltable passes its generator's records through until halted, then
+// repeats the last address as a load 2^32-1 instructions away, so its
+// core touches no new block and issues nothing for billions of cycles.
+type haltable struct {
+	trace.Generator
+	last   trace.Record
+	halted bool
+}
+
+func (h *haltable) Next() trace.Record {
+	if h.halted {
+		return trace.Record{Gap: math.MaxUint32, Kind: trace.Load, Addr: h.last.Addr}
+	}
+	h.last = h.Generator.Next()
+	return h.last
+}
+
+// haltOnDemand rebuilds a single-core machine's core, before Run, on a
+// haltable copy of the generator New gave it.
+func haltOnDemand(t *testing.T, sys *System, bench string, seed int64) *haltable {
+	t.Helper()
+	p, err := trace.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &haltable{Generator: trace.New(p, addr.Addr(1<<36), seed)}
+	core, err := cpu.New(&sys.Eng, 0, sys.Cfg, h, sys.LLC, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Cores[0] = core
+	return h
 }

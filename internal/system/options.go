@@ -5,14 +5,13 @@ import (
 )
 
 // Option configures a System at construction time. Options are applied
-// by New in a fixed internal order (tracer, metrics registry, time
-// series), so combinations behave the same regardless of the order they
-// are passed in:
+// by New in a fixed internal order (tracer, attribution, time series),
+// so combinations behave the same regardless of the order they are
+// passed in:
 //
 //	sys, err := system.New(cfg, benches, seed,
 //		system.WithTracer(t),
-//		system.WithTimeSeries(epoch),
-//		system.WithMetrics(reg))
+//		system.WithTimeSeries(epoch))
 //
 // A System built with options is fully configured when New returns.
 // (The AttachTracer/EnableTimeSeries mutator shims these options
@@ -22,7 +21,6 @@ type Option func(*options)
 type options struct {
 	tracer *telemetry.Tracer
 	epoch  uint64
-	reg    *telemetry.Registry
 	attr   bool
 }
 
@@ -40,29 +38,15 @@ func WithTracer(t *telemetry.Tracer) Option {
 // reads counters at epoch boundaries, so — like tracing — it cannot
 // perturb the simulation's results. Retrieve the sampler with Sampler
 // after New.
-//
-// When combined with WithMetrics, the sampler snapshots the caller's
-// registry instead of a private one.
 func WithTimeSeries(epochCycles uint64) Option {
 	return func(o *options) { o.epoch = epochCycles }
-}
-
-// WithMetrics registers every component's probes into the caller's
-// registry, for callers that sample or export metrics themselves. The
-// self.* throughput gauges are only added (and only meaningful) when a
-// sampler is armed via WithTimeSeries, which then shares this registry.
-func WithMetrics(reg *telemetry.Registry) Option {
-	return func(o *options) { o.reg = reg }
 }
 
 // WithAttribution attaches a cycle/bandwidth attribution ledger to
 // every component; Results gain an Attr report split at the
 // warmup→measure boundary. Attribution never schedules events or
 // influences decisions, so Results stay bit-identical with and without
-// it.
-//
-// Pools construct their Systems internally with no options; use
-// SetAttributionEnabled for a process-wide default that reaches them.
+// it. A sweep passes it to every cell through Pool.Run.
 func WithAttribution() Option {
 	return func(o *options) { o.attr = true }
 }
@@ -72,18 +56,13 @@ func (s *System) apply(o *options) {
 	if o.tracer != nil {
 		s.attachTracer(o.tracer)
 	}
-	if o.attr || AttributionEnabled() {
+	if o.attr {
 		s.attachAttr(&telemetry.Attribution{})
 	}
-	if o.reg != nil || o.epoch > 0 {
-		reg := o.reg
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		s.registerComponentMetrics(reg)
-		if o.epoch > 0 {
-			s.registerSelfMetrics(reg)
-			s.sampler = telemetry.NewSampler(reg, o.epoch)
-		}
+	if o.epoch > 0 {
+		reg := telemetry.NewRegistry()
+		s.RegisterMetrics(reg)
+		s.registerSelfMetrics(reg)
+		s.sampler = telemetry.NewSampler(reg, o.epoch)
 	}
 }

@@ -51,77 +51,50 @@ func TestOptionsWireTelemetry(t *testing.T) {
 	}
 }
 
-// TestWithMetricsUsesCallerRegistry checks WithMetrics registers the
-// component probes into the caller's registry, and that WithTimeSeries
-// shares it when both are given.
-func TestWithMetricsUsesCallerRegistry(t *testing.T) {
+// TestRegisterMetrics: RegisterMetrics adds the component probes to the
+// caller's registry and no self.* gauges (they need Run's sampler
+// arming to be meaningful), and arms no sampler.
+func TestRegisterMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	sys, err := New(testCfg(), []string{"stream"}, 42,
-		WithMetrics(reg), WithTimeSeries(10_000))
+	sys, err := New(testCfg(), []string{"stream"}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := reg.Names()
-	if len(names) == 0 {
-		t.Fatal("WithMetrics registered nothing")
+	sys.RegisterMetrics(reg)
+	if sys.Sampler() != nil {
+		t.Fatal("RegisterMetrics armed a sampler")
 	}
 	found := map[string]bool{}
-	for _, n := range names {
+	for _, n := range reg.Names() {
 		found[n] = true
 	}
-	for _, want := range []string{"llc.reads", "dram.reads", "cpu0.instructions",
-		"self.sim_cycles_per_sec"} {
+	for _, want := range []string{"llc.reads", "dram.reads", "cpu0.instructions"} {
 		if !found[want] {
-			t.Fatalf("registry missing %q (got %d names)", want, len(names))
+			t.Fatalf("registry missing %q (got %d names)", want, len(found))
 		}
 	}
-	sys.Run()
-	if got := sys.Sampler().Series(); len(got.Samples) == 0 {
-		t.Fatal("shared-registry sampler took no samples")
-	}
-}
-
-// TestWithMetricsAlone: without a sampler, only component probes are
-// registered (the self.* gauges need Run's sampler arming to be
-// meaningful).
-func TestWithMetricsAlone(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	sys, err := New(testCfg(), []string{"stream"}, 42, WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Sampler() != nil {
-		t.Fatal("WithMetrics alone must not arm a sampler")
-	}
-	for _, n := range reg.Names() {
-		if n == "self.sim_cycles_per_sec" {
-			t.Fatal("self.* gauges registered without a sampler")
-		}
-	}
-	if len(reg.Names()) == 0 {
-		t.Fatal("component probes missing")
+	if found["self.sim_cycles_per_sec"] {
+		t.Fatal("self.* gauges registered without a sampler")
 	}
 }
 
 // TestOptionOrderIrrelevant: options apply in a fixed internal order.
 func TestOptionOrderIrrelevant(t *testing.T) {
-	reg1 := telemetry.NewRegistry()
 	a, err := New(testCfg(), []string{"stream"}, 42,
-		WithTimeSeries(10_000), WithMetrics(reg1))
+		WithTimeSeries(10_000), WithAttribution())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg2 := telemetry.NewRegistry()
 	b, err := New(testCfg(), []string{"stream"}, 42,
-		WithMetrics(reg2), WithTimeSeries(10_000))
+		WithAttribution(), WithTimeSeries(10_000))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reg1.Names(), reg2.Names()) {
-		t.Fatal("option order changed registry layout")
 	}
 	if !reflect.DeepEqual(a.Run(), b.Run()) {
 		t.Fatal("option order changed Results")
+	}
+	if !reflect.DeepEqual(a.Sampler().Series().Metrics, b.Sampler().Series().Metrics) {
+		t.Fatal("option order changed the sampled metric layout")
 	}
 }
 

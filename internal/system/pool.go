@@ -55,8 +55,10 @@ func (p *Pool) workerID() int {
 }
 
 // Run executes one cell: a copy of the previous cell's Results when the
-// identities match, otherwise a whole run on a new machine.
-func (p *Pool) Run(cfg config.SystemConfig, benches []string, seed int64) (Results, error) {
+// identities match, otherwise a whole run on a new machine built with
+// opts. A cell's identity leaves opts out, so every cell a Pool runs
+// must pass the same options.
+func (p *Pool) Run(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) (Results, error) {
 	if p.haveLast && cfg == p.lastCfg && seed == p.lastSeed && slices.Equal(benches, p.lastBenches) {
 		PoolStat.CkptHits.Add(1)
 		poolEvent(p.workerID(), "reuse", "")
@@ -65,7 +67,7 @@ func (p *Pool) Run(cfg config.SystemConfig, benches []string, seed int64) (Resul
 		}
 		return p.lastRes.clone(), nil
 	}
-	sys, err := New(cfg, benches, seed)
+	sys, err := New(cfg, benches, seed, opts...)
 	if err != nil {
 		return Results{}, err
 	}

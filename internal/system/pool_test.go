@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"dbisim/internal/config"
@@ -99,18 +100,16 @@ func TestPoolKeepsNoMachine(t *testing.T) {
 // remembered Results, so mutating it changes neither the first cell's
 // result nor a later reuse.
 func TestReusedResultsArePrivate(t *testing.T) {
-	SetAttributionEnabled(true)
-	defer SetAttributionEnabled(false)
 	cfg := smallCfg(2, config.DBIAWB)
 	cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, 8000
 	benches := []string{"stream", "mcf"}
 	var pool Pool
-	first, err := pool.Run(cfg, benches, 9)
+	first, err := pool.Run(cfg, benches, 9, WithAttribution())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := first.clone()
-	reused, err := pool.Run(cfg, benches, 9)
+	reused, err := pool.Run(cfg, benches, 9, WithAttribution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestReusedResultsArePrivate(t *testing.T) {
 	if !reflect.DeepEqual(first, want) {
 		t.Errorf("mutating a reused result changed the first cell's\n got: %+v\nwant: %+v", first, want)
 	}
-	again, err := pool.Run(cfg, benches, 9)
+	again, err := pool.Run(cfg, benches, 9, WithAttribution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestForkedParallelSweep(t *testing.T) {
 	cells := make([]sweep.StateCell[Results, Pool], len(runs))
 	for i, r := range runs {
 		cells[i] = sweep.StateCell[Results, Pool]{
-			Key: sweep.Key{Experiment: "t", Benchmark: "stream", Mechanism: r.cfg.Mechanism.String(), Run: i},
+			Key: sweep.Key{Experiment: "t", Benchmark: "stream", Mechanism: r.cfg.Mechanism.String(), Param: strconv.Itoa(i)},
 			Run: func(p *Pool) (Results, error) {
 				return p.Run(r.cfg, []string{"stream"}, r.seed)
 			},
@@ -195,7 +194,7 @@ func TestGroupedCellsShareWorkerChains(t *testing.T) {
 	for i := range cells {
 		i := i
 		cells[i] = sweep.StateCell[int, w]{
-			Key:   sweep.Key{Experiment: "g", Run: i},
+			Key:   sweep.Key{Experiment: "g", Param: strconv.Itoa(i)},
 			Group: groups[i],
 			Run: func(st *w) (int, error) {
 				st.seen = append(st.seen, i)

@@ -6,7 +6,6 @@ package system
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dbisim/internal/addr"
@@ -86,28 +85,13 @@ type Results struct {
 	Attr *telemetry.AttrReport
 }
 
-// attrEnabled is the process-wide attribution default. The sweep pool
-// constructs Systems internally with no options, so a CLI -attr flag
-// reaches them through this toggle instead.
-var attrEnabled atomic.Bool
-
-// SetAttributionEnabled sets the process-wide attribution default:
-// when on, every System that New builds from then on carries an
-// attribution ledger, whether or not it was given WithAttribution.
-// Flip it before starting sweeps; machines already built keep their
-// attachment.
-func SetAttributionEnabled(on bool) { attrEnabled.Store(on) }
-
-// AttributionEnabled reports the process-wide attribution default.
-func AttributionEnabled() bool { return attrEnabled.Load() }
-
 // New builds a system running the named benchmark on every core
 // (len(benches) must equal cfg.NumCores). Each core's footprint is
 // offset so address streams never overlap, exactly like distinct
 // processes in the paper's multiprogrammed workloads.
 //
 // Optional observability is configured at construction with functional
-// options — WithTracer, WithTimeSeries, WithMetrics — so the returned
+// options — WithTracer, WithTimeSeries, WithAttribution — so the returned
 // System is fully wired before its first cycle.
 func New(cfg config.SystemConfig, benches []string, seed int64, opts ...Option) (*System, error) {
 	if err := cfg.Validate(); err != nil {
@@ -188,17 +172,12 @@ func (s *System) attachTracer(t *telemetry.Tracer) {
 func (s *System) Tracer() *telemetry.Tracer { return s.tracer }
 
 // RegisterMetrics adds every component's probes to the caller's
-// registry after construction — the hook cmd/dbisim uses to expose a
-// live single-run registry on the ops-plane /metrics endpoint without
-// routing it through the epoch sampler. Component counters are plain
-// (non-atomic) uint64s, so values scraped mid-run are monitoring
-// approximations; they are exact whenever the engine is quiescent.
+// registry — the hook cmd/dbisim uses to expose a live single-run
+// registry on the ops-plane /metrics endpoint, and the set the epoch
+// sampler snapshots. Component counters are plain (non-atomic) uint64s,
+// so values scraped mid-run are monitoring approximations; they are
+// exact whenever the engine is quiescent.
 func (s *System) RegisterMetrics(reg *telemetry.Registry) {
-	s.registerComponentMetrics(reg)
-}
-
-// registerComponentMetrics adds every component's probes to a registry.
-func (s *System) registerComponentMetrics(reg *telemetry.Registry) {
 	for _, c := range s.Cores {
 		c.RegisterMetrics(reg)
 	}

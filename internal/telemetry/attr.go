@@ -173,9 +173,6 @@ func (c Category) String() string {
 	return fmt.Sprintf("Category(%d)", uint8(c))
 }
 
-// Domain returns the domain the category belongs to.
-func (c Category) Domain() Domain { return catInfo[c].dom }
-
 // String returns the domain's name.
 func (d Domain) String() string {
 	if d < NumDomains {
@@ -183,13 +180,6 @@ func (d Domain) String() string {
 	}
 	return fmt.Sprintf("Domain(%d)", uint8(d))
 }
-
-// Unit returns "cycles" or "bytes".
-func (d Domain) Unit() string { return domInfo[d].unit }
-
-// Closed reports whether the domain's category sum must equal its
-// charged total.
-func (d Domain) Closed() bool { return domInfo[d].closed }
 
 // AttrValues is the raw ledger state: one counter per category plus
 // one total per domain. It is a plain value type — arrays copy by

@@ -62,20 +62,20 @@ func TestAttrCategoryMetadata(t *testing.T) {
 			t.Fatalf("category %d has empty or duplicate name %q", c, name)
 		}
 		seen[name] = true
-		if c.Domain() >= NumDomains {
+		if catInfo[c].dom >= NumDomains {
 			t.Fatalf("category %s has invalid domain", name)
 		}
 	}
 	if got := ABytesWBAWBHarvest.String(); got != "wb.awb_harvest" {
 		t.Fatalf("name = %q", got)
 	}
-	if ALLCTagProbe.Domain() != DomLLCPort || !DomLLCPort.Closed() {
+	if catInfo[ALLCTagProbe].dom != DomLLCPort || !domInfo[DomLLCPort].closed {
 		t.Fatal("llc.tag_probe must live in the closed llc_port domain")
 	}
-	if DomDRAMBus.Unit() != "bytes" || DomCPU.Unit() != "cycles" {
+	if domInfo[DomDRAMBus].unit != "bytes" || domInfo[DomCPU].unit != "cycles" {
 		t.Fatal("domain units wrong")
 	}
-	if DomCPU.Closed() || DomDBI.Closed() {
+	if domInfo[DomCPU].closed || domInfo[DomDBI].closed {
 		t.Fatal("cpu and dbi domains must be open")
 	}
 }

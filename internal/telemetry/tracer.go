@@ -74,9 +74,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]Event, capacity), names: make(map[int32]string)}
 }
 
-// Enabled reports whether the tracer is collecting (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // NameThread labels a tid lane in the viewer (setup-time only).
 func (t *Tracer) NameThread(tid int, name string) {
 	if t == nil {

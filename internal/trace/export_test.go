@@ -1,14 +1,12 @@
 package trace
 
 // pageMap materializes the generator's live vpage→ppage translations so
-// tests can reverse-map physical addresses, as they did when the page
-// table was a Go map.
+// tests can reverse-map physical addresses.
 func (s *Synth) pageMap() map[uint64]uint64 {
 	m := make(map[uint64]uint64)
-	t := &s.pt
-	for i, k := range t.keys {
-		if k != noPage {
-			m[k] = t.vals[i]
+	for vpage, ppage := range s.pt {
+		if ppage != noPage {
+			m[uint64(vpage)] = ppage
 		}
 	}
 	return m

@@ -120,11 +120,6 @@ func ByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("trace: unknown benchmark %q", name)
 }
 
-// AllProfiles returns copies of every benchmark profile.
-func AllProfiles() []Profile {
-	return append([]Profile(nil), profiles...)
-}
-
 // ByIntensity returns the benchmarks in the given read×write intensity
 // class, sorted by name. The paper's workload generator draws from these
 // nine classes.

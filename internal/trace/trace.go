@@ -46,8 +46,6 @@ type Record struct {
 
 // Generator produces an infinite access stream.
 type Generator interface {
-	// Name identifies the benchmark model.
-	Name() string
 	// Next returns the next access record.
 	Next() Record
 }
@@ -138,9 +136,9 @@ type Synth struct {
 	rng  *rand.Rand // draws from pcg
 	base addr.Addr  // base of this core's physical range
 
-	pt        pageTable // virtual page -> physical page index
-	used      bitset    // physical pages already handed out
-	spanPages uint64    // physical pages available to this process
+	pt        []uint64 // physical page of each virtual page, or noPage
+	used      bitset   // physical pages already handed out
+	spanPages uint64   // physical pages available to this process
 
 	blocks    uint64 // footprint size in blocks
 	hotBlocks uint64
@@ -154,36 +152,9 @@ type Synth struct {
 	gapCarry     float64 // error-diffusion remainder keeping E[gap] exact
 }
 
-// pageTable is an open-addressed, linear-probed vpage→ppage map. An
-// empty slot holds the key noPage, and the table is sized to at most
-// 50% load (every virtual page inserted once, no deletions), keeping
-// probe chains short. It replaces the Go map that dominated the
-// generator's translate profile.
-type pageTable struct {
-	mask uint64
-	keys []uint64
-	vals []uint64
-}
-
-// noPage is the key of an empty page-table slot. A virtual page number
-// is a block index divided by pageBlocks, so none reaches it.
+// noPage marks a virtual page not yet mapped. Physical page indices
+// stay below the span, so none reaches it.
 const noPage = ^uint64(0)
-
-// fibMix is the 64-bit Fibonacci-hashing multiplier (2^64/φ, odd).
-const fibMix = 0x9E3779B97F4A7C15
-
-// newPageTable returns an empty table for vpages insertions.
-func newPageTable(vpages uint64) pageTable {
-	n := uint64(8)
-	for n < 2*vpages {
-		n <<= 1
-	}
-	t := pageTable{mask: n - 1, keys: make([]uint64, n), vals: make([]uint64, n)}
-	for i := range t.keys {
-		t.keys[i] = noPage
-	}
-	return t
-}
 
 // bitset is a plain bit vector over physical page indices.
 type bitset struct{ words []uint64 }
@@ -218,10 +189,14 @@ func New(p Profile, base addr.Addr, seed int64) *Synth {
 	}
 	vpages := (blocks + pageBlocks - 1) / pageBlocks
 	span := 4 * vpages // physical slack so placement stays random
+	pt := make([]uint64, vpages)
+	for i := range pt {
+		pt[i] = noPage
+	}
 	s := &Synth{
 		p:         p,
 		base:      base,
-		pt:        newPageTable(vpages),
+		pt:        pt,
 		used:      newBitset(span),
 		spanPages: span,
 		blocks:    blocks,
@@ -234,9 +209,6 @@ func New(p Profile, base addr.Addr, seed int64) *Synth {
 	return s
 }
 
-// Name implements Generator.
-func (s *Synth) Name() string { return s.p.Name }
-
 // Next implements Generator.
 func (s *Synth) Next() Record {
 	rec := Record{Gap: s.gap()}
@@ -248,28 +220,22 @@ func (s *Synth) Next() Record {
 }
 
 // translate maps a virtual block to a physical block through the
-// process's randomized page table, allocating on first touch. The probe
-// loop doubles as the insertion scan: when it falls off the end of a
-// cluster (empty slot), vpage is absent and that very slot receives it.
+// process's randomized page table, allocating on first touch. pickBlock
+// returns blocks below the footprint, so the table is a dense array
+// indexed by virtual page.
 func (s *Synth) translate(vblock uint64) uint64 {
 	vpage := vblock / pageBlocks
-	t := &s.pt
-	i := (vpage * fibMix) & t.mask
-	for k := t.keys[i]; k != noPage; k = t.keys[i] {
-		if k == vpage {
-			return t.vals[i]*pageBlocks + vblock%pageBlocks
+	ppage := s.pt[vpage]
+	if ppage == noPage {
+		for {
+			ppage = uint64(s.rng.Int64N(int64(s.spanPages)))
+			if !s.used.test(ppage) {
+				break
+			}
 		}
-		i = (i + 1) & t.mask
+		s.used.set(ppage)
+		s.pt[vpage] = ppage
 	}
-	var ppage uint64
-	for {
-		ppage = uint64(s.rng.Int64N(int64(s.spanPages)))
-		if !s.used.test(ppage) {
-			break
-		}
-	}
-	s.used.set(ppage)
-	t.keys[i], t.vals[i] = vpage, ppage
 	return ppage*pageBlocks + vblock%pageBlocks
 }
 

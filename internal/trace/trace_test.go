@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dbisim/internal/addr"
 )
@@ -35,7 +32,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestProfilesSane(t *testing.T) {
-	for _, p := range AllProfiles() {
+	for _, p := range profiles {
 		if p.FootprintBytes == 0 {
 			t.Errorf("%s: zero footprint", p.Name)
 		}
@@ -193,139 +190,5 @@ func TestIntensityString(t *testing.T) {
 	}
 	if Intensity(9).String() != "unknown" {
 		t.Fatal("unknown intensity string")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	p, _ := ByName("soplex")
-	g := New(p, 4096, 9)
-	var recs []Record
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		r := g.Next()
-		recs = append(recs, r)
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 500 {
-		t.Fatalf("Count = %d", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf, "soplex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Name() != "soplex" {
-		t.Fatal("reader name wrong")
-	}
-	for i, want := range recs {
-		got, err := r.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("record %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-}
-
-func TestReaderRejectsBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewBufferString("NOTATRACE\n"), "x"); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := NewReader(bytes.NewBufferString("short"), "x"); err == nil {
-		t.Fatal("truncated header accepted")
-	}
-}
-
-func TestReaderRejectsBadKind(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(fileMagic)
-	buf.Write([]byte{0, 7, 0}) // gap=0, kind=7 (invalid), addr=0
-	r, err := NewReader(&buf, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Read(); err == nil {
-		t.Fatal("invalid kind accepted")
-	}
-}
-
-func TestLooping(t *testing.T) {
-	recs := []Record{{Gap: 1, Kind: Load, Addr: 64}, {Gap: 2, Kind: Store, Addr: 128}}
-	l := NewLooping("loop", recs)
-	if l.Name() != "loop" {
-		t.Fatal("name wrong")
-	}
-	for i := 0; i < 10; i++ {
-		if got := l.Next(); got != recs[i%2] {
-			t.Fatalf("iteration %d: %+v", i, got)
-		}
-	}
-}
-
-func TestLoopingEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty Looping did not panic")
-		}
-	}()
-	NewLooping("x", nil)
-}
-
-// Property: every record serialized then deserialized is identical.
-func TestQuickFileRoundTrip(t *testing.T) {
-	f := func(gaps []uint16, kinds []bool, addrs []uint32) bool {
-		n := len(gaps)
-		if len(kinds) < n {
-			n = len(kinds)
-		}
-		if len(addrs) < n {
-			n = len(addrs)
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		recs := make([]Record, n)
-		for i := 0; i < n; i++ {
-			k := Load
-			if kinds[i] {
-				k = Store
-			}
-			recs[i] = Record{Gap: uint32(gaps[i]), Kind: k, Addr: addr.Addr(addrs[i])}
-			if err := w.Write(recs[i]); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		r, err := NewReader(&buf, "q")
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			got, err := r.Read()
-			if err != nil || got != recs[i] {
-				return false
-			}
-		}
-		_, err = r.Read()
-		return err == io.EOF
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

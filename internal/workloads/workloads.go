@@ -19,20 +19,6 @@ type Mix struct {
 	Benches []string
 }
 
-// PaperCount returns the number of mixes the paper evaluates for a core
-// count (102/259/120 for 2/4/8 cores).
-func PaperCount(cores int) int {
-	switch cores {
-	case 2:
-		return 102
-	case 4:
-		return 259
-	case 8:
-		return 120
-	}
-	return 32
-}
-
 // Generate returns count deterministic mixes for the given core count.
 // Each mix draws its benchmarks from intensity classes chosen to sweep
 // read and write pressure, mirroring the paper's workload construction.

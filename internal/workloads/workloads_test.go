@@ -6,15 +6,6 @@ import (
 	"dbisim/internal/trace"
 )
 
-func TestPaperCounts(t *testing.T) {
-	if PaperCount(2) != 102 || PaperCount(4) != 259 || PaperCount(8) != 120 {
-		t.Fatal("paper workload counts wrong")
-	}
-	if PaperCount(3) != 32 {
-		t.Fatal("default count wrong")
-	}
-}
-
 func TestGenerateShapeAndDeterminism(t *testing.T) {
 	a := Generate(4, 20, 7)
 	b := Generate(4, 20, 7)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dbisim/internal/addr"
+	"dbisim/internal/config"
 	coredbi "dbisim/internal/dbi"
 )
 
@@ -117,7 +118,7 @@ func (c cfg) build(rows int, seed int64) (*coredbi.DBI, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dbi: row size %d: %w", c.rowSize, err)
 	}
-	prm := coredbi.DefaultParams()
+	prm := config.PaperDBI()
 	prm.AlphaNum, prm.AlphaDen = 1, 1
 	prm.Granularity = c.rowSize
 	prm.Associativity = c.assoc
