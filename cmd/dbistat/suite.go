@@ -162,7 +162,7 @@ func dbiRegion() (perfstat.Counts, error) {
 // demand access rides on.
 func cacheLookup() (perfstat.Counts, error) {
 	p := config.CacheParams{
-		SizeBytes: 2 << 20, Ways: 16, BlockSize: 64,
+		SizeBytes: 2 << 20, Ways: 16,
 		TagLatency: 2, DataLatency: 8,
 		Replacement: config.ReplLRU,
 	}

@@ -8,7 +8,7 @@ import (
 
 func cache16MB() config.CacheParams {
 	return config.CacheParams{
-		SizeBytes: 16 << 20, Ways: 32, BlockSize: 64,
+		SizeBytes: 16 << 20, Ways: 32,
 		TagLatency: 14, DataLatency: 33,
 	}
 }

@@ -87,7 +87,7 @@ func Table5(p BitParams, m SRAMModel, d config.DBIParams, cacheAccessPerDBIAcces
 	var out []Table5Row
 	for _, size := range []uint64{2 << 20, 4 << 20, 8 << 20, 16 << 20} {
 		c := config.CacheParams{
-			SizeBytes: size, Ways: 16, BlockSize: 64,
+			SizeBytes: size, Ways: 16,
 			TagLatency: 10, DataLatency: 24,
 		}
 		conv := p.Conventional(c, true)

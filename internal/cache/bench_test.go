@@ -11,7 +11,7 @@ import (
 func benchCache(b *testing.B) *Cache {
 	b.Helper()
 	c, err := New(config.CacheParams{
-		SizeBytes: 2 << 20, Ways: 16, BlockSize: 64,
+		SizeBytes: 2 << 20, Ways: 16,
 		TagLatency: 10, DataLatency: 24,
 		Replacement: config.ReplTADIP,
 	}, 4, 1)

@@ -86,22 +86,9 @@ func New(p config.CacheParams, threads int, seed int64) (*Cache, error) {
 	if threads > maxThreads {
 		return nil, fmt.Errorf("cache: %d threads exceed the %d a thread byte holds", threads, maxThreads)
 	}
-	kind := replacement.KindLRU
-	switch p.Replacement {
-	case config.ReplLRU:
-		kind = replacement.KindLRU
-	case config.ReplTADIP:
-		kind = replacement.KindTADIP
-	case config.ReplDRRIP:
-		kind = replacement.KindDRRIP
-	default:
-		return nil, fmt.Errorf("cache: unknown replacement kind %v", p.Replacement)
-	}
-	pol, err := replacement.New(kind, replacement.Config{
-		Sets: p.Sets(), Ways: p.Ways, Threads: threads, Seed: seed,
-	})
+	pol, err := replacement.New(p.Replacement, p.Sets(), p.Ways, threads, seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cache: %w", err)
 	}
 	n := p.Sets() * p.Ways
 	c := &Cache{

@@ -10,7 +10,7 @@ import (
 
 func smallParams() config.CacheParams {
 	return config.CacheParams{
-		SizeBytes: 64 * 4 * 16, Ways: 4, BlockSize: 64,
+		SizeBytes: 64 * 4 * 16, Ways: 4,
 		TagLatency: 2, DataLatency: 2,
 		Replacement: config.ReplLRU,
 	}
@@ -27,7 +27,7 @@ func mustNew(t *testing.T, p config.CacheParams) *Cache {
 
 func TestNewRejectsBadParams(t *testing.T) {
 	p := smallParams()
-	p.BlockSize = 0
+	p.Ways = 0
 	if _, err := New(p, 1, 1); err == nil {
 		t.Fatal("invalid params accepted")
 	}

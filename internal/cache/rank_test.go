@@ -58,7 +58,7 @@ func TestDirtyInLowRanksDifferential(t *testing.T) {
 	for _, repl := range []config.ReplacementKind{config.ReplLRU, config.ReplTADIP, config.ReplDRRIP} {
 		for _, ways := range []int{1, 3, 16, 64} {
 			c, err := New(config.CacheParams{
-				SizeBytes: uint64(64 * sets * ways), Ways: ways, BlockSize: 64,
+				SizeBytes: uint64(64 * sets * ways), Ways: ways,
 				Replacement: repl,
 			}, 2, 5)
 			if err != nil {

@@ -32,11 +32,9 @@ type refCache struct {
 	hits, misses, inserts, evictions, dirtyEvict uint64
 }
 
-func newRefCache(t *testing.T, kind replacement.Kind, sets, ways, threads int, seed int64) *refCache {
+func newRefCache(t *testing.T, kind config.ReplacementKind, sets, ways, threads int, seed int64) *refCache {
 	t.Helper()
-	pol, err := replacement.New(kind, replacement.Config{
-		Sets: sets, Ways: ways, Threads: threads, Seed: seed,
-	})
+	pol, err := replacement.New(kind, sets, ways, threads, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +146,10 @@ func TestCacheDifferentialSoAvsAoS(t *testing.T) {
 	kinds := []struct {
 		name string
 		repl config.ReplacementKind
-		kind replacement.Kind
 	}{
-		{"lru", config.ReplLRU, replacement.KindLRU},
-		{"tadip", config.ReplTADIP, replacement.KindTADIP},
-		{"drrip", config.ReplDRRIP, replacement.KindDRRIP},
+		{"lru", config.ReplLRU},
+		{"tadip", config.ReplTADIP},
+		{"drrip", config.ReplDRRIP},
 	}
 	const threads = 2
 	for _, kc := range kinds {
@@ -163,7 +160,7 @@ func TestCacheDifferentialSoAvsAoS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefCache(t, kc.kind, c.Sets(), c.Ways(), threads, 7)
+			ref := newRefCache(t, kc.repl, c.Sets(), c.Ways(), threads, 7)
 			// ~8x capacity so conflict evictions are common.
 			space := int64(8 * c.Sets() * c.Ways())
 			rng := rand.New(rand.NewSource(99))

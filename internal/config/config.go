@@ -4,7 +4,11 @@
 // DRAM).
 package config
 
-import "fmt"
+import (
+	"fmt"
+
+	"dbisim/internal/addr"
+)
 
 // Mechanism selects the last-level cache organization under study.
 // These are the nine mechanisms of Table 2 in the paper.
@@ -130,23 +134,21 @@ func (r DBIReplacement) String() string {
 	return fmt.Sprintf("DBIReplacement(%d)", int(r))
 }
 
-// CacheParams configures one cache level.
+// CacheParams configures one cache level. Its blocks are the address
+// geometry's (addr.Default), the block numbers every cache indexes.
 type CacheParams struct {
 	SizeBytes   uint64
 	Ways        int
-	BlockSize   uint64
 	TagLatency  uint64 // cycles for a tag lookup
 	DataLatency uint64 // cycles for a data access
 	Replacement ReplacementKind
 }
 
 // Sets returns the number of sets implied by the geometry.
-func (c CacheParams) Sets() int {
-	return int(c.SizeBytes / (c.BlockSize * uint64(c.Ways)))
-}
+func (c CacheParams) Sets() int { return c.Blocks() / c.Ways }
 
 // Blocks returns the total number of blocks the cache holds.
-func (c CacheParams) Blocks() int { return int(c.SizeBytes / c.BlockSize) }
+func (c CacheParams) Blocks() int { return int(c.SizeBytes / addr.Default().BlockSize) }
 
 // AccessLatency is the latency of a full hit in a private cache, whose
 // tag and data arrays are read in parallel. The LLC reads them serially
@@ -161,16 +163,15 @@ const MaxWays = 64
 
 // Validate reports configuration errors.
 func (c CacheParams) Validate() error {
+	block := addr.Default().BlockSize
 	switch {
-	case c.BlockSize == 0 || c.BlockSize&(c.BlockSize-1) != 0:
-		return fmt.Errorf("config: cache block size %d not a power of two", c.BlockSize)
 	case c.Ways <= 0:
 		return fmt.Errorf("config: cache ways %d", c.Ways)
 	case c.Ways > MaxWays:
 		return fmt.Errorf("config: cache ways %d above the %d-way limit", c.Ways, MaxWays)
-	case c.SizeBytes%(c.BlockSize*uint64(c.Ways)) != 0:
+	case c.SizeBytes%(block*uint64(c.Ways)) != 0:
 		return fmt.Errorf("config: cache size %d not divisible into %d-way sets of %dB blocks",
-			c.SizeBytes, c.Ways, c.BlockSize)
+			c.SizeBytes, c.Ways, block)
 	case c.Sets()&(c.Sets()-1) != 0:
 		return fmt.Errorf("config: cache set count %d not a power of two", c.Sets())
 	}
@@ -378,17 +379,17 @@ func PaperWithL3PerCore(cores int, mech Mechanism, l3PerCore uint64) SystemConfi
 		Mechanism: mech,
 		Core:      CoreParams{WindowSize: 128},
 		L1: CacheParams{
-			SizeBytes: 32 << 10, Ways: 2, BlockSize: 64,
+			SizeBytes: 32 << 10, Ways: 2,
 			TagLatency: 2, DataLatency: 2,
 			Replacement: ReplLRU,
 		},
 		L2: CacheParams{
-			SizeBytes: 256 << 10, Ways: 8, BlockSize: 64,
+			SizeBytes: 256 << 10, Ways: 8,
 			TagLatency: 12, DataLatency: 14,
 			Replacement: ReplLRU,
 		},
 		L3: CacheParams{
-			SizeBytes: l3PerCore * uint64(cores), Ways: ways, BlockSize: 64,
+			SizeBytes: l3PerCore * uint64(cores), Ways: ways,
 			TagLatency: tagLat, DataLatency: dataLat,
 			Replacement: l3Repl,
 		},

@@ -51,7 +51,7 @@ func TestMechanismFlags(t *testing.T) {
 }
 
 func TestCacheParamsGeometry(t *testing.T) {
-	p := CacheParams{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64,
+	p := CacheParams{SizeBytes: 2 << 20, Ways: 16,
 		TagLatency: 10, DataLatency: 24}
 	if p.Sets() != 2048 {
 		t.Fatalf("Sets = %d, want 2048", p.Sets())
@@ -73,11 +73,10 @@ func TestCacheParamsGeometry(t *testing.T) {
 
 func TestCacheParamsValidate(t *testing.T) {
 	bad := []CacheParams{
-		{SizeBytes: 1 << 20, Ways: 8, BlockSize: 0},
-		{SizeBytes: 1 << 20, Ways: 0, BlockSize: 64},
-		{SizeBytes: 1000, Ways: 8, BlockSize: 64},
-		{SizeBytes: 3 * 64 * 8 * 4, Ways: 8, BlockSize: 64}, // 3 sets: not pow2
-		{SizeBytes: 2 * 128 * 64, Ways: 128, BlockSize: 64}, // 128 ways: above MaxWays
+		{SizeBytes: 1 << 20, Ways: 0},
+		{SizeBytes: 1000, Ways: 8},
+		{SizeBytes: 3 * 64 * 8 * 4, Ways: 8}, // 3 sets: not pow2
+		{SizeBytes: 2 * 128 * 64, Ways: 128}, // 128 ways: above MaxWays
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -388,7 +388,7 @@ func (c *Core) completeShared(r *sharedReq) {
 	c.Trc.Complete("cpu", "llc_read", c.ID, uint64(start), uint64(c.Eng.Now()), uint64(b))
 	delete(c.outstanding, b)
 	for i := range ws {
-		c.fillL2(b)
+		c.fillL2(b, false)
 		c.fillL1(b, ws[i].dirty)
 		if ws[i].done != nil {
 			ws[i].done()
@@ -400,37 +400,18 @@ func (c *Core) completeShared(r *sharedReq) {
 	c.swFree = append(c.swFree, ws[:0])
 }
 
-// fillL1 installs a block in L1, cascading a dirty victim into L2.
+// fillL1 installs a block in L1 (a resident block only takes the dirty
+// bit), passing a dirty victim down to L2.
 func (c *Core) fillL1(b addr.BlockAddr, dirty bool) {
-	if dirty {
-		// Ensure the dirty bit lands even if the block is resident.
-		if c.l1.Contains(b) {
-			c.l1.SetDirty(b, true)
-			return
-		}
-	}
-	victim := c.l1.Insert(b, 0, dirty)
-	if victim.Valid && victim.Dirty {
-		c.writebackToL2(victim.Addr)
+	if victim := c.l1.Insert(b, 0, dirty); victim.Dirty {
+		c.fillL2(victim.Addr, true)
 	}
 }
 
-// fillL2 installs a block in L2, cascading a dirty victim to the LLC.
-func (c *Core) fillL2(b addr.BlockAddr) {
-	victim := c.l2.Insert(b, 0, false)
-	if victim.Valid && victim.Dirty {
-		c.llc.Writeback(victim.Addr, c.ID)
-	}
-}
-
-// writebackToL2 delivers an L1 dirty eviction to L2.
-func (c *Core) writebackToL2(b addr.BlockAddr) {
-	if c.l2.Contains(b) {
-		c.l2.SetDirty(b, true)
-		return
-	}
-	victim := c.l2.Insert(b, 0, true)
-	if victim.Valid && victim.Dirty {
+// fillL2 installs a block in L2 (a resident block only takes the dirty
+// bit), passing a dirty victim down to the LLC.
+func (c *Core) fillL2(b addr.BlockAddr, dirty bool) {
+	if victim := c.l2.Insert(b, 0, dirty); victim.Dirty {
 		c.llc.Writeback(victim.Addr, c.ID)
 	}
 }

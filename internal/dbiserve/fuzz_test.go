@@ -40,13 +40,15 @@ func decodeStrict(body []byte, v any) error {
 }
 
 // FuzzJSONHandlers POSTs arbitrary bodies to the key-carrying v1
-// endpoints through Server.Handler. Every answer must be 200 with a
-// body that decodes as the endpoint's response, or 400 bad_request or
-// 413 too_large in the error envelope (PROTOCOL.md's table); a refused
-// request must leave the tracker's dirty keys as they were.
+// endpoints through Server.Handler. Every answer must be 200 for a
+// body of exactly one JSON value, with a body that decodes as the
+// endpoint's response, or 400 bad_request or 413 too_large in the
+// error envelope (PROTOCOL.md's table); a refused request must leave
+// the tracker's dirty keys as they were.
 func FuzzJSONHandlers(f *testing.F) {
 	for _, body := range []string{ // README's curl bodies, and garbage
 		`{"keys":[1,2,3,130]}`, `{"keys":[2,4]}`, `{"keys":[0]}`, `not json`,
+		`{"keys":[7]}{"keys":[9]}`,
 	} {
 		for ep := range jsonEndpoints {
 			f.Add(uint8(ep), []byte(body))
@@ -64,6 +66,9 @@ func FuzzJSONHandlers(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, e.path, bytes.NewReader(body)))
 		out := rec.Body.Bytes()
 		if rec.Code == http.StatusOK {
+			if !json.Valid(body) {
+				t.Fatalf("%s %q: 200 for a body that is not exactly one JSON value", e.path, body)
+			}
 			if err := decodeStrict(out, e.resp()); err != nil {
 				t.Fatalf("%s %q: 200 with body %q: %v", e.path, body, out, err)
 			}

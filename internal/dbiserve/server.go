@@ -135,7 +135,7 @@ func (s *Server) keysEndpoint(opcode byte, op func([]dbi.Key) any) http.HandlerF
 		}
 		var req dbiproto.KeysRequest
 		body := http.MaxBytesReader(w, r.Body, dbiproto.MaxFrame)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		if err := decodeOne(body, &req); err != nil {
 			code, status := dbiproto.CodeBadRequest, http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -154,6 +154,24 @@ func (s *Server) keysEndpoint(opcode byte, op func([]dbi.Key) any) http.HandlerF
 		}
 		writeJSON(w, op(keys))
 	}
+}
+
+// decodeOne decodes a request body that holds exactly one JSON value,
+// white space aside: a second value or trailing bytes refuse the whole
+// body, so nothing of it is applied.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return err
+		}
+		return errors.New("data after the request's JSON value")
+	}
+	return nil
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, status int, code, msg string) {

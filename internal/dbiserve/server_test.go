@@ -187,6 +187,45 @@ func TestJSONErrors(t *testing.T) {
 	}
 }
 
+// TestJSONRefusesTrailingData checks that a body holding more than
+// its one JSON value is refused whole: 400 bad_request, and the
+// tracker's dirty keys are unchanged. A trailing newline, as curl
+// sends, is accepted.
+func TestJSONRefusesTrailingData(t *testing.T) {
+	srv, hs, _ := testServer(t)
+	for _, body := range []string{
+		`{"keys":[7]}{"keys":[9]}`,
+		`{"keys":[5]} trailing garbage`,
+		`{"keys":[5]}}`,
+		`{"keys":[5]} 1`,
+	} {
+		before := srv.tr.Stats().DirtyKeys
+		resp, err := http.Post(hs.URL+"/v1/set", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e dbiproto.ErrorResponse
+		if err := jsonDecode(resp, &e); err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != dbiproto.CodeBadRequest {
+			t.Errorf("%q: status %d code %q, want 400 %s", body, resp.StatusCode, e.Error.Code, dbiproto.CodeBadRequest)
+		}
+		if after := srv.tr.Stats().DirtyKeys; after != before {
+			t.Errorf("%q: refused body moved dirty keys %d -> %d", body, before, after)
+		}
+	}
+	resp, err := http.Post(hs.URL+"/v1/set", "application/json", strings.NewReader("{\"keys\":[5]}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || srv.tr.Stats().DirtyKeys != 1 {
+		t.Fatalf("newline-terminated body: status %d, %d dirty keys; want 200 and 1",
+			resp.StatusCode, srv.tr.Stats().DirtyKeys)
+	}
+}
+
 // TestBinaryBadVersion checks a wrong version byte gets bad_version
 // and the connection survives.
 func TestBinaryBadVersion(t *testing.T) {

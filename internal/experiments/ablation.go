@@ -29,7 +29,6 @@ type AblationResult struct {
 // the mechanism and which are second-order.
 func Ablation(o Options) (*AblationResult, error) {
 	benches := table6Benches(o.Quick)
-	warm, meas := o.singleBudgets()
 	res := &AblationResult{
 		WriteBufferEntries: []int{16, 64, 256},
 		WBufWriteRHR:       map[int]float64{},
@@ -48,7 +47,6 @@ func Ablation(o Options) (*AblationResult, error) {
 		for _, p := range params {
 			for _, b := range benches {
 				c := o.singleCell("ablation", config.DBIAWB, b)
-				c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = warm, meas
 				mut(&c.cfg, p)
 				c.key.Param = fmt.Sprintf("%s=%d", param, p)
 				cells = append(cells, c)

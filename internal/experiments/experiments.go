@@ -15,7 +15,6 @@ import (
 	"dbisim/internal/config"
 	"dbisim/internal/sweep"
 	"dbisim/internal/system"
-	"dbisim/internal/trace"
 )
 
 // Options controls sweep sizes, parallelism and output.
@@ -152,11 +151,6 @@ func fig7Mechanisms() []config.Mechanism {
 		config.Baseline, config.TADIP, config.DAWB,
 		config.DBI, config.DBIAWB, config.DBICLB, config.DBIAWBCLB,
 	}
-}
-
-// benchList returns the benchmarks Figure 6 sweeps (all models).
-func benchList(_ bool) []string {
-	return trace.Benchmarks()
 }
 
 func fprintf(w io.Writer, format string, args ...any) {

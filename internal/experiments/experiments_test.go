@@ -297,12 +297,12 @@ func TestUniqueBenches(t *testing.T) {
 	}
 }
 
-// TestRunCellsForksEveryRepeat pins reuse in a sweep: runCells groups
+// TestRunCellsReusesEveryRepeat pins reuse in a sweep: runCells groups
 // cells by identity, so within one call every repeat of a cell is
 // answered from the first one's result — exactly the 3 repeats here,
 // whatever earlier sweeps ran — and every cell, run or reused, equals a
 // fresh machine's Run.
-func TestRunCellsForksEveryRepeat(t *testing.T) {
+func TestRunCellsReusesEveryRepeat(t *testing.T) {
 	o := Options{Seed: 977, Parallel: 2}
 	var cells []simCell
 	for _, b := range []string{"stream", "mcf", "stream", "lbm", "mcf", "stream"} {

@@ -24,7 +24,6 @@ func DBIPolicy(o Options) (*DBIPolicyResult, error) {
 		config.DBIMaxDirty, config.DBIMinDirty,
 	}
 	benches := table6Benches(o.Quick)
-	warm, meas := o.singleBudgets()
 	res := &DBIPolicyResult{
 		Policies: policies,
 		GMeanIPC: map[config.DBIReplacement]float64{},
@@ -33,7 +32,6 @@ func DBIPolicy(o Options) (*DBIPolicyResult, error) {
 	for _, pol := range policies {
 		for _, b := range benches {
 			c := o.singleCell("dbipolicy", config.DBIAWB, b)
-			c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = warm, meas
 			c.cfg.DBI.Replacement = pol
 			c.key.Param = fmt.Sprintf("policy=%v", pol)
 			cells = append(cells, c)
@@ -75,12 +73,10 @@ func CLBSensitivity(o Options) (*CLBSensitivityResult, error) {
 		IPC:        map[float64]float64{},
 	}
 	benches := []string{"libquantum", "stream", "mcf"}
-	warm, meas := o.singleBudgets()
 	var cells []simCell
 	for _, th := range res.Thresholds {
 		for _, b := range benches {
 			c := o.singleCell("clbsens", config.DBIAWBCLB, b)
-			c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = warm, meas
 			c.cfg.MissPred.Threshold = th
 			c.key.Param = fmt.Sprintf("threshold=%.2f", th)
 			cells = append(cells, c)
@@ -134,14 +130,12 @@ func DRRIP(o Options) (*DRRIPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm, meas := o.multiBudgets()
 	mechs := []config.Mechanism{config.DAWB, config.DBIAWBCLB}
 	var cells []simCell
 	for _, mech := range mechs {
 		for _, mix := range mixes {
 			c := o.multiCell("drrip", mech, mix.Name, mix.Benches)
 			c.cfg.L3.Replacement = config.ReplDRRIP
-			c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = warm, meas
 			c.key.Param = "repl=DRRIP"
 			cells = append(cells, c)
 		}

@@ -6,6 +6,7 @@ import (
 	"dbisim/internal/config"
 	"dbisim/internal/stats"
 	"dbisim/internal/system"
+	"dbisim/internal/trace"
 )
 
 // Fig6Result holds the five per-benchmark series of Figure 6.
@@ -28,7 +29,7 @@ type Fig6Result struct {
 // benchmark models under the seven mechanisms.
 func Fig6(o Options) (*Fig6Result, error) {
 	res := &Fig6Result{
-		Benchmarks: benchList(o.Quick),
+		Benchmarks: trace.Benchmarks(),
 		Mechanisms: fig6Mechanisms(),
 		IPC:        map[config.Mechanism]map[string]float64{},
 		WriteRHR:   map[config.Mechanism]map[string]float64{},

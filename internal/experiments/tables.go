@@ -62,7 +62,6 @@ func Table6(o Options) (*Table6Result, error) {
 		Alphas:        [][2]int{{1, 4}, {1, 2}},
 	}
 	benches := table6Benches(o.Quick)
-	warm, meas := o.singleBudgets()
 
 	baseIPC, err := o.aloneIPC("tab6", benches)
 	if err != nil {
@@ -73,7 +72,6 @@ func Table6(o Options) (*Table6Result, error) {
 		for _, gran := range res.Granularities {
 			for _, b := range benches {
 				c := o.singleCell("tab6", config.DBIAWB, b)
-				c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = warm, meas
 				c.cfg.DBI.AlphaNum, c.cfg.DBI.AlphaDen = alpha[0], alpha[1]
 				c.cfg.DBI.Granularity = gran
 				c.key.Param = fmt.Sprintf("alpha=%d/%d,gran=%d", alpha[0], alpha[1], gran)
@@ -132,7 +130,6 @@ func Table7(o Options) (*Table7Result, error) {
 		Improvement: map[uint64]map[int]float64{},
 	}
 	sizes := []uint64{1 << 20, 2 << 20} // scaled analogues of 2MB/4MB per core
-	warm, meas := o.multiBudgets()
 	var subs []*mixSweep
 	for _, size := range sizes {
 		for _, cores := range res.Cores {
@@ -145,7 +142,6 @@ func Table7(o Options) (*Table7Result, error) {
 				for _, mech := range []config.Mechanism{config.Baseline, config.DBIAWBCLB} {
 					c := o.multiCell("tab7", mech, mix.Name, mix.Benches)
 					c.cfg.L3.SizeBytes = size * uint64(cores)
-					c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = warm, meas
 					c.key.Param = fmt.Sprintf("llc=%dKB/core", size>>10)
 					sub.cells = append(sub.cells, c)
 				}

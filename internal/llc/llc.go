@@ -418,7 +418,7 @@ func (l *LLC) completeFill(r *fillReq) {
 	r.next = l.fillFree
 	l.fillFree = r
 	if allocate {
-		l.fill(b, thread)
+		l.install(b, thread, false)
 	}
 	if done != nil {
 		done()
@@ -439,10 +439,10 @@ func (l *LLC) fetch(b addr.BlockAddr, done func(), allocate bool, thread int) {
 	l.mem.Read(b, l.getFill(b, thread, allocate, done).fn)
 }
 
-// fill inserts a clean block fetched from memory and handles the victim.
-func (l *LLC) fill(b addr.BlockAddr, thread int) {
-	victim := l.Cache.Insert(b, thread, false)
-	if victim.Valid {
+// install inserts a block in the tag store (a resident block only takes
+// the dirty bit) and handles the victim it displaces.
+func (l *LLC) install(b addr.BlockAddr, thread int, dirty bool) {
+	if victim := l.Cache.Insert(b, thread, dirty); victim.Valid {
 		l.handleEviction(victim)
 	}
 }
@@ -463,29 +463,16 @@ func (rr *tagReq) writebackDone() {
 	l := rr.l
 	b, thread := rr.b, rr.thread
 	l.putReq(rr)
-	switch l.Mech {
-	case config.SkipCache:
-		// Write-through: update/allocate but never hold dirty data.
-		victim := l.Cache.Insert(b, thread, false)
-		if victim.Valid {
-			l.handleEviction(victim)
-		}
+	// Only the tag entry of a conventional write-back cache holds the
+	// dirty bit: Skip Cache writes through and the DBI keeps its own.
+	l.install(b, thread, l.Mech != config.SkipCache && l.DBI == nil)
+	switch {
+	case l.Mech == config.SkipCache:
 		l.Stat.WriteThroughs.Inc()
 		l.Attr.Charge(telemetry.ABytesWBWriteThrough, l.Geo.BlockSize)
 		l.mem.Write(b)
-	default:
-		if l.DBI != nil {
-			victim := l.Cache.Insert(b, thread, false)
-			if victim.Valid {
-				l.handleEviction(victim)
-			}
-			l.dbiSetDirty(b)
-		} else {
-			victim := l.Cache.Insert(b, thread, true)
-			if victim.Valid {
-				l.handleEviction(victim)
-			}
-		}
+	case l.DBI != nil:
+		l.dbiSetDirty(b)
 	}
 }
 

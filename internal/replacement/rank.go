@@ -41,19 +41,14 @@ func lowRanks[T uint8 | uint64](vals []T, flip T, k int) uint64 {
 	return mask
 }
 
-func (s *lruState) lowRanks(set, k int) uint64 {
+// LowRanks implements Policy: smaller stamps are closer to eviction.
+func (s *lruState) LowRanks(set, k int) uint64 {
 	base := set * s.ways
 	return lowRanks(s.stamps[base:base+s.ways], 0, k)
 }
 
-// LowRanks implements Policy: smaller stamps are closer to eviction.
-func (l *LRU) LowRanks(set, k int) uint64 { return l.s.lowRanks(set, k) }
-
-// LowRanks implements Policy: smaller stamps are closer to eviction.
-func (d *TADIP) LowRanks(set, k int) uint64 { return d.s.lowRanks(set, k) }
-
 // LowRanks implements Policy: larger RRPVs are closer to eviction.
-func (d *DRRIP) LowRanks(set, k int) uint64 {
-	base := set * d.r.ways
-	return lowRanks(d.r.rrpv[base:base+d.r.ways], ^uint8(0), k)
+func (r *rripState) LowRanks(set, k int) uint64 {
+	base := set * r.ways
+	return lowRanks(r.rrpv[base:base+r.ways], ^uint8(0), k)
 }

@@ -80,7 +80,7 @@ func randomStamps(rng *rand.Rand, s *lruState, sets int) {
 		s.demote(rng.Intn(sets), rng.Intn(s.ways))
 	}
 	for n := rng.Intn(3); n > 0; n-- {
-		s.touch(rng.Intn(sets), rng.Intn(s.ways))
+		s.Touch(rng.Intn(sets), rng.Intn(s.ways))
 	}
 }
 
@@ -88,17 +88,16 @@ func TestLowRanksMatchesRankReference(t *testing.T) {
 	const sets, trials = 3, 20
 	rng := rand.New(rand.NewSource(1))
 	for ways := 1; ways <= 64; ways++ {
-		c := TADIPConfig{Sets: sets, Ways: ways, Seed: 1}
-		lru, tadip, drrip := NewLRU(sets, ways), NewTADIP(c), NewDRRIP(c)
+		lru, tadip, drrip := newLRU(t, sets, ways), newTADIP(t, sets, ways, 1, 1), newDRRIP(t, sets, ways, 1, 1)
 		for i := 0; i < trials; i++ {
-			randomStamps(rng, lru.s, sets)
-			randomStamps(rng, tadip.s, sets)
-			for j := range drrip.r.rrpv {
-				drrip.r.rrpv[j] = uint8(rng.Intn(4))
+			randomStamps(rng, lru.lruState, sets)
+			randomStamps(rng, tadip.lruState, sets)
+			for j := range drrip.rrpv {
+				drrip.rrpv[j] = uint8(rng.Intn(4))
 			}
-			checkLowRanks(t, lru, sets, ways, lru.s.rank)
-			checkLowRanks(t, tadip, sets, ways, tadip.s.rank)
-			checkLowRanks(t, drrip, sets, ways, drrip.r.rank)
+			checkLowRanks(t, lru, sets, ways, lru.rank)
+			checkLowRanks(t, tadip, sets, ways, tadip.rank)
+			checkLowRanks(t, drrip, sets, ways, drrip.rank)
 		}
 	}
 }
@@ -111,12 +110,11 @@ func TestLowRanksFollowsPolicyState(t *testing.T) {
 	const sets, ops = 4, 400
 	rng := rand.New(rand.NewSource(2))
 	for _, ways := range []int{1, 2, 3, 8, 16, 33, 64} {
-		c := TADIPConfig{Sets: sets, Ways: ways, Threads: 2, DuelingSets: 2, Seed: 3}
-		lru, tadip, drrip := NewLRU(sets, ways), NewTADIP(c), NewDRRIP(c)
+		lru, tadip, drrip := newLRU(t, sets, ways), newTADIP(t, sets, ways, 2, 3), newDRRIP(t, sets, ways, 2, 3)
 		for _, tc := range []struct {
 			p    Policy
 			rank func(set, way int) int
-		}{{lru, lru.s.rank}, {tadip, tadip.s.rank}, {drrip, drrip.r.rank}} {
+		}{{lru, lru.rank}, {tadip, tadip.rank}, {drrip, drrip.rank}} {
 			for i := 0; i < ops; i++ {
 				set, way, thread := rng.Intn(sets), rng.Intn(ways), rng.Intn(2)
 				switch rng.Intn(4) {

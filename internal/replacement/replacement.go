@@ -1,7 +1,9 @@
 // Package replacement implements the cache replacement and insertion
-// policies evaluated in the DBI paper: LRU, BIP, thread-aware DIP with
-// set dueling (TA-DIP, the default LLC policy for every non-baseline
-// mechanism), and SRRIP/BRRIP/DRRIP (the Section 6.5 sensitivity study).
+// policies evaluated in the DBI paper: LRU, thread-aware DIP (TA-DIP,
+// the default LLC policy for every non-baseline mechanism) and
+// thread-aware DRRIP (the Section 6.5 sensitivity study). TA-DIP and
+// DRRIP share one set-dueling core; BIP, SRRIP and BRRIP exist only as
+// the insertions those two duel.
 //
 // A Policy manages recency state for a set-associative structure with a
 // fixed number of sets and ways. The owning cache calls Touch on hits,
@@ -14,10 +16,11 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"dbisim/internal/config"
 	"dbisim/internal/simrand"
 )
 
-// Policy is the replacement interface shared by all cache levels.
+// Policy is the replacement interface of every cache level.
 type Policy interface {
 	// Touch records a hit on (set, way).
 	Touch(set, way int)
@@ -35,7 +38,36 @@ type Policy interface {
 	LowRanks(set, k int) uint64
 }
 
-// lruState holds per-block recency stamps; higher is more recent.
+// The paper's set-dueling parameters [Jaleel+, PACT'08]: 32 leader sets
+// per policy per thread and a 10-bit policy selector per thread. The
+// bimodal insertions promote one fill in 64 (BIP) or 32 (BRRIP).
+const (
+	duelingSets  = 32
+	pselBits     = 10
+	bipEpsilon   = 64
+	brripEpsilon = 32
+)
+
+// New builds the policy of kind for a sets×ways structure shared by
+// threads threads; seed fixes the bimodal insertions' random draws.
+func New(kind config.ReplacementKind, sets, ways, threads int, seed int64) (Policy, error) {
+	switch kind {
+	case config.ReplLRU:
+		return &LRU{newLRUState(sets, ways)}, nil
+	case config.ReplTADIP:
+		p := &TADIP{lruState: newLRUState(sets, ways)}
+		p.init(sets, threads, bipEpsilon, seed)
+		return p, nil
+	case config.ReplDRRIP:
+		p := &DRRIP{rripState: newRRIPState(sets, ways, 2)}
+		p.init(sets, threads, brripEpsilon, seed)
+		return p, nil
+	}
+	return nil, fmt.Errorf("replacement: unknown kind %v", kind)
+}
+
+// lruState holds per-block recency stamps; higher is more recent. LRU
+// and TA-DIP share its Touch, Victim and LowRanks.
 type lruState struct {
 	ways   int
 	stamps []uint64
@@ -46,7 +78,8 @@ func newLRUState(sets, ways int) *lruState {
 	return &lruState{ways: ways, stamps: make([]uint64, sets*ways)}
 }
 
-func (s *lruState) touch(set, way int) {
+// Touch implements Policy: the way becomes the most recent.
+func (s *lruState) Touch(set, way int) {
 	s.clock++
 	s.stamps[set*s.ways+way] = s.clock
 }
@@ -65,7 +98,8 @@ func (s *lruState) demote(set, way int) {
 	s.stamps[set*s.ways+way] = min - 1
 }
 
-func (s *lruState) victim(set int) int {
+// Victim implements Policy: the way with the oldest stamp.
+func (s *lruState) Victim(set int) int {
 	best, bestStamp := 0, s.stamps[set*s.ways]
 	for w := 1; w < s.ways; w++ {
 		if v := s.stamps[set*s.ways+w]; v < bestStamp {
@@ -76,30 +110,20 @@ func (s *lruState) victim(set int) int {
 }
 
 // LRU is classic least-recently-used with MRU insertion.
-type LRU struct{ s *lruState }
-
-// NewLRU returns an LRU policy for a sets×ways structure.
-func NewLRU(sets, ways int) *LRU { return &LRU{s: newLRUState(sets, ways)} }
-
-// Touch implements Policy.
-func (l *LRU) Touch(set, way int) { l.s.touch(set, way) }
+type LRU struct{ *lruState }
 
 // Insert implements Policy (MRU insertion).
-func (l *LRU) Insert(set, way, thread int) { l.s.touch(set, way) }
+func (l *LRU) Insert(set, way, thread int) { l.Touch(set, way) }
 
 // OnMiss implements Policy (no dueling state).
 func (l *LRU) OnMiss(set, thread int) {}
 
-// Victim implements Policy.
-func (l *LRU) Victim(set int) int { return l.s.victim(set) }
-
-// TADIP is the thread-aware dynamic insertion policy [Jaleel+, PACT'08;
-// Qureshi+, ISCA'07]: each thread duels LRU insertion against bimodal
-// insertion (BIP) on a few leader sets and follows the winner elsewhere.
-type TADIP struct {
-	s          *lruState
-	sets       int
-	period     int // one LRU leader and one BIP leader per period, per thread
+// duel is the set-dueling core of TA-DIP and DRRIP: each thread duels
+// a base insertion against a bimodal one on a few leader sets and
+// follows the winner elsewhere, through a saturating per-thread policy
+// selector (PSEL).
+type duel struct {
+	period     int // one base leader and one bimodal leader per period, per thread
 	psel       []int
 	pselMax    int
 	epsilonDen int
@@ -107,60 +131,25 @@ type TADIP struct {
 	rng        *rand.Rand // draws from pcg
 }
 
-// TADIPConfig configures TA-DIP.
-type TADIPConfig struct {
-	Sets, Ways int
-	Threads    int
-	// DuelingSets is the number of leader sets per policy per thread (32
-	// in the paper).
-	DuelingSets int
-	// PSELBits sizes the per-thread policy selector (10 in the paper).
-	PSELBits int
-	// EpsilonDen is the 1/N probability of MRU insertion under BIP (64).
-	EpsilonDen int
-	Seed       int64
-}
-
-// NewTADIP returns a TA-DIP policy.
-func NewTADIP(c TADIPConfig) *TADIP {
-	if c.Threads < 1 {
-		c.Threads = 1
+// init places the paper's leader sets among sets for threads threads
+// and seeds the bimodal promotion draw, which succeeds with
+// probability 1/epsilonDen.
+func (d *duel) init(sets, threads, epsilonDen int, seed int64) {
+	d.period = max(sets/duelingSets, 2)
+	d.pselMax = 1<<pselBits - 1
+	d.psel = make([]int, max(threads, 1))
+	for i := range d.psel {
+		d.psel[i] = d.pselMax / 2
 	}
-	if c.DuelingSets < 1 {
-		c.DuelingSets = 32
-	}
-	if c.PSELBits < 1 {
-		c.PSELBits = 10
-	}
-	if c.EpsilonDen < 1 {
-		c.EpsilonDen = 64
-	}
-	period := c.Sets / c.DuelingSets
-	if period < 2 {
-		period = 2
-	}
-	max := 1<<c.PSELBits - 1
-	psel := make([]int, c.Threads)
-	for i := range psel {
-		psel[i] = max / 2
-	}
-	d := &TADIP{
-		s:          newLRUState(c.Sets, c.Ways),
-		sets:       c.Sets,
-		period:     period,
-		psel:       psel,
-		pselMax:    max,
-		epsilonDen: c.EpsilonDen,
-	}
-	simrand.Seed(&d.pcg, c.Seed)
+	d.epsilonDen = epsilonDen
+	simrand.Seed(&d.pcg, seed)
 	d.rng = rand.New(&d.pcg)
-	return d
 }
 
-// leaderKind returns +1 for thread's LRU leader sets, -1 for BIP leader
-// sets and 0 for follower sets. Thread offsets decorrelate the leader
-// sets of different threads.
-func (d *TADIP) leaderKind(set, thread int) int {
+// leaderKind returns +1 for thread's base leader sets, -1 for its
+// bimodal leader sets and 0 for follower sets. Thread offsets
+// decorrelate the leader sets of different threads.
+func (d *duel) leaderKind(set, thread int) int {
 	t := thread % len(d.psel)
 	switch (set + 2*t) % d.period {
 	case 0:
@@ -171,51 +160,55 @@ func (d *TADIP) leaderKind(set, thread int) int {
 	return 0
 }
 
-// Touch implements Policy.
-func (d *TADIP) Touch(set, way int) { d.s.touch(set, way) }
-
-// OnMiss implements Policy: a miss in a leader set moves the selector
-// away from that leader's policy.
-func (d *TADIP) OnMiss(set, thread int) {
+// OnMiss implements Policy: a miss in a leader set moves the thread's
+// selector away from that leader's insertion.
+func (d *duel) OnMiss(set, thread int) {
 	t := thread % len(d.psel)
 	switch d.leaderKind(set, thread) {
-	case 1: // miss under LRU insertion: vote for BIP
+	case 1: // miss under the base insertion: vote for bimodal
 		if d.psel[t] < d.pselMax {
 			d.psel[t]++
 		}
-	case -1: // miss under BIP insertion: vote for LRU
+	case -1: // miss under the bimodal insertion: vote for the base
 		if d.psel[t] > 0 {
 			d.psel[t]--
 		}
 	}
 }
 
-// useBIP decides the insertion policy for thread in set.
-func (d *TADIP) useBIP(set, thread int) bool {
+// bimodalDemotes decides thread's fill of set: true when the fill takes
+// the bimodal insertion and its 1-in-epsilonDen promotion draw fails.
+// Only bimodal fills draw.
+func (d *duel) bimodalDemotes(set, thread int) bool {
+	bimodal := false
 	switch d.leaderKind(set, thread) {
-	case 1:
-		return false
 	case -1:
-		return true
+		bimodal = true
+	case 0:
+		bimodal = d.psel[thread%len(d.psel)] > d.pselMax/2
 	}
-	t := thread % len(d.psel)
-	return d.psel[t] > d.pselMax/2
+	return bimodal && d.rng.IntN(d.epsilonDen) != 0
+}
+
+// TADIP is the thread-aware dynamic insertion policy [Jaleel+, PACT'08;
+// Qureshi+, ISCA'07]: each thread duels LRU insertion against bimodal
+// insertion (BIP) on a few leader sets and follows the winner elsewhere.
+type TADIP struct {
+	duel
+	*lruState
 }
 
 // Insert implements Policy: MRU insertion under LRU, LRU insertion with
 // 1/epsilon MRU promotion under BIP.
 func (d *TADIP) Insert(set, way, thread int) {
-	if d.useBIP(set, thread) && d.rng.IntN(d.epsilonDen) != 0 {
-		d.s.demote(set, way)
+	if d.bimodalDemotes(set, thread) {
+		d.demote(set, way)
 		return
 	}
-	d.s.touch(set, way)
+	d.Touch(set, way)
 }
 
-// Victim implements Policy.
-func (d *TADIP) Victim(set int) int { return d.s.victim(set) }
-
-// rripState holds per-block re-reference prediction values.
+// rripState holds DRRIP's per-block re-reference prediction values.
 type rripState struct {
 	ways int
 	rrpv []uint8
@@ -231,7 +224,12 @@ func newRRIPState(sets, ways int, bits int) *rripState {
 	return r
 }
 
-func (r *rripState) victim(set int) int {
+// Touch implements Policy: promote to near-immediate re-reference.
+func (r *rripState) Touch(set, way int) { r.rrpv[set*r.ways+way] = 0 }
+
+// Victim implements Policy: the first way at the maximum RRPV, aging
+// the set until one is.
+func (r *rripState) Victim(set int) int {
 	base := set * r.ways
 	for {
 		for w := 0; w < r.ways; w++ {
@@ -245,138 +243,20 @@ func (r *rripState) victim(set int) int {
 	}
 }
 
-// DRRIP is thread-aware dynamic RRIP [Jaleel+, ISCA'10]: SRRIP duels
-// against BRRIP per thread with the same set-dueling machinery as TA-DIP.
+// DRRIP is thread-aware dynamic RRIP with 2-bit RRPVs [Jaleel+,
+// ISCA'10]: SRRIP duels against BRRIP per thread with the same
+// set-dueling core as TA-DIP.
 type DRRIP struct {
-	r          *rripState
-	period     int
-	psel       []int
-	pselMax    int
-	epsilonDen int
-	pcg        rand.PCG   // rng's source, held by value
-	rng        *rand.Rand // draws from pcg
-}
-
-// NewDRRIP returns a DRRIP policy with 2-bit RRPVs.
-func NewDRRIP(c TADIPConfig) *DRRIP {
-	if c.Threads < 1 {
-		c.Threads = 1
-	}
-	if c.DuelingSets < 1 {
-		c.DuelingSets = 32
-	}
-	if c.PSELBits < 1 {
-		c.PSELBits = 10
-	}
-	if c.EpsilonDen < 1 {
-		c.EpsilonDen = 32
-	}
-	period := c.Sets / c.DuelingSets
-	if period < 2 {
-		period = 2
-	}
-	max := 1<<c.PSELBits - 1
-	psel := make([]int, c.Threads)
-	for i := range psel {
-		psel[i] = max / 2
-	}
-	d := &DRRIP{
-		r:          newRRIPState(c.Sets, c.Ways, 2),
-		period:     period,
-		psel:       psel,
-		pselMax:    max,
-		epsilonDen: c.EpsilonDen,
-	}
-	simrand.Seed(&d.pcg, c.Seed)
-	d.rng = rand.New(&d.pcg)
-	return d
-}
-
-func (d *DRRIP) leaderKind(set, thread int) int {
-	t := thread % len(d.psel)
-	switch (set + 2*t) % d.period {
-	case 0:
-		return 1 // SRRIP leader
-	case d.period / 2:
-		return -1 // BRRIP leader
-	}
-	return 0
-}
-
-// Touch implements Policy: promote to near-immediate re-reference.
-func (d *DRRIP) Touch(set, way int) { d.r.rrpv[set*d.r.ways+way] = 0 }
-
-// OnMiss implements Policy.
-func (d *DRRIP) OnMiss(set, thread int) {
-	t := thread % len(d.psel)
-	switch d.leaderKind(set, thread) {
-	case 1:
-		if d.psel[t] < d.pselMax {
-			d.psel[t]++
-		}
-	case -1:
-		if d.psel[t] > 0 {
-			d.psel[t]--
-		}
-	}
+	duel
+	*rripState
 }
 
 // Insert implements Policy: SRRIP inserts at max-1; BRRIP inserts at max
 // with a 1/epsilon chance of max-1.
 func (d *DRRIP) Insert(set, way, thread int) {
-	useBRRIP := false
-	switch d.leaderKind(set, thread) {
-	case 1:
-		useBRRIP = false
-	case -1:
-		useBRRIP = true
-	default:
-		t := thread % len(d.psel)
-		useBRRIP = d.psel[t] > d.pselMax/2
+	v := d.max - 1
+	if d.bimodalDemotes(set, thread) {
+		v = d.max
 	}
-	v := d.r.max - 1
-	if useBRRIP && d.rng.IntN(d.epsilonDen) != 0 {
-		v = d.r.max
-	}
-	d.r.rrpv[set*d.r.ways+way] = v
-}
-
-// Victim implements Policy.
-func (d *DRRIP) Victim(set int) int { return d.r.victim(set) }
-
-// Config bundles what caches need to construct a policy by kind.
-type Config struct {
-	Sets, Ways, Threads int
-	Seed                int64
-}
-
-// Kind names a policy for New.
-type Kind int
-
-const (
-	// KindLRU selects LRU.
-	KindLRU Kind = iota
-	// KindTADIP selects thread-aware DIP.
-	KindTADIP
-	// KindDRRIP selects thread-aware DRRIP.
-	KindDRRIP
-)
-
-// New constructs the named policy with paper-default dueling parameters.
-func New(k Kind, c Config) (Policy, error) {
-	switch k {
-	case KindLRU:
-		return NewLRU(c.Sets, c.Ways), nil
-	case KindTADIP:
-		return NewTADIP(TADIPConfig{
-			Sets: c.Sets, Ways: c.Ways, Threads: c.Threads,
-			DuelingSets: 32, PSELBits: 10, EpsilonDen: 64, Seed: c.Seed,
-		}), nil
-	case KindDRRIP:
-		return NewDRRIP(TADIPConfig{
-			Sets: c.Sets, Ways: c.Ways, Threads: c.Threads,
-			DuelingSets: 32, PSELBits: 10, EpsilonDen: 32, Seed: c.Seed,
-		}), nil
-	}
-	return nil, fmt.Errorf("replacement: unknown kind %d", int(k))
+	d.rrpv[set*d.ways+way] = v
 }

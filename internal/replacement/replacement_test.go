@@ -3,10 +3,34 @@ package replacement
 import (
 	"testing"
 	"testing/quick"
+
+	"dbisim/internal/config"
 )
 
+// mustNew builds a policy as the caches do, failing the test on error.
+func mustNew(t *testing.T, kind config.ReplacementKind, sets, ways, threads int, seed int64) Policy {
+	t.Helper()
+	p, err := New(kind, sets, ways, threads, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func newLRU(t *testing.T, sets, ways int) *LRU {
+	return mustNew(t, config.ReplLRU, sets, ways, 1, 0).(*LRU)
+}
+
+func newTADIP(t *testing.T, sets, ways, threads int, seed int64) *TADIP {
+	return mustNew(t, config.ReplTADIP, sets, ways, threads, seed).(*TADIP)
+}
+
+func newDRRIP(t *testing.T, sets, ways, threads int, seed int64) *DRRIP {
+	return mustNew(t, config.ReplDRRIP, sets, ways, threads, seed).(*DRRIP)
+}
+
 func TestLRUBasic(t *testing.T) {
-	p := NewLRU(4, 4)
+	p := newLRU(t, 4, 4)
 	// Fill ways 0..3 in order; way 0 is LRU.
 	for w := 0; w < 4; w++ {
 		p.Insert(1, w, 0)
@@ -23,7 +47,7 @@ func TestLRUBasic(t *testing.T) {
 }
 
 func TestLRUSetsIndependent(t *testing.T) {
-	p := NewLRU(2, 2)
+	p := newLRU(t, 2, 2)
 	p.Insert(0, 0, 0)
 	p.Insert(0, 1, 0)
 	p.Insert(1, 1, 0)
@@ -40,7 +64,7 @@ func TestLRUSetsIndependent(t *testing.T) {
 // touched/inserted way.
 func TestLRUMatchesReference(t *testing.T) {
 	const ways = 8
-	p := NewLRU(1, ways)
+	p := newLRU(t, 1, ways)
 	ref := make([]int, 0, ways) // recency list, LRU first
 	touch := func(w int) {
 		for i, v := range ref {
@@ -66,7 +90,7 @@ func TestLRUMatchesReference(t *testing.T) {
 }
 
 func TestTADIPLeaderSetsDisjoint(t *testing.T) {
-	d := NewTADIP(TADIPConfig{Sets: 2048, Ways: 16, Threads: 2, Seed: 1})
+	d := newTADIP(t, 2048, 16, 2, 1)
 	lru, bip := 0, 0
 	for s := 0; s < 2048; s++ {
 		switch d.leaderKind(s, 0) {
@@ -92,7 +116,7 @@ func TestTADIPLeaderSetsDisjoint(t *testing.T) {
 }
 
 func TestTADIPPSELMovement(t *testing.T) {
-	d := NewTADIP(TADIPConfig{Sets: 256, Ways: 4, Threads: 1, DuelingSets: 32, Seed: 1})
+	d := newTADIP(t, 256, 4, 1, 1)
 	start := d.psel[0]
 	// Misses in LRU leader sets push PSEL up (toward BIP).
 	for s := 0; s < 256; s++ {
@@ -119,7 +143,7 @@ func TestTADIPPSELMovement(t *testing.T) {
 }
 
 func TestTADIPPSELSaturates(t *testing.T) {
-	d := NewTADIP(TADIPConfig{Sets: 64, Ways: 4, Threads: 1, DuelingSets: 32, PSELBits: 4, Seed: 1})
+	d := newTADIP(t, 64, 4, 1, 1)
 	var lruLeader, bipLeader int = -1, -1
 	for s := 0; s < 256; s++ {
 		switch d.leaderKind(s, 0) {
@@ -129,13 +153,14 @@ func TestTADIPPSELSaturates(t *testing.T) {
 			bipLeader = s
 		}
 	}
-	for i := 0; i < 1000; i++ {
+	// The 10-bit selector starts at 511 and saturates at 1023.
+	for i := 0; i < 2000; i++ {
 		d.OnMiss(lruLeader, 0)
 	}
-	if d.psel[0] != 15 {
-		t.Fatalf("PSEL = %d, want saturation at 15", d.psel[0])
+	if d.psel[0] != 1023 {
+		t.Fatalf("PSEL = %d, want saturation at 1023", d.psel[0])
 	}
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 2000; i++ {
 		d.OnMiss(bipLeader, 0)
 	}
 	if d.psel[0] != 0 {
@@ -146,7 +171,7 @@ func TestTADIPPSELSaturates(t *testing.T) {
 func TestTADIPBIPInsertsAtLRU(t *testing.T) {
 	// With PSEL saturated high, follower sets use BIP: inserted blocks
 	// mostly stay the next victim.
-	d := NewTADIP(TADIPConfig{Sets: 256, Ways: 4, Threads: 1, DuelingSets: 32, Seed: 1})
+	d := newTADIP(t, 256, 4, 1, 1)
 	for s := 0; s < 256; s++ {
 		if d.leaderKind(s, 0) == 1 {
 			for i := 0; i < 2000; i++ {
@@ -180,7 +205,7 @@ func TestTADIPBIPInsertsAtLRU(t *testing.T) {
 }
 
 func TestTADIPLRUModeInsertsAtMRU(t *testing.T) {
-	d := NewTADIP(TADIPConfig{Sets: 256, Ways: 4, Threads: 1, DuelingSets: 32, Seed: 1})
+	d := newTADIP(t, 256, 4, 1, 1)
 	// PSEL starts at midpoint; drive it low so followers use LRU insertion.
 	for s := 0; s < 256; s++ {
 		if d.leaderKind(s, 0) == -1 {
@@ -207,7 +232,7 @@ func TestTADIPLRUModeInsertsAtMRU(t *testing.T) {
 }
 
 func TestDRRIPVictimPrefersMaxRRPV(t *testing.T) {
-	d := NewDRRIP(TADIPConfig{Sets: 16, Ways: 4, Threads: 1, Seed: 1})
+	d := newDRRIP(t, 16, 4, 1, 1)
 	// All RRPVs start at max: way 0 is the first victim.
 	if v := d.Victim(0); v != 0 {
 		t.Fatalf("initial victim = %d, want 0", v)
@@ -220,7 +245,7 @@ func TestDRRIPVictimPrefersMaxRRPV(t *testing.T) {
 }
 
 func TestDRRIPAging(t *testing.T) {
-	d := NewDRRIP(TADIPConfig{Sets: 1, Ways: 2, Threads: 1, Seed: 1})
+	d := newDRRIP(t, 1, 2, 1, 1)
 	d.Touch(0, 0)
 	d.Touch(0, 1)
 	// No way has max RRPV; victim search must age and terminate.
@@ -231,7 +256,7 @@ func TestDRRIPAging(t *testing.T) {
 }
 
 func TestDRRIPPSEL(t *testing.T) {
-	d := NewDRRIP(TADIPConfig{Sets: 64, Ways: 4, Threads: 1, DuelingSets: 32, Seed: 1})
+	d := newDRRIP(t, 64, 4, 1, 1)
 	srrip, brrip := -1, -1
 	for s := 0; s < 256; s++ {
 		switch d.leaderKind(s, 0) {
@@ -257,16 +282,16 @@ func TestDRRIPPSEL(t *testing.T) {
 }
 
 func TestNewByKind(t *testing.T) {
-	for _, k := range []Kind{KindLRU, KindTADIP, KindDRRIP} {
-		p, err := New(k, Config{Sets: 64, Ways: 8, Threads: 2, Seed: 1})
+	for _, k := range []config.ReplacementKind{config.ReplLRU, config.ReplTADIP, config.ReplDRRIP} {
+		p, err := New(k, 64, 8, 2, 1)
 		if err != nil {
-			t.Fatalf("New(%d): %v", k, err)
+			t.Fatalf("New(%v): %v", k, err)
 		}
 		if p == nil {
-			t.Fatalf("New(%d) returned nil", k)
+			t.Fatalf("New(%v) returned nil", k)
 		}
 	}
-	if _, err := New(Kind(99), Config{Sets: 4, Ways: 2}); err == nil {
+	if _, err := New(config.ReplacementKind(99), 4, 2, 1, 0); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
@@ -274,13 +299,9 @@ func TestNewByKind(t *testing.T) {
 // Property: Victim always returns a legal way index, for every policy.
 func TestQuickVictimInRange(t *testing.T) {
 	mk := []func() Policy{
-		func() Policy { return NewLRU(16, 8) },
-		func() Policy {
-			return NewTADIP(TADIPConfig{Sets: 16, Ways: 8, Threads: 2, DuelingSets: 4, Seed: 3})
-		},
-		func() Policy {
-			return NewDRRIP(TADIPConfig{Sets: 16, Ways: 8, Threads: 2, DuelingSets: 4, Seed: 3})
-		},
+		func() Policy { return newLRU(t, 16, 8) },
+		func() Policy { return newTADIP(t, 16, 8, 2, 3) },
+		func() Policy { return newDRRIP(t, 16, 8, 2, 3) },
 	}
 	for _, make := range mk {
 		p := make()

@@ -11,12 +11,12 @@ import (
 	"dbisim/internal/sweep"
 )
 
-// TestForkedGoldenReplay replays the whole golden grid through a single
-// Pool, each cell twice in a row, and asserts every Results — run or
-// reused — equals the pinned golden values. The first run of a cell
-// builds a machine; its repeat is reused, so the grid's 11 cells reuse
-// exactly 11 results.
-func TestForkedGoldenReplay(t *testing.T) {
+// TestGoldenReplayReusesRepeats replays the whole golden grid through
+// a single Pool, each cell twice in a row, and asserts every Results —
+// run or reused — equals the pinned golden values. The first run of a
+// cell builds a machine; its repeat is reused, so the grid's 11 cells
+// reuse exactly 11 results.
+func TestGoldenReplayReusesRepeats(t *testing.T) {
 	cells := loadGoldenCells(t)
 	var pool Pool
 	before := PoolStat.Snapshot()
@@ -130,12 +130,12 @@ func TestReusedResultsArePrivate(t *testing.T) {
 	}
 }
 
-// TestForkedParallelSweep runs an identity-grouped grid with repeated
-// cells through sweep.RunState on one and four workers with Pool states
-// and requires bit-identical outcome sets, every cell equal to a fresh
-// machine's Run; under -race it also proves the workers' pools share no
-// mutable state.
-func TestForkedParallelSweep(t *testing.T) {
+// TestReusedSweepParallelMatchesSequential runs an identity-grouped
+// grid with repeated cells through sweep.RunState on one and four
+// workers with Pool states and requires bit-identical outcome sets,
+// every cell equal to a fresh machine's Run; under -race it also proves
+// the workers' pools share no mutable state.
+func TestReusedSweepParallelMatchesSequential(t *testing.T) {
 	type run struct {
 		cfg  config.SystemConfig
 		seed int64

@@ -149,12 +149,12 @@ func TestTimeSeriesCoversRun(t *testing.T) {
 	}
 }
 
-// TestForkPoolMatchesTelemetryRun closes the loop between the sweep
+// TestReusedCellMatchesTelemetryRun closes the loop between the sweep
 // pool and the telemetry contract: a cell run through a Pool, and its
 // repeat answered from the remembered result, must both be
 // bit-identical to a fresh monolithic run with telemetry attached —
 // i.e. the two "observation must not perturb" invariants compose.
-func TestForkPoolMatchesTelemetryRun(t *testing.T) {
+func TestReusedCellMatchesTelemetryRun(t *testing.T) {
 	cfg, benches := telemetryCfg()
 	fresh, err := New(cfg, benches, 42,
 		WithTracer(telemetry.NewTracer(1<<16)), WithTimeSeries(10_000))
