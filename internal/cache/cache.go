@@ -22,31 +22,26 @@ import (
 
 // Block is one tag-store entry as seen by callers (a value snapshot).
 type Block struct {
-	Valid  bool
-	Addr   addr.BlockAddr // full block address (tag + index)
-	Dirty  bool           // unused when a DBI owns dirty state
-	Thread int            // inserting thread (for TA-DIP and stats)
+	Valid bool
+	Addr  addr.BlockAddr // full block address (tag + index)
+	Dirty bool           // unused when a DBI owns dirty state
 }
 
 // Stats counts tag-store activity. TagLookups is the quantity Figure 6c
-// reports per kilo-instruction.
+// reports per kilo-instruction. The owning levels count their own hits
+// and misses.
 type Stats struct {
 	TagLookups stats.Counter // every tag-store access, demand or filler
-	Hits       stats.Counter
-	Misses     stats.Counter
-	Inserts    stats.Counter
-	Evictions  stats.Counter
-	DirtyEvict stats.Counter
 }
 
 // Cache is the structural model.
 //
 // The tag store is struct-of-arrays: instead of a slab of
-// entry{addr, dirty, thread} records, each field lives in its own dense
-// column indexed by set*ways+way. The probe loop touches only the hot
-// column of block addresses, so a 16-way set's probe plane is 128
-// contiguous bytes (two cache lines) instead of 16 records dragging the
-// cold dirty/thread bytes through the scan. Validity lives in that
+// entry{addr, dirty} records, each field lives in its own dense column
+// indexed by set*ways+way. The probe loop touches only the hot column
+// of block addresses, so a 16-way set's probe plane is 128 contiguous
+// bytes (two cache lines) instead of 16 records dragging the cold dirty
+// bytes through the scan. Validity lives in that
 // column too: an empty slot holds the address empty, which no block
 // can have, so the tag compare alone decides a hit.
 type Cache struct {
@@ -56,11 +51,8 @@ type Cache struct {
 
 	// Hot probe plane: one block address per slot (empty when invalid).
 	addrs []uint64
-	// Cold payload columns, touched only on hits and state changes.
-	// A thread is a core index, so a byte holds it (New enforces the
-	// bound).
-	dirty   []uint8
-	threads []uint8
+	// Cold payload column, touched only on hits and state changes.
+	dirty []uint8
 
 	policy replacement.Policy
 
@@ -73,18 +65,11 @@ type Cache struct {
 // offset, so none reaches it.
 const empty = ^uint64(0)
 
-// maxThreads is the most threads a cache tracks: one byte per slot.
-const maxThreads = 1 << 8
-
 // New builds a cache from validated parameters. threads sizes the
-// thread-aware policies (at most maxThreads); seed fixes their random
-// components.
+// thread-aware policies; seed fixes their random components.
 func New(p config.CacheParams, threads int, seed int64) (*Cache, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if threads > maxThreads {
-		return nil, fmt.Errorf("cache: %d threads exceed the %d a thread byte holds", threads, maxThreads)
 	}
 	pol, err := replacement.New(p.Replacement, p.Sets(), p.Ways, threads, seed)
 	if err != nil {
@@ -92,13 +77,12 @@ func New(p config.CacheParams, threads int, seed int64) (*Cache, error) {
 	}
 	n := p.Sets() * p.Ways
 	c := &Cache{
-		params:  p,
-		sets:    p.Sets(),
-		ways:    p.Ways,
-		addrs:   make([]uint64, n),
-		dirty:   make([]uint8, n),
-		threads: make([]uint8, n),
-		policy:  pol,
+		params: p,
+		sets:   p.Sets(),
+		ways:   p.Ways,
+		addrs:  make([]uint64, n),
+		dirty:  make([]uint8, n),
+		policy: pol,
 	}
 	for i := range c.addrs {
 		c.addrs[i] = empty
@@ -134,12 +118,7 @@ func (c *Cache) BlockAt(set, way int) Block {
 	if !c.validAt(i) {
 		return Block{}
 	}
-	return Block{
-		Valid:  true,
-		Addr:   addr.BlockAddr(c.addrs[i]),
-		Dirty:  c.dirty[i] != 0,
-		Thread: int(c.threads[i]),
-	}
+	return Block{Valid: true, Addr: addr.BlockAddr(c.addrs[i]), Dirty: c.dirty[i] != 0}
 }
 
 // b2u is the branch-free bool→uint64 the probe loops accumulate with;
@@ -196,11 +175,9 @@ func (c *Cache) Access(b addr.BlockAddr, thread int) (hit bool) {
 	set := c.SetOf(b)
 	if way, ok := c.find(b); ok {
 		c.policy.Touch(set, way)
-		c.Stats.Hits.Inc()
 		return true
 	}
 	c.policy.OnMiss(set, thread)
-	c.Stats.Misses.Inc()
 	return false
 }
 
@@ -227,17 +204,11 @@ func (c *Cache) Insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) 
 	if way < 0 {
 		way = c.policy.Victim(set)
 		victim = c.BlockAt(set, way)
-		c.Stats.Evictions.Inc()
-		if victim.Dirty {
-			c.Stats.DirtyEvict.Inc()
-		}
 	}
 	i := base + way
 	c.addrs[i] = uint64(b)
 	c.dirty[i] = b2u8(dirty)
-	c.threads[i] = uint8(thread)
 	c.policy.Insert(set, way, thread)
-	c.Stats.Inserts.Inc()
 	return victim
 }
 

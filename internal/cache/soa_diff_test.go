@@ -18,18 +18,15 @@ import (
 )
 
 type refCacheEntry struct {
-	valid  bool
-	addr   addr.BlockAddr
-	dirty  bool
-	thread int
+	valid bool
+	addr  addr.BlockAddr
+	dirty bool
 }
 
 type refCache struct {
 	sets, ways int
 	entries    []refCacheEntry
 	policy     replacement.Policy
-
-	hits, misses, inserts, evictions, dirtyEvict uint64
 }
 
 func newRefCache(t *testing.T, kind config.ReplacementKind, sets, ways, threads int, seed int64) *refCache {
@@ -65,11 +62,9 @@ func (c *refCache) access(b addr.BlockAddr, thread int) bool {
 	set := c.setOf(b)
 	if way, ok := c.find(b); ok {
 		c.policy.Touch(set, way)
-		c.hits++
 		return true
 	}
 	c.policy.OnMiss(set, thread)
-	c.misses++
 	return false
 }
 
@@ -78,7 +73,7 @@ func (c *refCache) blockAt(set, way int) Block {
 	if !e.valid {
 		return Block{}
 	}
-	return Block{Valid: true, Addr: e.addr, Dirty: e.dirty, Thread: e.thread}
+	return Block{Valid: true, Addr: e.addr, Dirty: e.dirty}
 }
 
 func (c *refCache) insert(b addr.BlockAddr, thread int, dirty bool) (victim Block) {
@@ -100,14 +95,9 @@ func (c *refCache) insert(b addr.BlockAddr, thread int, dirty bool) (victim Bloc
 	if way < 0 {
 		way = c.policy.Victim(set)
 		victim = c.blockAt(set, way)
-		c.evictions++
-		if victim.Dirty {
-			c.dirtyEvict++
-		}
 	}
-	c.entries[base+way] = refCacheEntry{valid: true, addr: b, dirty: dirty, thread: thread}
+	c.entries[base+way] = refCacheEntry{valid: true, addr: b, dirty: dirty}
 	c.policy.Insert(set, way, thread)
-	c.inserts++
 	return victim
 }
 
@@ -206,21 +196,6 @@ func TestCacheDifferentialSoAvsAoS(t *testing.T) {
 						t.Fatalf("slot (%d,%d) = %+v, ref %+v", set, way, got, want)
 					}
 				}
-			}
-			if got, want := c.Stats.Hits.Value(), ref.hits; got != want {
-				t.Fatalf("Hits = %d, ref %d", got, want)
-			}
-			if got, want := c.Stats.Misses.Value(), ref.misses; got != want {
-				t.Fatalf("Misses = %d, ref %d", got, want)
-			}
-			if got, want := c.Stats.Inserts.Value(), ref.inserts; got != want {
-				t.Fatalf("Inserts = %d, ref %d", got, want)
-			}
-			if got, want := c.Stats.Evictions.Value(), ref.evictions; got != want {
-				t.Fatalf("Evictions = %d, ref %d", got, want)
-			}
-			if got, want := c.Stats.DirtyEvict.Value(), ref.dirtyEvict; got != want {
-				t.Fatalf("DirtyEvict = %d, ref %d", got, want)
 			}
 		})
 	}

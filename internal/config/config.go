@@ -224,6 +224,8 @@ func (d DBIParams) Validate() error {
 		return fmt.Errorf("config: DBI granularity %d not a power of two", d.Granularity)
 	case d.Associativity <= 0:
 		return fmt.Errorf("config: DBI associativity %d", d.Associativity)
+	case d.Replacement < DBILRW || d.Replacement > DBIMinDirty:
+		return fmt.Errorf("config: unknown DBI replacement policy %d", int(d.Replacement))
 	case d.BIPEpsilonDen < 1:
 		return fmt.Errorf("config: DBI BIP epsilon 1/%d", d.BIPEpsilonDen)
 	}

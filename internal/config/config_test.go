@@ -104,6 +104,8 @@ func TestDBIEntries(t *testing.T) {
 		{AlphaNum: 1, AlphaDen: 4, Granularity: 48, Associativity: 16, BIPEpsilonDen: 64},
 		{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 0, BIPEpsilonDen: 64},
 		{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 16, BIPEpsilonDen: 0},
+		{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 16, BIPEpsilonDen: 64, Replacement: DBIMinDirty + 1},
+		{AlphaNum: 1, AlphaDen: 4, Granularity: 64, Associativity: 16, BIPEpsilonDen: 64, Replacement: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("invalid DBI params accepted: %+v", bad)

@@ -69,9 +69,9 @@ func (d *DBI) FlushRegionInto(b addr.BlockAddr, dst []addr.BlockAddr) []addr.Blo
 	if e < 0 {
 		return dst
 	}
+	n := len(dst)
 	dst = d.blocksOfInto(e, dst)
-	d.invalidate(e)
-	d.clearWords(e)
+	d.drop(e, len(dst)-n)
 	return dst
 }
 

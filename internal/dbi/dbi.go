@@ -96,6 +96,10 @@ type DBI struct {
 	// no per-entry slice headers, no pointer chase per probe.
 	words []uint64
 	wpe   int // words per entry: ceil(granularity/64)
+	// valid and dirty count the live entries and the set dirty bits.
+	// Every fill, set, clear and drop keeps them, so ValidEntries and
+	// DirtyCount scan nothing.
+	valid, dirty int
 
 	clock uint64
 	pcg   rand.PCG   // rng's source, held by value
@@ -206,13 +210,28 @@ func (d *DBI) setOf(r RegionID) int {
 // validAt reports whether entry e is live.
 func (d *DBI) validAt(e int) bool { return d.stamps[e] != 0 }
 
-// invalidate marks entry e empty (stamp 0, like a fresh slot).
-func (d *DBI) invalidate(e int) { d.stamps[e] = 0 }
+// drop empties entry e (stamp 0, like a fresh slot), whose n dirty
+// blocks the caller has harvested or cleared.
+func (d *DBI) drop(e, n int) {
+	d.stamps[e] = 0
+	d.clearWords(e)
+	d.valid--
+	d.dirty -= n
+}
 
 // bit vector accessors over the flat backing store.
 func (d *DBI) bit(e, i int) bool { return d.words[e*d.wpe+(i>>6)]&(1<<(i&63)) != 0 }
-func (d *DBI) setBit(e, i int)   { d.words[e*d.wpe+(i>>6)] |= 1 << (i & 63) }
 func (d *DBI) clearBit(e, i int) { d.words[e*d.wpe+(i>>6)] &^= 1 << (i & 63) }
+
+// setBit sets bit i of entry e and returns 1 if it was clear, 0 if it
+// was already set. It is branch-free: whether a write repeats a dirty
+// block follows the write stream, which no predictor learns.
+func (d *DBI) setBit(e, i int) int {
+	w := &d.words[e*d.wpe+(i>>6)]
+	old := *w
+	*w = old | 1<<(i&63)
+	return int(^old >> (i & 63) & 1)
+}
 func (d *DBI) clearWords(e int) {
 	w := d.words[e*d.wpe : (e+1)*d.wpe]
 	for i := range w {
@@ -280,7 +299,7 @@ func (d *DBI) SetDirtyInto(b addr.BlockAddr, scratch []addr.BlockAddr) (ev Evict
 	d.clock++
 	r := d.RegionOf(b)
 	if e := d.find(r); e >= 0 {
-		d.setBit(e, d.offsetOf(b))
+		d.dirty += d.setBit(e, d.offsetOf(b))
 		d.lastWrite[e] = d.clock
 		d.rwpv[e] = 0
 		return Eviction{}, false
@@ -295,7 +314,8 @@ func (d *DBI) SetDirtyInto(b addr.BlockAddr, scratch []addr.BlockAddr) (ev Evict
 	d.stamps[e] = 1
 	d.regions[e] = r
 	d.clearWords(e)
-	d.setBit(e, d.offsetOf(b))
+	d.dirty += d.setBit(e, d.offsetOf(b))
+	d.valid++
 	d.insertMetadata(e)
 	d.Stat.EntryInserts.Inc()
 	return ev, evicted
@@ -384,8 +404,7 @@ func (d *DBI) evict(e int, dst []addr.BlockAddr) Eviction {
 	d.Stat.Evictions.Inc()
 	d.Stat.EvictionBlocks.Add(uint64(len(ev.Blocks)))
 	d.Stat.DirtyAtEviction.Observe(len(ev.Blocks))
-	d.invalidate(e)
-	d.clearWords(e)
+	d.drop(e, len(ev.Blocks))
 	return ev
 }
 
@@ -425,8 +444,9 @@ func (d *DBI) ClearDirty(b addr.BlockAddr) bool {
 		return false
 	}
 	d.clearBit(e, off)
+	d.dirty--
 	if d.dirtyCountOf(e) == 0 {
-		d.invalidate(e)
+		d.drop(e, 0)
 	}
 	return true
 }
@@ -456,15 +476,7 @@ func (d *DBI) DirtyBlocksInRegionInto(b addr.BlockAddr, dst []addr.BlockAddr) []
 }
 
 // DirtyCount returns the total number of dirty blocks tracked.
-func (d *DBI) DirtyCount() int {
-	n := 0
-	for e := range d.stamps {
-		if d.validAt(e) {
-			n += d.dirtyCountOf(e)
-		}
-	}
-	return n
-}
+func (d *DBI) DirtyCount() int { return d.dirty }
 
 // RegisterMetrics adds the DBI's probes to a telemetry registry:
 // operation counters, occupancy gauges (entry-eviction pressure shows
@@ -483,12 +495,4 @@ func (d *DBI) RegisterMetrics(reg *telemetry.Registry) {
 }
 
 // ValidEntries returns the number of valid entries.
-func (d *DBI) ValidEntries() int {
-	n := 0
-	for e := range d.stamps {
-		if d.validAt(e) {
-			n++
-		}
-	}
-	return n
-}
+func (d *DBI) ValidEntries() int { return d.valid }

@@ -32,3 +32,26 @@ func (d *DBI) AllDirtyBlocks() []addr.BlockAddr {
 	}
 	return out
 }
+
+// scanValidEntries and scanDirtyCount count the live entries and the
+// dirty blocks by scanning the columns: the oracle for ValidEntries and
+// DirtyCount, which return running counts.
+func (d *DBI) scanValidEntries() int {
+	n := 0
+	for e := range d.stamps {
+		if d.validAt(e) {
+			n++
+		}
+	}
+	return n
+}
+
+func (d *DBI) scanDirtyCount() int {
+	n := 0
+	for e := range d.stamps {
+		if d.validAt(e) {
+			n += d.dirtyCountOf(e)
+		}
+	}
+	return n
+}

@@ -224,6 +224,31 @@ func (r *refDBI) clearDirty(b addr.BlockAddr) bool {
 	return true
 }
 
+// flushRegion harvests and empties b's region's entry, as
+// FlushRegionInto does.
+func (r *refDBI) flushRegion(b addr.BlockAddr) []addr.BlockAddr {
+	e := r.find(r.regionOf(b))
+	if e == nil {
+		return nil
+	}
+	e.valid = false
+	return r.blocksOf(e)
+}
+
+// flush evicts every valid entry in index order, as Flush does.
+func (r *refDBI) flush() []Eviction {
+	var evs []Eviction
+	for i := range r.entries {
+		if e := &r.entries[i]; e.valid {
+			evs = append(evs, Eviction{Region: e.region, Blocks: r.blocksOf(e)})
+			e.valid = false
+			r.evictions++
+			r.evictionBlocks += uint64(len(evs[len(evs)-1].Blocks))
+		}
+	}
+	return evs
+}
+
 func (r *refDBI) dirtyCount() int {
 	n := 0
 	for i := range r.entries {
@@ -275,9 +300,21 @@ func TestDifferentialSoAvsAoS(t *testing.T) {
 			// ~4x the tracked capacity.
 			space := int64(4 * d.TrackedBlocks())
 			rng := rand.New(rand.NewSource(42))
-			for op := 0; op < 100000; op++ {
+			// The running counts must equal both the columns' scan and
+			// the reference's after every operation.
+			checkCounts := func(op int) {
+				t.Helper()
+				if got, scan, want := d.DirtyCount(), d.scanDirtyCount(), ref.dirtyCount(); got != want || scan != want {
+					t.Fatalf("op %d: DirtyCount = %d, scan %d, ref %d", op, got, scan, want)
+				}
+				if got, scan, want := d.ValidEntries(), d.scanValidEntries(), ref.validEntries(); got != want || scan != want {
+					t.Fatalf("op %d: ValidEntries = %d, scan %d, ref %d", op, got, scan, want)
+				}
+			}
+			const ops = 100000
+			for op := 0; op < ops; op++ {
 				b := addr.BlockAddr(rng.Int63n(space))
-				switch rng.Intn(10) {
+				switch rng.Intn(11) {
 				case 0, 1, 2, 3:
 					ev1, k1 := d.SetDirty(b)
 					ev2, k2 := ref.setDirty(b)
@@ -304,7 +341,13 @@ func TestDifferentialSoAvsAoS(t *testing.T) {
 					if !sameBlocks(got, want) {
 						t.Fatalf("op %d: DirtyBlocksInRegion(%#x) = %v, ref %v", op, uint64(b), got, want)
 					}
+				case 10:
+					got := d.FlushRegionInto(b, nil)
+					if want := ref.flushRegion(b); !sameBlocks(got, want) {
+						t.Fatalf("op %d: FlushRegionInto(%#x) = %v, ref %v", op, uint64(b), got, want)
+					}
 				}
+				checkCounts(op)
 			}
 			// Full structural state must agree: every (set, way) entry view.
 			for set := 0; set < d.sets; set++ {
@@ -320,12 +363,17 @@ func TestDifferentialSoAvsAoS(t *testing.T) {
 					}
 				}
 			}
-			if got, want := d.DirtyCount(), ref.dirtyCount(); got != want {
-				t.Fatalf("DirtyCount = %d, ref %d", got, want)
+			// A closing Flush empties both, eviction for eviction.
+			evs, refEvs := d.Flush(), ref.flush()
+			if len(evs) != len(refEvs) {
+				t.Fatalf("Flush: %d evictions, ref %d", len(evs), len(refEvs))
 			}
-			if got, want := d.ValidEntries(), ref.validEntries(); got != want {
-				t.Fatalf("ValidEntries = %d, ref %d", got, want)
+			for i := range evs {
+				if evs[i].Region != refEvs[i].Region || !sameBlocks(evs[i].Blocks, refEvs[i].Blocks) {
+					t.Fatalf("Flush eviction %d = %+v, ref %+v", i, evs[i], refEvs[i])
+				}
 			}
+			checkCounts(ops)
 			if got, want := d.Stat.EntryInserts.Value(), ref.inserts; got != want {
 				t.Fatalf("EntryInserts = %d, ref %d", got, want)
 			}

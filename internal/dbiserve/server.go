@@ -64,29 +64,10 @@ func New(tr dbi.Batcher, reg *telemetry.Registry) *Server {
 // Handler returns the full HTTP surface: /v1/* plus the ops plane.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/set", s.keysEndpoint(dbiproto.OpSet, func(keys []dbi.Key) any {
-		ev := s.tr.SetDirtyBatch(keys, nil)
-		s.setKeys.Add(uint64(len(keys)))
-		s.evictedKeys.Add(uint64(len(ev)))
-		return dbiproto.SetResponse{Evicted: toU64(ev)}
-	}))
-	mux.HandleFunc("/v1/dirty", s.keysEndpoint(dbiproto.OpIsDirty, func(keys []dbi.Key) any {
-		vs := s.tr.IsDirtyBatch(keys, nil)
-		if vs == nil {
-			vs = []bool{}
-		}
-		return dbiproto.DirtyResponse{Dirty: vs}
-	}))
-	mux.HandleFunc("/v1/region", s.keysEndpoint(dbiproto.OpRegion, func(keys []dbi.Key) any {
-		var out []dbi.Key
-		for _, k := range keys {
-			out = append(out, s.tr.DirtyBlocksInRegion(k)...)
-		}
-		return dbiproto.KeysResponse{Keys: toU64(out)}
-	}))
-	mux.HandleFunc("/v1/flush", s.keysEndpoint(dbiproto.OpFlush, func(keys []dbi.Key) any {
-		return dbiproto.KeysResponse{Keys: toU64(s.tr.FlushRowsInto(keys, nil))}
-	}))
+	mux.HandleFunc("/v1/set", s.keysEndpoint(dbiproto.OpSet))
+	mux.HandleFunc("/v1/dirty", s.keysEndpoint(dbiproto.OpIsDirty))
+	mux.HandleFunc("/v1/region", s.keysEndpoint(dbiproto.OpRegion))
+	mux.HandleFunc("/v1/flush", s.keysEndpoint(dbiproto.OpFlush))
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		s.jsonReqs.Add(1)
 		if r.Method != http.MethodGet {
@@ -123,10 +104,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// keysEndpoint adapts a batch operation to a POST handler taking a
-// KeysRequest; opcode names the operation's binary form, whose batch
-// limit it shares.
-func (s *Server) keysEndpoint(opcode byte, op func([]dbi.Key) any) http.HandlerFunc {
+// keysEndpoint serves the JSON form of a key-batch operation: a POST
+// taking a KeysRequest, refused as the binary form of op would be.
+func (s *Server) keysEndpoint(op byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.jsonReqs.Add(1)
 		if r.Method != http.MethodPost {
@@ -144,7 +124,7 @@ func (s *Server) keysEndpoint(opcode byte, op func([]dbi.Key) any) http.HandlerF
 			s.writeErr(w, status, code, err.Error())
 			return
 		}
-		if se := s.checkBatch(opcode, len(req.Keys)); se != nil {
+		if se := s.checkBatch(op, len(req.Keys)); se != nil {
 			s.writeErr(w, http.StatusRequestEntityTooLarge, se.Code, se.Message)
 			return
 		}
@@ -152,8 +132,40 @@ func (s *Server) keysEndpoint(opcode byte, op func([]dbi.Key) any) http.HandlerF
 		for i, k := range req.Keys {
 			keys[i] = dbi.Key(k)
 		}
-		writeJSON(w, op(keys))
+		out, dirty := s.apply(op, keys, nil, nil)
+		switch op {
+		case dbiproto.OpSet:
+			writeJSON(w, dbiproto.SetResponse{Evicted: toU64(out)})
+		case dbiproto.OpIsDirty:
+			// Never nil, so JSON renders [] rather than null.
+			writeJSON(w, dbiproto.DirtyResponse{Dirty: append([]bool{}, dirty...)})
+		default:
+			writeJSON(w, dbiproto.KeysResponse{Keys: toU64(out)})
+		}
 	}
+}
+
+// apply runs one key-batch operation on the tracker for either
+// protocol. A set, region or flush appends its answer to out, an
+// IsDirty to dirty; both are returned. Set, IsDirty and flush each
+// make one Batcher call.
+func (s *Server) apply(op byte, keys []dbi.Key, out []dbi.Key, dirty []bool) ([]dbi.Key, []bool) {
+	switch op {
+	case dbiproto.OpSet:
+		n := len(out)
+		out = s.tr.SetDirtyBatch(keys, out)
+		s.setKeys.Add(uint64(len(keys)))
+		s.evictedKeys.Add(uint64(len(out) - n))
+	case dbiproto.OpIsDirty:
+		dirty = s.tr.IsDirtyBatch(keys, dirty)
+	case dbiproto.OpRegion:
+		for _, k := range keys {
+			out = append(out, s.tr.DirtyBlocksInRegion(k)...)
+		}
+	case dbiproto.OpFlush:
+		out = s.tr.FlushRowsInto(keys, out)
+	}
+	return out, dirty
 }
 
 // decodeOne decodes a request body that holds exactly one JSON value,
@@ -331,27 +343,14 @@ func (s *Server) keysOp(f dbiproto.Frame, st *connState) ([]byte, error) {
 	for _, k := range st.u64 {
 		st.keys = append(st.keys, dbi.Key(k))
 	}
+	st.out, st.bools = s.apply(f.Op, st.keys, st.out[:0], st.bools[:0])
 	p := append(st.resp[:0], dbiproto.StatusOK)
-	defer func() { st.resp = p[:0] }()
-	switch f.Op {
-	case dbiproto.OpSet:
-		st.out = s.tr.SetDirtyBatch(st.keys, st.out[:0])
-		s.setKeys.Add(uint64(len(st.keys)))
-		s.evictedKeys.Add(uint64(len(st.out)))
-		p = appendKeyBatch(p, st.out)
-	case dbiproto.OpIsDirty:
-		st.bools = s.tr.IsDirtyBatch(st.keys, st.bools[:0])
+	if f.Op == dbiproto.OpIsDirty {
 		p = dbiproto.AppendBools(p, st.bools)
-	case dbiproto.OpRegion:
-		st.out = st.out[:0]
-		for _, k := range st.keys {
-			st.out = append(st.out, s.tr.DirtyBlocksInRegion(k)...)
-		}
-		p = appendKeyBatch(p, st.out)
-	case dbiproto.OpFlush:
-		st.out = s.tr.FlushRowsInto(st.keys, st.out[:0])
+	} else {
 		p = appendKeyBatch(p, st.out)
 	}
+	st.resp = p[:0]
 	return p, nil
 }
 

@@ -43,18 +43,16 @@ type bankState struct {
 // Stats aggregates the DRAM-side statistics of Figure 6: read and write
 // row hit rates, plus the command counts the energy model consumes.
 type Stats struct {
-	Reads           stats.Counter
-	Writes          stats.Counter
-	ReadRowHits     stats.Counter
-	WriteRowHits    stats.Counter
-	RowClosed       stats.Counter // accesses to a precharged bank
-	RowConflicts    stats.Counter
-	Activates       stats.Counter
-	Precharges      stats.Counter
-	WriteBufHits    stats.Counter // reads served from the write buffer
-	DrainsStarted   stats.Counter
-	WriteBufOverflw stats.Counter // writes accepted beyond nominal capacity
-	ReadLatencySum  stats.Counter // summed cycles from enqueue to data
+	Reads          stats.Counter
+	Writes         stats.Counter
+	ReadRowHits    stats.Counter
+	WriteRowHits   stats.Counter
+	RowConflicts   stats.Counter
+	Activates      stats.Counter
+	Precharges     stats.Counter
+	WriteBufHits   stats.Counter // reads served from the write buffer
+	DrainsStarted  stats.Counter
+	ReadLatencySum stats.Counter // summed cycles from enqueue to data
 	// DrainBurst histograms how many writes each write-drain episode
 	// issued — the burst lengths AWB lengthens by handing the controller
 	// whole rows of writebacks at once.
@@ -85,7 +83,6 @@ type Controller struct {
 	banks      []bankState
 	readQ      []request
 	writeQ     []request
-	inflight   int
 	draining   bool
 	drainBurst int // writes issued by the in-progress drain episode
 	busFreeAt  event.Cycle
@@ -131,7 +128,6 @@ func (c *Controller) putTxn(t *txn) {
 // burstDone runs when the transaction's data burst completes on the bus.
 func (t *txn) burstDone() {
 	c := t.c
-	c.inflight--
 	if t.isWrite {
 		c.Stat.Writes.Inc()
 		c.putTxn(t)
@@ -207,9 +203,6 @@ func (c *Controller) Read(b addr.BlockAddr, done func()) {
 func (c *Controller) Write(b addr.BlockAddr) {
 	c.Attr.ChargeDomain(telemetry.DomDRAMBus, c.Geo.BlockSize)
 	row := c.Geo.RowOf(b)
-	if len(c.writeQ) >= c.Prm.WriteBufferEntries {
-		c.Stat.WriteBufOverflw.Inc()
-	}
 	c.writeQ = append(c.writeQ, request{
 		block: b, row: row, bank: c.Geo.BankOf(row),
 		enqueued: c.Eng.Now(),
@@ -341,7 +334,6 @@ func (c *Controller) issue(r request, isWrite bool) {
 		c.Trc.Complete("dram", name, telemetry.TIDBank(r.bank), uint64(prepStart), uint64(done), uint64(r.block))
 	}
 
-	c.inflight++
 	t := c.getTxn()
 	t.r, t.isWrite = r, isWrite
 	c.Eng.At(done, t.burstFn)
@@ -359,7 +351,6 @@ func (c *Controller) prepTime(bank *bankState, r request, isWrite bool) event.Cy
 		}
 		return 0
 	case !bank.open:
-		c.Stat.RowClosed.Inc()
 		c.Stat.Activates.Inc()
 		c.Attr.Charge(telemetry.ADRAMBankService, uint64(c.Prm.TRCD))
 		return event.Cycle(c.Prm.TRCD)

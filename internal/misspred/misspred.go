@@ -12,14 +12,7 @@ import (
 
 	"dbisim/internal/config"
 	"dbisim/internal/event"
-	"dbisim/internal/stats"
 )
-
-// Stats counts predictor activity.
-type Stats struct {
-	Predictions stats.Counter // PredictMiss calls that returned true
-	Epochs      stats.Counter
-}
 
 type threadState struct {
 	sampledHits   uint64
@@ -30,12 +23,9 @@ type threadState struct {
 // Predictor is a per-thread epoch-based miss-rate monitor.
 type Predictor struct {
 	prm        config.MissPredictorParams
-	sets       int
 	samplePer  int // one sampled set every samplePer sets
 	epochStart event.Cycle
 	threads    []threadState
-
-	Stat Stats
 }
 
 // New builds a predictor for an LLC with the given set count.
@@ -58,7 +48,6 @@ func New(prm config.MissPredictorParams, llcSets, threads int) (*Predictor, erro
 	}
 	return &Predictor{
 		prm:       prm,
-		sets:      llcSets,
 		samplePer: per,
 		threads:   make([]threadState, threads),
 	}, nil
@@ -75,11 +64,7 @@ func (p *Predictor) PredictMiss(thread, set int, now event.Cycle) bool {
 	if p.Sampled(set) {
 		return false
 	}
-	if p.threads[thread%len(p.threads)].bypass {
-		p.Stat.Predictions.Inc()
-		return true
-	}
-	return false
+	return p.threads[thread%len(p.threads)].bypass
 }
 
 // Observe records the outcome of a lookup in a sampled set.
@@ -102,7 +87,6 @@ func (p *Predictor) roll(now event.Cycle) {
 		return
 	}
 	p.epochStart = now
-	p.Stat.Epochs.Inc()
 	for i := range p.threads {
 		t := &p.threads[i]
 		total := t.sampledHits + t.sampledMisses

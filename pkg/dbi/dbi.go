@@ -38,37 +38,22 @@ type Key uint64
 type Row uint64
 
 // Replacement selects the row-entry replacement policy (the paper's
-// Section 4.3 DBI policies).
+// Section 4.3 DBI policies). Its values are config.DBIReplacement's, so
+// a tracker hands its policy to each core unchanged.
 type Replacement int
 
 const (
 	// LRW evicts the least recently written row.
-	LRW Replacement = iota
+	LRW = Replacement(config.DBILRW)
 	// LRWBIP is LRW with bimodal insertion (burst-resistant).
-	LRWBIP
+	LRWBIP = Replacement(config.DBILRWBIP)
 	// RWIP is rewrite-interval prediction (RRIP-like).
-	RWIP
+	RWIP = Replacement(config.DBIRWIP)
 	// MaxDirty evicts the row with the most dirty keys.
-	MaxDirty
+	MaxDirty = Replacement(config.DBIMaxDirty)
 	// MinDirty evicts the row with the fewest dirty keys.
-	MinDirty
+	MinDirty = Replacement(config.DBIMinDirty)
 )
-
-func (r Replacement) core() (config.DBIReplacement, error) {
-	switch r {
-	case LRW:
-		return config.DBILRW, nil
-	case LRWBIP:
-		return config.DBILRWBIP, nil
-	case RWIP:
-		return config.DBIRWIP, nil
-	case MaxDirty:
-		return config.DBIMaxDirty, nil
-	case MinDirty:
-		return config.DBIMinDirty, nil
-	}
-	return 0, fmt.Errorf("dbi: unknown replacement policy %d", int(r))
-}
 
 // ParseReplacement maps a policy name ("lrw", "lrw-bip", "rwip",
 // "max-dirty", "min-dirty") to its Replacement, for CLI flags.

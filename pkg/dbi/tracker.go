@@ -10,9 +10,8 @@ import (
 )
 
 // Batcher extends Tracker with the batch forms the wire protocols are
-// built on: one lock round per shard per batch instead of one per key,
-// results appended into caller-owned buffers so a pipelined server
-// allocates nothing per request.
+// built on: one call per batch, results appended into caller-owned
+// buffers so a pipelined server allocates nothing per request.
 type Batcher interface {
 	Tracker
 	// SetDirtyBatch marks every key dirty in order, appending all
@@ -49,47 +48,37 @@ type shard struct {
 	_           [32]byte
 }
 
-func (s *shard) setDirty(b addr.BlockAddr, dst []Key) []Key {
-	s.mu.Lock()
+// The shard ops below run with s.mu held: the single-key methods take
+// the lock around one call, the batch methods around many.
+
+// set marks b dirty, appending the keys its insert evicts to dst.
+func (s *shard) set(b addr.BlockAddr, dst []Key) []Key {
 	ev, evicted := s.d.SetDirtyInto(b, s.scratch)
-	if evicted {
-		s.scratch = ev.Blocks[:0]
-		for _, blk := range ev.Blocks {
-			dst = append(dst, Key(blk))
-		}
+	if !evicted {
+		return dst
 	}
-	s.mu.Unlock()
-	return dst
+	s.scratch = ev.Blocks[:0]
+	return appendKeys(dst, ev.Blocks)
 }
 
-func (s *shard) isDirty(b addr.BlockAddr) bool {
-	s.mu.Lock()
-	v := s.d.IsDirty(b)
-	s.mu.Unlock()
-	return v
-}
-
+// region appends b's row's dirty keys to dst.
 func (s *shard) region(b addr.BlockAddr, dst []Key) []Key {
-	s.mu.Lock()
-	blocks := s.d.DirtyBlocksInRegionInto(b, s.scratch[:0])
-	s.scratch = blocks
-	for _, blk := range blocks {
-		dst = append(dst, Key(blk))
-	}
-	s.mu.Unlock()
-	return dst
+	s.scratch = s.d.DirtyBlocksInRegionInto(b, s.scratch[:0])
+	return appendKeys(dst, s.scratch)
 }
 
-func (s *shard) flushRow(b addr.BlockAddr, dst []Key) []Key {
-	s.mu.Lock()
-	blocks := s.d.FlushRegionInto(b, s.scratch[:0])
-	s.scratch = blocks
+// flush harvests and clears b's row, appending its dirty keys to dst.
+func (s *shard) flush(b addr.BlockAddr, dst []Key) []Key {
+	s.scratch = s.d.FlushRegionInto(b, s.scratch[:0])
 	s.flushes++
-	s.flushedKeys += uint64(len(blocks))
+	s.flushedKeys += uint64(len(s.scratch))
+	return appendKeys(dst, s.scratch)
+}
+
+func appendKeys(dst []Key, blocks []addr.BlockAddr) []Key {
 	for _, blk := range blocks {
 		dst = append(dst, Key(blk))
 	}
-	s.mu.Unlock()
 	return dst
 }
 
@@ -110,10 +99,6 @@ func (s *shard) addStats(st *Stats) {
 
 // build constructs one shard's core sized for rows entries.
 func (c cfg) build(rows int, seed int64) (*coredbi.DBI, error) {
-	repl, err := c.repl.core()
-	if err != nil {
-		return nil, err
-	}
 	geo, err := addr.NewGeometry(1, uint64(c.rowSize), 1)
 	if err != nil {
 		return nil, fmt.Errorf("dbi: row size %d: %w", c.rowSize, err)
@@ -122,7 +107,7 @@ func (c cfg) build(rows int, seed int64) (*coredbi.DBI, error) {
 	prm.AlphaNum, prm.AlphaDen = 1, 1
 	prm.Granularity = c.rowSize
 	prm.Associativity = c.assoc
-	prm.Replacement = repl
+	prm.Replacement = config.DBIReplacement(c.repl)
 	return coredbi.New(
 		coredbi.WithGeometry(geo),
 		coredbi.WithParams(prm),
@@ -214,37 +199,53 @@ func (t *Sharded) RowOf(k Key) Row { return t.g.rowOf(k) }
 // RowSize returns keys per row.
 func (t *Sharded) RowSize() int { return t.g.rowSize }
 
-func (t *Sharded) shardFor(k Key) *shard { return &t.shards[t.ShardOf(k)] }
+// lock locks k's shard and returns it; the caller unlocks it.
+func (t *Sharded) lock(k Key) *shard {
+	s := &t.shards[t.ShardOf(k)]
+	s.mu.Lock()
+	return s
+}
 
 // SetDirty implements Tracker.
-func (t *Sharded) SetDirty(k Key) []Key { return t.shardFor(k).setDirty(addr.BlockAddr(k), nil) }
+func (t *Sharded) SetDirty(k Key) []Key {
+	s := t.lock(k)
+	ev := s.set(addr.BlockAddr(k), nil)
+	s.mu.Unlock()
+	return ev
+}
 
 // IsDirty implements Tracker.
-func (t *Sharded) IsDirty(k Key) bool { return t.shardFor(k).isDirty(addr.BlockAddr(k)) }
+func (t *Sharded) IsDirty(k Key) bool {
+	s := t.lock(k)
+	v := s.d.IsDirty(addr.BlockAddr(k))
+	s.mu.Unlock()
+	return v
+}
 
 // DirtyBlocksInRegion implements Tracker.
 func (t *Sharded) DirtyBlocksInRegion(k Key) []Key {
-	return t.shardFor(k).region(addr.BlockAddr(k), nil)
+	s := t.lock(k)
+	ks := s.region(addr.BlockAddr(k), nil)
+	s.mu.Unlock()
+	return ks
 }
 
 // FlushRow implements Tracker.
-func (t *Sharded) FlushRow(k Key) []Key { return t.shardFor(k).flushRow(addr.BlockAddr(k), nil) }
+func (t *Sharded) FlushRow(k Key) []Key {
+	s := t.lock(k)
+	ks := s.flush(addr.BlockAddr(k), nil)
+	s.mu.Unlock()
+	return ks
+}
 
-// SetDirtyBatch implements Batcher. Keys are applied in order within
-// each shard; cross-shard order inside one batch is unspecified (the
+// SetDirtyBatch implements Batcher with one pass, and one lock, per
+// shard that the batch touches. Keys are applied in order within each
+// shard; cross-shard order inside one batch is unspecified (the
 // answers — which keys each shard evicts — depend only on the
 // per-shard subsequence, so results are deterministic for a given
-// batch).
+// batch). With one shard, ShardOf is always 0 and the loop makes one
+// pass.
 func (t *Sharded) SetDirtyBatch(keys []Key, dst []Key) []Key {
-	if len(t.shards) == 1 {
-		s := &t.shards[0]
-		s.mu.Lock()
-		for _, k := range keys {
-			dst = t.lockedSet(s, addr.BlockAddr(k), dst)
-		}
-		s.mu.Unlock()
-		return dst
-	}
 	for si := range t.shards {
 		s := &t.shards[si]
 		locked := false
@@ -256,7 +257,7 @@ func (t *Sharded) SetDirtyBatch(keys []Key, dst []Key) []Key {
 				s.mu.Lock()
 				locked = true
 			}
-			dst = t.lockedSet(s, addr.BlockAddr(k), dst)
+			dst = s.set(addr.BlockAddr(k), dst)
 		}
 		if locked {
 			s.mu.Unlock()
@@ -265,19 +266,8 @@ func (t *Sharded) SetDirtyBatch(keys []Key, dst []Key) []Key {
 	return dst
 }
 
-// lockedSet is setDirty with s.mu already held, for the batch paths.
-func (t *Sharded) lockedSet(s *shard, b addr.BlockAddr, dst []Key) []Key {
-	ev, evicted := s.d.SetDirtyInto(b, s.scratch)
-	if evicted {
-		s.scratch = ev.Blocks[:0]
-		for _, blk := range ev.Blocks {
-			dst = append(dst, Key(blk))
-		}
-	}
-	return dst
-}
-
-// IsDirtyBatch implements Batcher. Answers stay in key order.
+// IsDirtyBatch implements Batcher, one lock per key. Answers stay in
+// key order.
 func (t *Sharded) IsDirtyBatch(keys []Key, dst []bool) []bool {
 	for _, k := range keys {
 		dst = append(dst, t.IsDirty(k))
@@ -285,10 +275,12 @@ func (t *Sharded) IsDirtyBatch(keys []Key, dst []bool) []bool {
 	return dst
 }
 
-// FlushRowsInto implements Batcher.
+// FlushRowsInto implements Batcher, one lock per key.
 func (t *Sharded) FlushRowsInto(keys []Key, dst []Key) []Key {
 	for _, k := range keys {
-		dst = t.shardFor(k).flushRow(addr.BlockAddr(k), dst)
+		s := t.lock(k)
+		dst = s.flush(addr.BlockAddr(k), dst)
+		s.mu.Unlock()
 	}
 	return dst
 }

@@ -3,6 +3,7 @@ package dbi
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -155,45 +156,79 @@ func TestShardedMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSingleOps checks the batch forms answer exactly like
-// per-key calls on an identically-configured tracker.
+// TestBatchMatchesSingleOps checks the batch forms against the same
+// keys applied one at a time to an identically-configured tracker, for
+// 1, 4 and 8 shards, every policy, and a capacity small enough that
+// most batches evict. Rounds of set, IsDirty and flush batches
+// interleave, so the two trackers must also stay in the same state.
+// IsDirtyBatch and FlushRowsInto answer element for element.
+// SetDirtyBatch applies each shard's keys in batch order but the shards
+// one after another, so its evictions are compared as a set. Stats
+// agree after every phase.
 func TestBatchMatchesSingleOps(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		mk := func() Batcher {
-			tr, err := NewSharded(shards, WithRows(1<<12), WithRowSize(64))
-			if err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{1, 4, 8} {
+		for _, repl := range []Replacement{LRW, LRWBIP, RWIP, MaxDirty, MinDirty} {
+			mk := func() Batcher {
+				tr, err := NewSharded(shards, WithRows(64), WithRowSize(64),
+					WithAssociativity(4), WithReplacement(repl))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr
 			}
-			return tr
-		}
-		a, b := mk(), mk()
-		rng := rand.New(rand.NewSource(11))
-		keys := make([]Key, 2000)
-		for i := range keys {
-			keys[i] = Key(rng.Intn(1 << 15))
-		}
-		var evA []Key
-		for _, k := range keys {
-			evA = append(evA, a.SetDirty(k)...)
-		}
-		evB := b.SetDirtyBatch(keys, nil)
-		if !sameKeys(evA, evB) {
-			t.Fatalf("shards=%d: eviction sets differ: %v vs %v", shards, evA, evB)
-		}
-		probes := keys[:500]
-		gotB := b.IsDirtyBatch(probes, nil)
-		for i, k := range probes {
-			if want := a.IsDirty(k); gotB[i] != want {
-				t.Fatalf("shards=%d: IsDirtyBatch[%d] (key %d) = %v, want %v", shards, i, k, gotB[i], want)
+			a, b := mk(), mk()
+			sameStats := func(round int, phase string) {
+				t.Helper()
+				if sa, sb := a.Stats(), b.Stats(); sa != sb {
+					t.Fatalf("shards=%d policy=%d round %d %s: Stats differ:\nsingle %+v\nbatch  %+v",
+						shards, repl, round, phase, sa, sb)
+				}
 			}
-		}
-		var flA []Key
-		for _, k := range probes {
-			flA = append(flA, a.FlushRow(k)...)
-		}
-		flB := b.FlushRowsInto(probes, nil)
-		if !sameKeys(flA, flB) {
-			t.Fatalf("shards=%d: flush sets differ (%d vs %d keys)", shards, len(flA), len(flB))
+			rng := rand.New(rand.NewSource(11))
+			draw := func(n int) []Key {
+				keys := make([]Key, n)
+				for i := range keys {
+					keys[i] = Key(rng.Intn(1 << 15))
+				}
+				return keys
+			}
+			for round := 0; round < 40; round++ {
+				keys := draw(128)
+				var evA []Key
+				for _, k := range keys {
+					evA = append(evA, a.SetDirty(k)...)
+				}
+				evB := b.SetDirtyBatch(keys, nil)
+				if !sameKeys(evA, evB) {
+					t.Fatalf("shards=%d policy=%d round %d: eviction sets differ: %v vs %v",
+						shards, repl, round, evA, evB)
+				}
+				sameStats(round, "set")
+
+				probes := append(keys[:64:64], draw(64)...)
+				gotB := b.IsDirtyBatch(probes, nil)
+				for i, k := range probes {
+					if want := a.IsDirty(k); gotB[i] != want {
+						t.Fatalf("shards=%d policy=%d round %d: IsDirtyBatch[%d] (key %d) = %v, want %v",
+							shards, repl, round, i, k, gotB[i], want)
+					}
+				}
+				sameStats(round, "dirty")
+
+				flushed := append(keys[64:80:80], draw(16)...)
+				var flA []Key
+				for _, k := range flushed {
+					flA = append(flA, a.FlushRow(k)...)
+				}
+				if flB := b.FlushRowsInto(flushed, nil); !slices.Equal(flA, flB) {
+					t.Fatalf("shards=%d policy=%d round %d: FlushRowsInto = %v, per key %v",
+						shards, repl, round, flB, flA)
+				}
+				sameStats(round, "flush")
+			}
+			if st := b.Stats(); st.Evictions == 0 {
+				t.Fatalf("shards=%d policy=%d: no evictions; shrink the capacity", shards, repl)
+			}
 		}
 	}
 }
