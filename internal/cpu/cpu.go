@@ -69,11 +69,11 @@ type Core struct {
 
 	// outstanding merges concurrent shared-level fetches to the same
 	// block (the private-level MSHRs). Requests are pooled records with
-	// prebound completion callbacks and recycled waiter slices, so a
+	// prebound completion callbacks and recycled callback slices, so a
 	// miss costs no allocation in steady state.
 	outstanding map[addr.BlockAddr]*sharedReq
 	sharedFree  *sharedReq
-	swFree      [][]sharedWaiter
+	loadsFree   [][]func()
 
 	// Budget: the core calls onDone once after issuing budget
 	// instructions; it keeps running afterwards to preserve contention.
@@ -103,22 +103,17 @@ type loadSlot struct {
 	fn   event.Func // bound once: marks the slot done and resumes issue
 }
 
-// sharedWaiter is one request parked on an outstanding shared-level
-// fetch: on fill it installs the block in L2 then L1 (dirty for
-// stores), then signals the waiting load slot (done is nil for stores).
-type sharedWaiter struct {
-	dirty bool
-	done  func()
-}
-
 // sharedReq is a pooled outstanding shared-level fetch; fn is bound
-// once at allocation so a miss schedules no new closure.
+// once at allocation so a miss schedules no new closure. dirty records
+// whether any request parked on it is a store, and loads holds the
+// waiting load slots' completion callbacks.
 type sharedReq struct {
-	b       addr.BlockAddr
-	start   event.Cycle
-	waiters []sharedWaiter
-	fn      event.Func
-	next    *sharedReq
+	b     addr.BlockAddr
+	start event.Cycle
+	dirty bool
+	loads []func()
+	fn    event.Func
+	next  *sharedReq
 }
 
 // New builds a core with fresh private caches.
@@ -178,7 +173,7 @@ func (c *Core) putSlot(s *loadSlot) {
 
 // getShared takes a shared-fetch record from the free list, binding its
 // completion callback only on first allocation and reusing a recycled
-// waiter slice when one is available.
+// callback slice when one is available.
 func (c *Core) getShared(b addr.BlockAddr) *sharedReq {
 	r := c.sharedFree
 	if r == nil {
@@ -188,10 +183,10 @@ func (c *Core) getShared(b addr.BlockAddr) *sharedReq {
 		c.sharedFree = r.next
 	}
 	r.next = nil
-	r.b = b
-	if n := len(c.swFree); n > 0 {
-		r.waiters = c.swFree[n-1]
-		c.swFree = c.swFree[:n-1]
+	r.b, r.dirty = b, false
+	if n := len(c.loadsFree); n > 0 {
+		r.loads = c.loadsFree[n-1]
+		c.loadsFree = c.loadsFree[:n-1]
 	}
 	return r
 }
@@ -360,44 +355,48 @@ func (c *Core) store(b addr.BlockAddr) {
 }
 
 // fetchShared reads a block from the LLC, merging concurrent requests to
-// the same block (the private-level MSHRs). Every waiter — including the
-// originator — fills L2 then L1 on completion, in registration order.
+// the same block (the private-level MSHRs). A store (dirty, done nil)
+// only marks the fetch dirty; a load parks its callback.
 func (c *Core) fetchShared(b addr.BlockAddr, dirty bool, done func()) {
-	if r, ok := c.outstanding[b]; ok {
-		r.waiters = append(r.waiters, sharedWaiter{dirty, done})
+	r, merged := c.outstanding[b]
+	if !merged {
+		r = c.getShared(b)
+	}
+	r.dirty = r.dirty || dirty
+	if done != nil {
+		r.loads = append(r.loads, done)
+	}
+	if merged {
 		return
 	}
-	r := c.getShared(b)
-	r.waiters = append(r.waiters, sharedWaiter{dirty, done})
 	c.outstanding[b] = r
 	c.Stat.LLCAccesses.Inc()
 	r.start = c.Eng.Now()
 	c.llc.Read(b, c.ID, r.fn)
 }
 
-// completeShared finishes an outstanding fetch: it recycles the record
-// before running the waiters (a waiter may issue a new miss and reuse
-// it), holding the detached waiter slice until the loop is done.
+// completeShared finishes an outstanding fetch: it fills the block once
+// into L2, then into L1 (dirty if any merged request was a store), then
+// signals the waiting loads in registration order, as an MSHR services
+// all of its targets against one filled block. It recycles the record
+// before running the callbacks (a load may issue a new miss and reuse
+// it), holding the detached callback slice until the loop is done.
 func (c *Core) completeShared(r *sharedReq) {
-	b, start, ws := r.b, r.start, r.waiters
-	r.waiters = nil
+	b, start, dirty, loads := r.b, r.start, r.dirty, r.loads
+	r.loads = nil
 	r.next = c.sharedFree
 	c.sharedFree = r
 	// The whole shared-level journey: LLC lookup (or bypass), DRAM
 	// queueing, bank service, fill — one span per missed block.
 	c.Trc.Complete("cpu", "llc_read", c.ID, uint64(start), uint64(c.Eng.Now()), uint64(b))
 	delete(c.outstanding, b)
-	for i := range ws {
-		c.fillL2(b, false)
-		c.fillL1(b, ws[i].dirty)
-		if ws[i].done != nil {
-			ws[i].done()
-		}
+	c.fillL2(b, false)
+	c.fillL1(b, dirty)
+	for i, done := range loads {
+		done()
+		loads[i] = nil
 	}
-	for i := range ws {
-		ws[i] = sharedWaiter{}
-	}
-	c.swFree = append(c.swFree, ws[:0])
+	c.loadsFree = append(c.loadsFree, loads[:0])
 }
 
 // fillL1 installs a block in L1 (a resident block only takes the dirty

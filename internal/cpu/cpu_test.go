@@ -158,6 +158,48 @@ func TestMSHRMergesDuplicateLoads(t *testing.T) {
 	_ = core
 }
 
+// scripted replays recs once, then tail forever.
+type scripted struct {
+	recs []trace.Record
+	tail trace.Record
+}
+
+func (s *scripted) Next() trace.Record {
+	if len(s.recs) == 0 {
+		return s.tail
+	}
+	r := s.recs[0]
+	s.recs = s.recs[1:]
+	return r
+}
+
+// TestMergedStoreFillsDirty: a store that misses behind an outstanding
+// load to the same block merges into that load's fetch (one LLC read),
+// and the fetch's one fill must install the block dirty in L1, or the
+// store is lost.
+func TestMergedStoreFillsDirty(t *testing.T) {
+	const x = 4096
+	gen := &scripted{
+		recs: []trace.Record{
+			{Gap: 0, Kind: trace.Load, Addr: x},
+			{Gap: 0, Kind: trace.Store, Addr: x},
+		},
+		// Loads of one block in another L1 set keep the core busy.
+		tail: trace.Record{Gap: 10, Kind: trace.Load, Addr: 1<<20 + 64},
+	}
+	eng, core, _ := buildCore(t, gen)
+	core.Start(4, func() { eng.After(2000, eng.Stop) })
+	eng.Run()
+	if n := core.Stat.LLCAccesses.Value(); n != 2 {
+		t.Fatalf("LLC reads = %d, want 2 (the store merged into the load's fetch)", n)
+	}
+	b := addr.Default().BlockOf(x)
+	if !core.l1.Contains(b) || !core.l1.IsDirty(b) {
+		t.Errorf("after the merged fetch filled, block %d is in L1 %v, dirty %v; want a dirty L1 block",
+			b, core.l1.Contains(b), core.l1.IsDirty(b))
+	}
+}
+
 func TestRebudgetMeasuresWindow(t *testing.T) {
 	gen := loopTrace([]trace.Record{{Gap: 4, Kind: trace.Load, Addr: 64}})
 	eng, core, _ := buildCore(t, gen)

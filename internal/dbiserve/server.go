@@ -147,8 +147,8 @@ func (s *Server) keysEndpoint(op byte) http.HandlerFunc {
 
 // apply runs one key-batch operation on the tracker for either
 // protocol. A set, region or flush appends its answer to out, an
-// IsDirty to dirty; both are returned. Set, IsDirty and flush each
-// make one Batcher call.
+// IsDirty to dirty; both are returned. Every op makes one Batcher
+// call.
 func (s *Server) apply(op byte, keys []dbi.Key, out []dbi.Key, dirty []bool) ([]dbi.Key, []bool) {
 	switch op {
 	case dbiproto.OpSet:
@@ -159,9 +159,7 @@ func (s *Server) apply(op byte, keys []dbi.Key, out []dbi.Key, dirty []bool) ([]
 	case dbiproto.OpIsDirty:
 		dirty = s.tr.IsDirtyBatch(keys, dirty)
 	case dbiproto.OpRegion:
-		for _, k := range keys {
-			out = append(out, s.tr.DirtyBlocksInRegion(k)...)
-		}
+		out = s.tr.RegionsInto(keys, out)
 	case dbiproto.OpFlush:
 		out = s.tr.FlushRowsInto(keys, out)
 	}

@@ -44,6 +44,34 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
+// TestBinaryKeyFramesAllocateNothing pins the binary path's steady
+// state on an 8-shard tracker: once a connection's buffers have grown,
+// a set, IsDirty or region frame of 8 keys, each naming a row of 22
+// dirty keys, allocates nothing.
+func TestBinaryKeyFramesAllocateNothing(t *testing.T) {
+	tr, err := dbi.NewSharded(8, dbi.WithRows(1<<12), dbi.WithRowSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(tr, telemetry.NewRegistry())
+	var keys []uint64
+	for row := uint64(0); row < 8; row++ {
+		for j := uint64(0); j < 22; j++ {
+			tr.SetDirty(dbi.Key(row*64 + 3*j))
+		}
+		keys = append(keys, row*64)
+	}
+	payload := dbiproto.AppendKeys(nil, keys)
+	for _, op := range []byte{dbiproto.OpSet, dbiproto.OpIsDirty, dbiproto.OpRegion} {
+		f := dbiproto.Frame{Version: dbiproto.Version, Op: op, Seq: 1, Payload: payload}
+		st := &connState{}
+		var w []byte
+		if n := testing.AllocsPerRun(100, func() { w = srv.handleFrame(w[:0], f, st) }); n != 0 {
+			t.Errorf("op %#x: %v allocations per frame, want 0", op, n)
+		}
+	}
+}
+
 // TestRoundTripJSON exercises every v1 endpoint through the JSON
 // client against known answers.
 func TestRoundTripJSON(t *testing.T) {

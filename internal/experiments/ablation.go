@@ -31,68 +31,66 @@ func Ablation(o Options) (*AblationResult, error) {
 	benches := table6Benches(o.Quick)
 	res := &AblationResult{
 		WriteBufferEntries: []int{16, 64, 256},
-		WBufWriteRHR:       map[int]float64{},
-		WBufIPC:            map[int]float64{},
 		DrainLow:           []int{0, 16, 48},
-		DrainIPC:           map[int]float64{},
-		DrainStarted:       map[int]float64{},
 		DBIAssoc:           []int{4, 8, 16},
-		DBIAssocIPC:        map[int]float64{},
 	}
 
-	// Each parameter family is one sweep: every (value, benchmark) pair
-	// is an independent cell, so a whole family fans out at once.
-	family := func(params []int, param string, mut func(*config.SystemConfig, int)) (ipc, wrhr, drains map[int]float64, err error) {
-		var cells []simCell
-		for _, p := range params {
-			for _, b := range benches {
-				c := o.singleCell("ablation", config.DBIAWB, b)
-				mut(&c.cfg, p)
-				c.key.Param = fmt.Sprintf("%s=%d", param, p)
-				cells = append(cells, c)
-			}
-		}
-		rs, err := o.runCells(cells)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ipc, wrhr, drains = map[int]float64{}, map[int]float64{}, map[int]float64{}
-		i := 0
-		for _, p := range params {
-			var ipcs, rhrs, drs []float64
-			for range benches {
-				ipcs = append(ipcs, rs[i].PerCore[0].IPC)
-				rhrs = append(rhrs, rs[i].WriteRowHitRate)
-				drs = append(drs, float64(rs[i].DrainsStarted))
-				i++
-			}
-			ipc[p], wrhr[p], drains[p] = stats.GeoMean(ipcs), stats.Mean(rhrs), stats.Mean(drs)
-		}
-		return ipc, wrhr, drains, nil
+	// The three parameter families are one sweep of independent
+	// (value, benchmark) cells. Each family's default value (wbuf=64,
+	// drainlow=16, assoc=8) leaves config.Scaled's machine unchanged,
+	// so those cells repeat one another and are simulated once.
+	type family struct {
+		param             string
+		values            []int
+		mut               func(*config.SystemConfig, int)
+		ipc, wrhr, drains map[int]float64
 	}
-
-	var err error
-	if res.WBufIPC, res.WBufWriteRHR, _, err = family(res.WriteBufferEntries, "wbuf",
-		func(c *config.SystemConfig, n int) {
+	families := []*family{
+		{param: "wbuf", values: res.WriteBufferEntries, mut: func(c *config.SystemConfig, n int) {
 			c.DRAM.WriteBufferEntries = n
 			if c.DRAM.WriteDrainLow >= n {
 				c.DRAM.WriteDrainLow = n / 4
 			}
-		}); err != nil {
-		return nil, err
-	}
-	if res.DrainIPC, _, res.DrainStarted, err = family(res.DrainLow, "drainlow",
-		func(c *config.SystemConfig, low int) {
+		}},
+		{param: "drainlow", values: res.DrainLow, mut: func(c *config.SystemConfig, low int) {
 			c.DRAM.WriteDrainLow = low
-		}); err != nil {
-		return nil, err
-	}
-	if res.DBIAssocIPC, _, _, err = family(res.DBIAssoc, "assoc",
-		func(c *config.SystemConfig, assoc int) {
+		}},
+		{param: "assoc", values: res.DBIAssoc, mut: func(c *config.SystemConfig, assoc int) {
 			c.DBI.Associativity = assoc
-		}); err != nil {
+		}},
+	}
+	var cells []simCell
+	for _, f := range families {
+		for _, p := range f.values {
+			for _, b := range benches {
+				c := o.singleCell("ablation", config.DBIAWB, b)
+				f.mut(&c.cfg, p)
+				c.key.Param = fmt.Sprintf("%s=%d", f.param, p)
+				cells = append(cells, c)
+			}
+		}
+	}
+	rs, err := o.runCells(cells)
+	if err != nil {
 		return nil, err
 	}
+	for _, f := range families {
+		f.ipc, f.wrhr, f.drains = map[int]float64{}, map[int]float64{}, map[int]float64{}
+		for _, p := range f.values {
+			var ipcs, rhrs, drs []float64
+			for _, r := range rs[:len(benches)] {
+				ipcs = append(ipcs, r.PerCore[0].IPC)
+				rhrs = append(rhrs, r.WriteRowHitRate)
+				drs = append(drs, float64(r.DrainsStarted))
+			}
+			rs = rs[len(benches):]
+			f.ipc[p], f.wrhr[p], f.drains[p] = stats.GeoMean(ipcs), stats.Mean(rhrs), stats.Mean(drs)
+		}
+	}
+	wbuf, drain, assoc := families[0], families[1], families[2]
+	res.WBufIPC, res.WBufWriteRHR = wbuf.ipc, wbuf.wrhr
+	res.DrainIPC, res.DrainStarted = drain.ipc, drain.drains
+	res.DBIAssocIPC = assoc.ipc
 
 	w := o.out()
 	fprintf(w, "\nAblations (DBI+AWB on the write-sensitive subset)\n")

@@ -85,21 +85,9 @@ func weightedSpeedup(r system.Results, alone map[string]float64) float64 {
 	return system.WeightedSpeedup(r.PerCore, alone)
 }
 
-// aloneIPC measures each benchmark's single-core IPC on the baseline
-// machine — the denominator of every speedup metric (Section 5). The
-// runs are independent, so they go through the worker pool like any
-// other sweep cells.
-func (o Options) aloneIPC(exp string, benches []string) (map[string]float64, error) {
-	cells := o.aloneCells(exp, benches)
-	rs, err := o.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	return aloneIPCs(cells, rs), nil
-}
-
 // aloneCells builds one baseline single-core cell per distinct
-// benchmark, for aloneIPC.
+// benchmark: its IPC alone is the denominator of every speedup metric
+// (Section 5).
 func (o Options) aloneCells(exp string, benches []string) []simCell {
 	var cells []simCell
 	seen := map[string]bool{}
@@ -118,21 +106,6 @@ func aloneIPCs(cells []simCell, rs []system.Results) map[string]float64 {
 	out := map[string]float64{}
 	for i, c := range cells {
 		out[c.key.Benchmark] = rs[i].PerCore[0].IPC
-	}
-	return out
-}
-
-// uniqueBenches flattens mixes into the set of distinct benchmarks.
-func uniqueBenches(mixes [][]string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range mixes {
-		for _, b := range m {
-			if !seen[b] {
-				seen[b] = true
-				out = append(out, b)
-			}
-		}
 	}
 	return out
 }

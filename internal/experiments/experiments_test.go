@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -290,18 +291,25 @@ func TestFig6OrderingCheck(t *testing.T) {
 	}
 }
 
-func TestUniqueBenches(t *testing.T) {
-	got := uniqueBenches([][]string{{"a", "b"}, {"b", "c"}})
-	if len(got) != 3 {
-		t.Fatalf("unique = %v", got)
+// TestAloneCellsOnePerBenchmark: a sub-sweep gets one alone cell per
+// distinct benchmark, in first-seen order, however often its mixes
+// name it; this decides how many alone records a sweep writes.
+func TestAloneCellsOnePerBenchmark(t *testing.T) {
+	var got []string
+	for _, c := range (Options{}).aloneCells("t", []string{"a", "b", "b", "c", "a"}) {
+		got = append(got, c.key.String())
+	}
+	want := []string{"t/alone/a/Baseline", "t/alone/b/Baseline", "t/alone/c/Baseline"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("alone cells = %v, want %v", got, want)
 	}
 }
 
-// TestRunCellsReusesEveryRepeat pins reuse in a sweep: runCells groups
-// cells by identity, so within one call every repeat of a cell is
-// answered from the first one's result — exactly the 3 repeats here,
-// whatever earlier sweeps ran — and every cell, run or reused, equals a
-// fresh machine's Run.
+// TestRunCellsReusesEveryRepeat pins reuse in a sweep: runCells gives
+// every cell of one identity the same Memo, so within one call every
+// repeat of a cell is answered from the first one's result — exactly
+// the 3 repeats here, whatever earlier sweeps ran — and every cell, run
+// or reused, equals a fresh machine's Run.
 func TestRunCellsReusesEveryRepeat(t *testing.T) {
 	o := Options{Seed: 977, Parallel: 2}
 	var cells []simCell
@@ -325,7 +333,7 @@ func TestRunCellsReusesEveryRepeat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := fresh.Run(); !reflect.DeepEqual(rs[i], want) {
-			t.Errorf("cell %d (%s): pooled vs fresh diverge\npooled: %+v\nfresh:  %+v", i, c.key, rs[i], want)
+			t.Errorf("cell %d (%s): reused vs fresh diverge\nreused: %+v\nfresh:  %+v", i, c.key, rs[i], want)
 		}
 	}
 }

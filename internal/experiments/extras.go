@@ -126,28 +126,22 @@ func DRRIP(o Options) (*DRRIPResult, error) {
 	if o.Quick {
 		mixes = mixes[:2]
 	}
-	alone, err := o.aloneIPC("drrip", uniqueBenches(mixBenches(mixes)))
-	if err != nil {
-		return nil, err
-	}
-	mechs := []config.Mechanism{config.DAWB, config.DBIAWBCLB}
-	var cells []simCell
-	for _, mech := range mechs {
+	sub := o.newMixSweep("drrip", mixes)
+	for _, mech := range []config.Mechanism{config.DAWB, config.DBIAWBCLB} {
 		for _, mix := range mixes {
 			c := o.multiCell("drrip", mech, mix.Name, mix.Benches)
 			c.cfg.L3.Replacement = config.ReplDRRIP
 			c.key.Param = "repl=DRRIP"
-			cells = append(cells, c)
+			sub.cells = append(sub.cells, c)
 		}
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
+	if err := o.runMixSweeps(sub); err != nil {
 		return nil, err
 	}
 	mean := func(off int) float64 {
 		var ws []float64
 		for i := range mixes {
-			ws = append(ws, weightedSpeedup(rs[off+i], alone))
+			ws = append(ws, weightedSpeedup(sub.rs[off+i], sub.alone))
 		}
 		return stats.Mean(ws)
 	}

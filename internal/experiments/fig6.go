@@ -7,6 +7,7 @@ import (
 	"dbisim/internal/stats"
 	"dbisim/internal/system"
 	"dbisim/internal/trace"
+	"dbisim/internal/workloads"
 )
 
 // Fig6Result holds the five per-benchmark series of Figure 6.
@@ -153,11 +154,7 @@ type CaseStudyResult struct {
 // (even without AWB) captures most of the DRAM-aware-writeback benefit
 // while CLB removes libquantum's useless lookups.
 func CaseStudy(o Options) (*CaseStudyResult, error) {
-	mix := []string{"GemsFDTD", "libquantum"}
-	alone, err := o.aloneIPC("casestudy", mix)
-	if err != nil {
-		return nil, err
-	}
+	mix := workloads.Mix{Name: "GemsFDTD+libquantum", Benches: []string{"GemsFDTD", "libquantum"}}
 	mechs := []config.Mechanism{
 		config.Baseline, config.DAWB, config.DBI, config.DBIAWB, config.DBIAWBCLB,
 	}
@@ -166,19 +163,18 @@ func CaseStudy(o Options) (*CaseStudyResult, error) {
 		WS:         map[config.Mechanism]float64{},
 		TagPKI:     map[config.Mechanism]float64{},
 	}
-	var cells []simCell
+	sub := o.newMixSweep("casestudy", []workloads.Mix{mix})
 	for _, mech := range mechs {
-		cells = append(cells, o.multiCell("casestudy", mech, "GemsFDTD+libquantum", mix))
+		sub.cells = append(sub.cells, o.multiCell("casestudy", mech, mix.Name, mix.Benches))
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
+	if err := o.runMixSweeps(sub); err != nil {
 		return nil, err
 	}
 	w := o.out()
 	fprintf(w, "\nSection 6.2 case study: 2-core GemsFDTD + libquantum\n")
 	for i, mech := range mechs {
-		res.WS[mech] = system.WeightedSpeedup(rs[i].PerCore, alone)
-		res.TagPKI[mech] = rs[i].TagLookupsPKI
+		res.WS[mech] = system.WeightedSpeedup(sub.rs[i].PerCore, sub.alone)
+		res.TagPKI[mech] = sub.rs[i].TagLookupsPKI
 		fprintf(w, "%-12s WS=%.3f tagPKI=%.1f\n", mech, res.WS[mech], res.TagPKI[mech])
 	}
 	base := res.WS[config.Baseline]

@@ -56,7 +56,7 @@ func Fig7(o Options) (*Fig7Result, error) {
 		}
 		subs[i] = sub
 	}
-	if err := o.runMixSweeps(subs); err != nil {
+	if err := o.runMixSweeps(subs...); err != nil {
 		return nil, err
 	}
 	for ci, cores := range res.Cores {
@@ -111,21 +111,17 @@ func Fig8(o Options) (*Fig8Result, error) {
 	if !o.Quick {
 		mixes = workloads.Generate(4, 24, o.seed())
 	}
-	alone, err := o.aloneIPC("fig8", uniqueBenches(mixBenches(mixes)))
-	if err != nil {
-		return nil, err
-	}
+	sub := o.newMixSweep("fig8", mixes)
 	mechs := []config.Mechanism{config.Baseline, config.DAWB, config.DBIAWBCLB}
-	var cells []simCell
 	for _, mech := range mechs {
 		for _, mix := range mixes {
-			cells = append(cells, o.multiCell("fig8", mech, mix.Name, mix.Benches))
+			sub.cells = append(sub.cells, o.multiCell("fig8", mech, mix.Name, mix.Benches))
 		}
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
+	if err := o.runMixSweeps(sub); err != nil {
 		return nil, err
 	}
+	rs, alone := sub.rs, sub.alone
 	ws := map[config.Mechanism][]float64{}
 	i := 0
 	for _, mech := range mechs {
@@ -190,7 +186,7 @@ func Table3(o Options) (*Table3Result, error) {
 		}
 		subs[i] = sub
 	}
-	if err := o.runMixSweeps(subs); err != nil {
+	if err := o.runMixSweeps(subs...); err != nil {
 		return nil, err
 	}
 	for ci, cores := range res.Cores {

@@ -57,29 +57,30 @@ func (o Options) multiCell(exp string, mech config.Mechanism, mixName string, be
 // runCells executes the cells across the worker pool and returns their
 // results in cell order. Every cell runs at the base seed, so the
 // result set is identical for every worker count; each outcome is also
-// pushed to the Recorder for the -json report. Each worker keeps
-// one system.Pool, and cells are grouped by their full identity, so
-// the repeats of a cell run back to back on one worker and the pool
-// answers them from the first one's result. Experiments whose
-// sub-sweeps repeat cells run them as one runCells call, so every
-// repeat is grouped.
+// pushed to the Recorder for the -json report. All cells of one
+// identity share one system.Memo, so the call simulates each distinct
+// cell once and answers its repeats with copies of that result; each
+// experiment plans its cells into one call, so every repeat is
+// reused. Cells are also grouped by identity, so a repeat completes
+// right after the cell it repeats.
 func (o Options) runCells(cells []simCell) ([]system.Results, error) {
 	seed := o.seed()
 	var opts []system.Option
 	if o.Attr {
 		opts = append(opts, system.WithAttribution())
 	}
-	sc := make([]sweep.StateCell[system.Results, system.Pool], len(cells))
+	memos := map[string]*system.Memo{}
+	sc := make([]sweep.Cell[system.Results], len(cells))
 	for i, c := range cells {
-		sc[i] = sweep.StateCell[system.Results, system.Pool]{
-			Key: c.key,
-			Run: func(p *system.Pool) (system.Results, error) {
-				return p.Run(c.cfg, c.benches, seed, opts...)
-			},
-			Group: fmt.Sprintf("%+v|%v|%d", c.cfg, c.benches, seed),
+		id := fmt.Sprintf("%+v|%v|%d", c.cfg, c.benches, seed)
+		m := memos[id]
+		if m == nil {
+			m = system.NewMemo(c.cfg, c.benches, seed, opts...)
+			memos[id] = m
 		}
+		sc[i] = sweep.Cell[system.Results]{Key: c.key, Run: m.Run, Group: id}
 	}
-	outs, err := sweep.RunState(sc, o.workers(), o.Progress)
+	outs, err := sweep.RunWithProgress(sc, o.workers(), o.Progress)
 	if err != nil {
 		return nil, err
 	}
@@ -102,9 +103,10 @@ func (o Options) runCells(cells []simCell) ([]system.Results, error) {
 	return res, nil
 }
 
-// mixSweep is one sub-sweep of a multi-core experiment: its workload
-// mixes, the alone-IPC cells they need and its own mix cells.
-// runMixSweeps fills alone and rs.
+// mixSweep is one sub-sweep of an experiment whose metrics divide by
+// alone IPCs: the alone cells of its benchmarks (those of its workload
+// mixes, for a multi-core experiment) and its own cells. runMixSweeps
+// fills alone and rs.
 type mixSweep struct {
 	mixes      []workloads.Mix
 	aloneCells []simCell
@@ -117,14 +119,18 @@ type mixSweep struct {
 // newMixSweep starts a sub-sweep over mixes; the caller appends its mix
 // cells.
 func (o Options) newMixSweep(exp string, mixes []workloads.Mix) *mixSweep {
-	return &mixSweep{mixes: mixes, aloneCells: o.aloneCells(exp, uniqueBenches(mixBenches(mixes)))}
+	var benches []string
+	for _, m := range mixes {
+		benches = append(benches, m.Benches...)
+	}
+	return &mixSweep{mixes: mixes, aloneCells: o.aloneCells(exp, benches)}
 }
 
 // runMixSweeps runs the sub-sweeps as one sweep, in order, with each
-// one's alone cells before its mix cells. An alone cell that several
+// one's alone cells before its own cells. An alone cell that several
 // sub-sweeps repeat is then simulated once and reused, where separate
 // runs would simulate it again each time.
-func (o Options) runMixSweeps(subs []*mixSweep) error {
+func (o Options) runMixSweeps(subs ...*mixSweep) error {
 	var cells []simCell
 	for _, s := range subs {
 		cells = append(cells, s.aloneCells...)
@@ -139,14 +145,4 @@ func (o Options) runMixSweeps(subs []*mixSweep) error {
 		s.alone, s.rs, rs = aloneIPCs(s.aloneCells, rs[:n]), rs[n:m], rs[m:]
 	}
 	return nil
-}
-
-// mixBenches flattens mixes into per-mix benchmark lists for alone-IPC
-// deduplication.
-func mixBenches(mixes []workloads.Mix) [][]string {
-	lists := make([][]string, len(mixes))
-	for i, m := range mixes {
-		lists[i] = m.Benches
-	}
-	return lists
 }

@@ -63,11 +63,7 @@ func Table6(o Options) (*Table6Result, error) {
 	}
 	benches := table6Benches(o.Quick)
 
-	baseIPC, err := o.aloneIPC("tab6", benches)
-	if err != nil {
-		return nil, err
-	}
-	var cells []simCell
+	sub := &mixSweep{aloneCells: o.aloneCells("tab6", benches)}
 	for _, alpha := range res.Alphas {
 		for _, gran := range res.Granularities {
 			for _, b := range benches {
@@ -75,14 +71,14 @@ func Table6(o Options) (*Table6Result, error) {
 				c.cfg.DBI.AlphaNum, c.cfg.DBI.AlphaDen = alpha[0], alpha[1]
 				c.cfg.DBI.Granularity = gran
 				c.key.Param = fmt.Sprintf("alpha=%d/%d,gran=%d", alpha[0], alpha[1], gran)
-				cells = append(cells, c)
+				sub.cells = append(sub.cells, c)
 			}
 		}
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
+	if err := o.runMixSweeps(sub); err != nil {
 		return nil, err
 	}
+	rs, baseIPC := sub.rs, sub.alone
 	i := 0
 	for range res.Alphas {
 		var row []float64
@@ -149,7 +145,7 @@ func Table7(o Options) (*Table7Result, error) {
 			subs = append(subs, sub)
 		}
 	}
-	if err := o.runMixSweeps(subs); err != nil {
+	if err := o.runMixSweeps(subs...); err != nil {
 		return nil, err
 	}
 	for si, size := range sizes {

@@ -66,8 +66,8 @@ func (l *lane) snapshot() []FlightEvent {
 // the ops plane's black box: always cheap enough to leave on, dumped on
 // panic, on SIGQUIT, or on demand via /debug/flightrecord.
 //
-// Lane 0 is the control plane (sweep start/end); worker w records on
-// lane w+1. All methods are safe for concurrent use.
+// Lane 0 is the control plane (sweep start/end, reuse decisions);
+// worker w records on lane w+1. All methods are safe for concurrent use.
 type FlightRecorder struct {
 	// DumpPath, when non-empty, is where WorkerPanic writes the ring
 	// before the panic propagates.
@@ -151,8 +151,9 @@ func (f *FlightRecorder) WorkerPanic(worker int, key string, recovered any) {
 	}
 }
 
-// PoolEvent records one pool decision on the worker's
-// lane; it is the system.SetPoolEventHook target.
+// PoolEvent records one reuse decision on the worker's lane (a Memo
+// reports worker -1, the control lane); it is the
+// system.SetPoolEventHook target.
 func (f *FlightRecorder) PoolEvent(worker int, kind, detail string) {
 	f.record(workerLane(worker), 'i', "pool:"+kind, detail)
 }

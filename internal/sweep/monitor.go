@@ -53,13 +53,14 @@ type Status struct {
 // only ever do atomic stores at cell granularity, and Enable-time is
 // the only allocation.
 //
-// Disabled (the default), RunState's whole interaction with the
-// monitor is one atomic bool load per sweep — the per-cell publishing
-// is skipped entirely, preserving the allocation-free dispatch path.
-// Enabling mid-sweep therefore takes effect at the next sweep.
+// Disabled (the default), RunWithProgress's whole interaction with
+// the monitor is one atomic bool load per sweep — the per-cell
+// publishing is skipped entirely, preserving the allocation-free
+// dispatch path. Enabling mid-sweep therefore takes effect at the next
+// sweep.
 //
-// Concurrent RunState calls share the one process-wide monitor; the
-// status reflects the most recently started sweep. That is the right
+// Concurrent RunWithProgress calls share the one process-wide monitor;
+// the status reflects the most recently started sweep. That is the right
 // semantics for the ops plane (the CLIs run sweeps sequentially) and
 // harmless best-effort under test parallelism.
 type Monitor struct {
@@ -75,7 +76,8 @@ type Monitor struct {
 	slots   atomic.Pointer[[]workerSlot]
 }
 
-// Live is the process-wide monitor RunState publishes to when enabled.
+// Live is the process-wide monitor RunWithProgress publishes to when
+// enabled.
 var Live = &Monitor{}
 
 // Enable turns on live publishing, with an optional event sink (nil
@@ -126,7 +128,7 @@ func (m *Monitor) Snapshot() (Status, bool) {
 }
 
 // begin opens a sweep. It returns false when the monitor is disabled,
-// in which case RunState skips every other call.
+// in which case RunWithProgress skips every other call.
 func (m *Monitor) begin(label string, workers, total int) bool {
 	if !m.enabled.Load() {
 		return false

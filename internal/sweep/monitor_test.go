@@ -122,9 +122,9 @@ func TestMonitorDisabledIsInert(t *testing.T) {
 // TestMonitorSeesWorkerPanic pins the crash path at the monitor level:
 // a worker that dies mid-cell reports the in-flight cell's identity to
 // the sink (the flight recorder's flush hook). The end-to-end re-panic
-// in RunState cannot run under `go test` — an unrecovered worker panic
-// is rightly fatal to the process — so the test drives the same calls
-// the worker's deferred recover makes.
+// in RunWithProgress cannot run under `go test` — an unrecovered worker
+// panic is rightly fatal to the process — so the test drives the same
+// calls the worker's deferred recover makes.
 func TestMonitorSeesWorkerPanic(t *testing.T) {
 	sink := &recordingSink{}
 	var m Monitor

@@ -58,24 +58,11 @@ func (k Key) String() string {
 type Cell[T any] struct {
 	Key Key
 	Run func() (T, error)
-}
 
-// StateCell is a Cell whose Run receives the worker's reusable state: a
-// zero-valued W each worker goroutine owns for its lifetime and passes
-// to every cell it executes. It is the hook for per-worker state that
-// outlives a cell (the previous cell's result, say, which answers a
-// repeat). The determinism contract extends to W: a cell's result must
-// be independent of which worker — and therefore which W, in whatever
-// state previous cells left it — runs it.
-type StateCell[T, W any] struct {
-	Key Key
-	Run func(w *W) (T, error)
-
-	// Group, when non-empty, labels cells that profit from running on
-	// the same worker consecutively — repeats of one cell, say, so a
-	// worker state that remembers its previous cell answers every
-	// repeat from one result. All cells with equal Group labels are
-	// dispatched to one worker as an unbroken chain, in input order.
+	// Group, when non-empty, labels cells that profit from running
+	// consecutively: repeats of one cell, say, so each repeat completes
+	// right after the cell it repeats. All cells with equal Group labels
+	// are dispatched to one worker as an unbroken chain, in input order.
 	// Grouping is a scheduling hint only: results must remain
 	// bit-identical for any grouping, including none.
 	Group string
@@ -97,23 +84,6 @@ type Outcome[T any] struct {
 // goroutine, so it must be safe for concurrent use (an atomic counter
 // plus stderr writes in practice).
 func RunWithProgress[T any](cells []Cell[T], workers int, progress func(done, total int)) ([]Outcome[T], error) {
-	sc := make([]StateCell[T, struct{}], len(cells))
-	for i, c := range cells {
-		run := c.Run
-		sc[i] = StateCell[T, struct{}]{
-			Key: c.Key,
-			Run: func(*struct{}) (T, error) { return run() },
-		}
-	}
-	return RunState(sc, workers, progress)
-}
-
-// RunState is the stateful-worker generalization behind
-// RunWithProgress: each of the `workers` goroutines owns one zero-valued
-// W and hands a pointer to it to every cell it executes. Scheduling,
-// ordering, failure and progress semantics are identical to
-// RunWithProgress.
-func RunState[T, W any](cells []StateCell[T, W], workers int, progress func(done, total int)) ([]Outcome[T], error) {
 	chains := buildChains(cells)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -141,12 +111,6 @@ func RunState[T, W any](cells []StateCell[T, W], workers int, progress func(done
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var state W
-			// Worker states that can attribute their decisions to a
-			// lane (pool event streams) learn their index here.
-			if sw, ok := any(&state).(interface{ SetWorker(int) }); ok {
-				sw.SetWorker(w)
-			}
 			if live {
 				// Give the ops plane a last look (flight-recorder
 				// flush) before a cell panic takes the process down.
@@ -166,7 +130,7 @@ func RunState[T, W any](cells []StateCell[T, W], workers int, progress func(done
 						Live.cellStart(w, cells[i].Key)
 					}
 					start := time.Now()
-					v, err := cells[i].Run(&state)
+					v, err := cells[i].Run()
 					elapsed := time.Since(start)
 					if live {
 						Live.cellEnd(w, elapsed, err)
@@ -205,9 +169,8 @@ func RunState[T, W any](cells []StateCell[T, W], workers int, progress func(done
 // buildChains partitions cell indices into dispatch units: every set of
 // cells sharing a non-empty Group becomes one chain (in input order,
 // keyed by first occurrence), each ungrouped cell its own. One chain
-// goes to one worker, so a group's cells always run consecutively on
-// the same worker state.
-func buildChains[T, W any](cells []StateCell[T, W]) [][]int {
+// goes to one worker, so a group's cells always run consecutively.
+func buildChains[T any](cells []Cell[T]) [][]int {
 	var chains [][]int
 	byGroup := map[string]int{}
 	for i := range cells {

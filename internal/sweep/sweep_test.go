@@ -3,6 +3,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -166,6 +167,58 @@ func TestRunWithProgressReportsEveryCell(t *testing.T) {
 	for i, d := range dones {
 		if d != i+1 {
 			t.Fatalf("done values %v, want 1..%d each exactly once", dones, len(cells))
+		}
+	}
+}
+
+// TestGroupedCellsRunInOrder pins the scheduling hint Group gives:
+// same-Group cells run in input order and never overlap, even when
+// scattered through the input and spread over several workers.
+func TestGroupedCellsRunInOrder(t *testing.T) {
+	groups := []string{"a", "b", "a", "", "b", "a", "", "b"}
+	type event struct {
+		cell  int
+		start bool
+	}
+	var mu sync.Mutex
+	var log []event
+	note := func(i int, start bool) {
+		mu.Lock()
+		log = append(log, event{i, start})
+		mu.Unlock()
+	}
+	cells := make([]Cell[int], len(groups))
+	for i := range cells {
+		cells[i] = Cell[int]{
+			Key:   Key{Experiment: "g", Param: fmt.Sprint(i)},
+			Group: groups[i],
+			Run: func() (int, error) {
+				note(i, true)
+				time.Sleep(2 * time.Millisecond)
+				note(i, false)
+				return i, nil
+			},
+		}
+	}
+	if _, err := RunWithProgress(cells, 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Per group, the log must read start, end of its first cell, then
+	// start, end of its next, in input order.
+	for _, g := range []string{"a", "b"} {
+		var want, got []event
+		for i, gi := range groups {
+			if gi == g {
+				want = append(want, event{i, true}, event{i, false})
+			}
+		}
+		for _, e := range log {
+			if groups[e.cell] == g {
+				got = append(got, e)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("group %s ran as %v, want %v", g, got, want)
 		}
 	}
 }

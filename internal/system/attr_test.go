@@ -88,8 +88,8 @@ func TestAttributionReconciles(t *testing.T) {
 // TestAttributionReuseMatchesScratch: a reused cell must look exactly
 // like a simulated one to attribution — the same Attr report as a
 // scratch run, and its measure window folded into AttrTotals once per
-// cell, as a run would. WithAttribution reaches the machines the pool
-// builds through Pool.Run's options.
+// cell, as a run would. WithAttribution reaches the machine a Memo
+// builds through NewMemo's options.
 func TestAttributionReuseMatchesScratch(t *testing.T) {
 	cfg := config.Scaled(2, config.DBIAWBCLB)
 	cfg.WarmupInstructions, cfg.MeasureInstructions = 4000, 20000
@@ -102,9 +102,9 @@ func TestAttributionReuseMatchesScratch(t *testing.T) {
 	}
 	want := fresh.Run()
 	t1 := attrTotals()
-	var pool Pool
+	m := NewMemo(cfg, benches, 11, WithAttribution())
 	for run := 0; run < 2; run++ {
-		got, err := pool.Run(cfg, benches, 11, WithAttribution())
+		got, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,13 +112,13 @@ func TestAttributionReuseMatchesScratch(t *testing.T) {
 			t.Fatalf("run %d: missing Attr report (option not honored)", run)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("run %d: pooled vs scratch diverge\npooled:  %+v\nscratch: %+v", run, got, want)
+			t.Errorf("run %d: memo vs scratch diverge\nmemo:    %+v\nscratch: %+v", run, got, want)
 		}
 	}
 	t2 := attrTotals()
 	for name, v := range t2 {
 		if one := t1[name] - t0[name]; v-t1[name] != 2*one {
-			t.Errorf("%s: two pooled cells added %d to AttrTotals, want 2 × %d", name, v-t1[name], one)
+			t.Errorf("%s: two memo cells added %d to AttrTotals, want 2 × %d", name, v-t1[name], one)
 		}
 	}
 }

@@ -46,7 +46,8 @@ func WithTimeSeries(epochCycles uint64) Option {
 // every component; Results gain an Attr report split at the
 // warmup→measure boundary. Attribution never schedules events or
 // influences decisions, so Results stay bit-identical with and without
-// it. A sweep passes it to every cell through Pool.Run.
+// it. A sweep passes it to every cell's machine through NewMemo's
+// options.
 func WithAttribution() Option {
 	return func(o *options) { o.attr = true }
 }

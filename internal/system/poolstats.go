@@ -6,23 +6,25 @@ import (
 	"dbisim/internal/telemetry"
 )
 
-// PoolCounters aggregates the sweep pools' decisions process-wide.
-// Pools are per-worker and short-lived, so the usable ops-plane signal
-// is the sum over all of them: every Pool increments these shared
-// atomics as it runs cells. Increments are one atomic add per cell —
-// never on a simulated hot path — so they are always on: zero
-// allocation, no measurable cost, and no effect on simulated Results.
+// PoolCounters aggregates the sweeps' reuse decisions process-wide.
+// A Memo lives only as long as its sweep, so the usable ops-plane
+// signal is the sum over all of them: every Memo increments these
+// shared atomics as it answers cells. Increments are one atomic add
+// per cell — never on a simulated hot path — so they are always on:
+// zero allocation, no measurable cost, and no effect on simulated
+// Results.
 type PoolCounters struct {
 	// Rebuilds counts simulated cells: cells that built a fresh System
 	// and ran it.
 	Rebuilds atomic.Uint64
-	// CkptHits counts reused cells: cells whose identity equalled the
-	// previous cell's and got a copy of its Results. The name is kept
-	// for the benchmark harness and the ops plane that read it.
+	// CkptHits counts reused cells: cells whose identity equalled an
+	// earlier cell's of the same sweep and got a copy of its Results.
+	// The name is kept for the benchmark harness and the ops plane that
+	// read it.
 	CkptHits atomic.Uint64
 }
 
-// PoolStat is the process-wide instance every pool increments.
+// PoolStat is the process-wide instance every Memo increments.
 var PoolStat PoolCounters
 
 // PoolSnapshot is a plain-value copy of PoolCounters, for before/after
@@ -81,9 +83,9 @@ func RegisterPoolMetrics(reg *telemetry.Registry) {
 	reg.Counter("fork.ckpt_hits", c.CkptHits.Load)
 }
 
-// poolHookFn receives one pool decision: which worker's pool made it
-// (-1 when unknown), a kind tag ("reuse" or "rebuild") and a
-// detail string.
+// poolHookFn receives one reuse decision: a worker lane (always -1,
+// the control lane, since no sweep worker owns a Memo), a kind tag
+// ("reuse" or "rebuild") and a detail string (always empty).
 type poolHookFn func(worker int, kind, detail string)
 
 var poolHook atomic.Pointer[poolHookFn]
@@ -102,8 +104,8 @@ func SetPoolEventHook(fn func(worker int, kind, detail string)) {
 }
 
 // poolEvent emits one decision to the installed hook, if any.
-func poolEvent(worker int, kind, detail string) {
+func poolEvent(kind string) {
 	if h := poolHook.Load(); h != nil {
-		(*h)(worker, kind, detail)
+		(*h)(-1, kind, "")
 	}
 }

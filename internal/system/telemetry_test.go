@@ -149,8 +149,8 @@ func TestTimeSeriesCoversRun(t *testing.T) {
 	}
 }
 
-// TestReusedCellMatchesTelemetryRun closes the loop between the sweep
-// pool and the telemetry contract: a cell run through a Pool, and its
+// TestReusedCellMatchesTelemetryRun closes the loop between sweep
+// reuse and the telemetry contract: a cell run through a Memo, and its
 // repeat answered from the remembered result, must both be
 // bit-identical to a fresh monolithic run with telemetry attached —
 // i.e. the two "observation must not perturb" invariants compose.
@@ -162,20 +162,20 @@ func TestReusedCellMatchesTelemetryRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fresh.Run()
-	var pool Pool
+	m := NewMemo(cfg, benches, 42)
 	before := PoolStat.Snapshot()
 	for run := 0; run < 2; run++ {
-		got, err := pool.Run(cfg, benches, 42)
+		got, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("run %d: pooled cell differs from telemetry-attached scratch run:\nscratch: %+v\npooled:  %+v",
+			t.Errorf("run %d: memo cell differs from telemetry-attached scratch run:\nscratch: %+v\nmemo:    %+v",
 				run, want, got)
 		}
 	}
 	if d := PoolStat.Snapshot().Sub(before); d.CkptHits != 1 {
-		t.Errorf("pool reused %d cells, want 1", d.CkptHits)
+		t.Errorf("memo reused %d cells, want 1", d.CkptHits)
 	}
 }
 

@@ -66,21 +66,3 @@ func TestConcurrentStress(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkShardedSetDirtyBatch(b *testing.B) {
-	tr, err := NewSharded(8, WithRows(1<<16), WithRowSize(64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	batch := make([]Key, 128)
-	var sink []Key
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			batch[j] = Key(rng.Intn(1 << 24))
-		}
-		sink = tr.SetDirtyBatch(batch, sink[:0])
-	}
-	_ = sink
-}

@@ -19,6 +19,9 @@ type Batcher interface {
 	SetDirtyBatch(keys []Key, dst []Key) []Key
 	// IsDirtyBatch appends one answer per key to dst and returns it.
 	IsDirtyBatch(keys []Key, dst []bool) []bool
+	// RegionsInto appends the dirty keys of each key's row to dst, in
+	// key order (a row named twice is answered twice), and returns it.
+	RegionsInto(keys []Key, dst []Key) []Key
 	// FlushRowsInto flushes the row of each key (duplicate rows flush
 	// once — the first key wins, later ones find the row clean),
 	// appending every harvested key to dst.
@@ -271,6 +274,16 @@ func (t *Sharded) SetDirtyBatch(keys []Key, dst []Key) []Key {
 func (t *Sharded) IsDirtyBatch(keys []Key, dst []bool) []bool {
 	for _, k := range keys {
 		dst = append(dst, t.IsDirty(k))
+	}
+	return dst
+}
+
+// RegionsInto implements Batcher, one lock per key.
+func (t *Sharded) RegionsInto(keys []Key, dst []Key) []Key {
+	for _, k := range keys {
+		s := t.lock(k)
+		dst = s.region(addr.BlockAddr(k), dst)
+		s.mu.Unlock()
 	}
 	return dst
 }

@@ -159,9 +159,10 @@ func TestShardedMatchesSingle(t *testing.T) {
 // TestBatchMatchesSingleOps checks the batch forms against the same
 // keys applied one at a time to an identically-configured tracker, for
 // 1, 4 and 8 shards, every policy, and a capacity small enough that
-// most batches evict. Rounds of set, IsDirty and flush batches
+// most batches evict. Rounds of set, IsDirty, region and flush batches
 // interleave, so the two trackers must also stay in the same state.
-// IsDirtyBatch and FlushRowsInto answer element for element.
+// IsDirtyBatch, RegionsInto and FlushRowsInto answer element for
+// element.
 // SetDirtyBatch applies each shard's keys in batch order but the shards
 // one after another, so its evictions are compared as a set. Stats
 // agree after every phase.
@@ -214,6 +215,16 @@ func TestBatchMatchesSingleOps(t *testing.T) {
 					}
 				}
 				sameStats(round, "dirty")
+
+				var rgA []Key
+				for _, k := range probes {
+					rgA = append(rgA, a.DirtyBlocksInRegion(k)...)
+				}
+				if rgB := b.RegionsInto(probes, nil); !slices.Equal(rgA, rgB) {
+					t.Fatalf("shards=%d policy=%d round %d: RegionsInto = %v, per key %v",
+						shards, repl, round, rgB, rgA)
+				}
+				sameStats(round, "region")
 
 				flushed := append(keys[64:80:80], draw(16)...)
 				var flA []Key
