@@ -10,8 +10,10 @@
 //	dbibench -experiment all -json out.json # machine-readable cell results
 //	dbibench -experiment all -listen :9187  # live ops plane (/metrics, /sweep)
 //
-// The runner table below is the single source of truth: the usage text
-// and the `all` set are both generated from it.
+// experiments.Registry is the single source of truth: the usage text,
+// the -experiment check and the `all` set are all generated from it.
+// A run plans every selected experiment into one sweep, so a cell that
+// several experiments need is simulated once.
 package main
 
 import (
@@ -30,87 +32,10 @@ import (
 	"dbisim/internal/system"
 )
 
-// runner binds an experiment id to its implementation. Every runner
-// listed here is part of `-experiment all`.
-type runner struct {
-	id   string
-	desc string
-	run  func(experiments.Options) error
-}
-
-// fig6Result captures the Figure 6 sweep when it runs, for -check.
-var fig6Result *experiments.Fig6Result
-
-// runners is the experiment registry — usage text and the `all` set
-// derive from it, so adding a runner here is the whole registration.
-var runners = []runner{
-	{"fig6", "Figure 6: single-core IPC, row hit rates, tag lookups, WPKI", func(o experiments.Options) error {
-		r, err := experiments.Fig6(o)
-		fig6Result = r
-		return err
-	}},
-	{"fig7", "Figure 7: multi-core weighted speedup (2/4/8 cores)", func(o experiments.Options) error {
-		_, err := experiments.Fig7(o)
-		return err
-	}},
-	{"fig8", "Figure 8: 4-core per-workload speedup S-curve", func(o experiments.Options) error {
-		_, err := experiments.Fig8(o)
-		return err
-	}},
-	{"tab3", "Table 3: performance and fairness metrics", func(o experiments.Options) error {
-		_, err := experiments.Table3(o)
-		return err
-	}},
-	{"tab4", "Table 4: bit storage cost reduction", func(o experiments.Options) error {
-		experiments.Table4(o)
-		return nil
-	}},
-	{"tab5", "Table 5: DBI power fraction", func(o experiments.Options) error {
-		experiments.Table5(o)
-		return nil
-	}},
-	{"tab6", "Table 6: AWB sensitivity to DBI size and granularity", func(o experiments.Options) error {
-		_, err := experiments.Table6(o)
-		return err
-	}},
-	{"tab7", "Table 7: cache size sensitivity", func(o experiments.Options) error {
-		_, err := experiments.Table7(o)
-		return err
-	}},
-	{"casestudy", "Section 6.2: GemsFDTD+libquantum case study", func(o experiments.Options) error {
-		_, err := experiments.CaseStudy(o)
-		return err
-	}},
-	{"dbipolicy", "Section 4.3: DBI replacement policy comparison", func(o experiments.Options) error {
-		_, err := experiments.DBIPolicy(o)
-		return err
-	}},
-	{"clbsens", "Section 6.4: CLB miss-predictor threshold sensitivity", func(o experiments.Options) error {
-		_, err := experiments.CLBSensitivity(o)
-		return err
-	}},
-	{"drrip", "Section 6.5: DBI under DRRIP replacement", func(o experiments.Options) error {
-		_, err := experiments.DRRIP(o)
-		return err
-	}},
-	{"area", "Section 6.3: area and DRAM energy", func(o experiments.Options) error {
-		_, err := experiments.AreaPower(o)
-		return err
-	}},
-	{"flushlat", "Section 7: whole-cache flush latency", func(o experiments.Options) error {
-		_, err := experiments.Flush(o)
-		return err
-	}},
-	{"ablation", "Design-choice ablations (write buffer, drain, DBI assoc)", func(o experiments.Options) error {
-		_, err := experiments.Ablation(o)
-		return err
-	}},
-}
-
 func experimentIDs() []string {
-	ids := make([]string, len(runners))
-	for i, r := range runners {
-		ids[i] = r.id
+	ids := make([]string, len(experiments.Registry))
+	for i, e := range experiments.Registry {
+		ids[i] = e.ID
 	}
 	return ids
 }
@@ -120,8 +45,8 @@ func usage() {
 	fmt.Fprintf(w, "usage: dbibench [flags]\n\nflags:\n")
 	flag.PrintDefaults()
 	fmt.Fprintf(w, "\nexperiments (all runs every one of them):\n")
-	for _, r := range runners {
-		fmt.Fprintf(w, "  %-10s %s\n", r.id, r.desc)
+	for _, e := range experiments.Registry {
+		fmt.Fprintf(w, "  %-10s %s\n", e.ID, e.Desc)
 	}
 }
 
@@ -212,10 +137,12 @@ func main() {
 		o.Progress = prog.update
 	}
 
-	var selected []runner
-	for _, r := range runners {
-		if *name == "all" || *name == r.id {
-			selected = append(selected, r)
+	var selected []experiments.Experiment
+	var ran []string
+	for _, e := range experiments.Registry {
+		if *name == "all" || *name == e.ID {
+			selected = append(selected, e)
+			ran = append(ran, e.ID)
 		}
 	}
 	if len(selected) == 0 {
@@ -225,26 +152,31 @@ func main() {
 	}
 
 	start := time.Now()
-	var ran []string
-	for _, r := range selected {
-		expStart := time.Now()
-		fmt.Printf("\n===== %s =====\n", r.id)
-		if prog != nil {
-			prog.setLabel(r.id)
-		}
-		poolBefore := system.PoolStat.Snapshot()
-		err := r.run(o)
-		prog.clear()
+	prog.setLabel(*name)
+	poolBefore := system.PoolStat.Snapshot()
+	finishes, err := experiments.Run(o, *name, selected)
+	prog.clear()
+	if err != nil {
+		fmt.Fprintf(term, "dbibench: %v\n", err)
+		os.Exit(1)
+	}
+	var fig6 *experiments.Fig6Result
+	for i, e := range selected {
+		fmt.Printf("\n===== %s =====\n", e.ID)
+		prog.setLabel(e.ID)
+		res, err := finishes[i]()
 		if err != nil {
-			fmt.Fprintf(term, "dbibench: %s: %v\n", r.id, err)
+			fmt.Fprintf(term, "dbibench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		ran = append(ran, r.id)
-		pd := system.PoolStat.Snapshot().Sub(poolBefore)
-		fmt.Printf("[pool: %d reused, %d simulated]\n", pd.CkptHits, pd.Rebuilds)
-		fmt.Printf("[%s done in %v]\n", r.id, time.Since(expStart).Round(time.Millisecond))
+		if r, ok := res.(*experiments.Fig6Result); ok {
+			fig6 = r
+		}
 	}
+	pd := system.PoolStat.Snapshot().Sub(poolBefore)
+	fmt.Printf("[pool: %d reused, %d simulated]\n", pd.CkptHits, pd.Rebuilds)
 	wall := time.Since(start)
+	fmt.Printf("[%s done in %v]\n", *name, wall.Round(time.Millisecond))
 
 	if out.Enabled() {
 		workers := *par
@@ -261,11 +193,11 @@ func main() {
 	}
 
 	if *check {
-		if fig6Result == nil {
+		if fig6 == nil {
 			fmt.Fprintln(term, "dbibench: -check requires fig6 in the run (use -experiment fig6 or all)")
 			os.Exit(2)
 		}
-		if err := fig6Result.CheckPaperOrdering(); err != nil {
+		if err := fig6.CheckPaperOrdering(); err != nil {
 			fmt.Fprintf(term, "dbibench: %v\n", err)
 			os.Exit(1)
 		}

@@ -35,8 +35,12 @@ func newProgressPrinter(term *obs.TermLog) *progressPrinter {
 // sweep amplifies startup jitter into nonsense estimates.
 const etaWarmup = time.Second
 
-// setLabel names the sweeps that follow (the experiment id).
+// setLabel names the sweeps that follow: the run's, then each
+// experiment's id while it finishes (flushlat's finish runs a sweep).
 func (p *progressPrinter) setLabel(l string) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.label = l

@@ -5,6 +5,7 @@ import (
 
 	"dbisim/internal/config"
 	"dbisim/internal/stats"
+	"dbisim/internal/system"
 )
 
 // AblationResult collects the design-choice sweeps DESIGN.md calls out:
@@ -27,85 +28,82 @@ type AblationResult struct {
 
 // Ablation sweeps the secondary design parameters to show which carry
 // the mechanism and which are second-order.
-func Ablation(o Options) (*AblationResult, error) {
-	benches := table6Benches(o.Quick)
-	res := &AblationResult{
-		WriteBufferEntries: []int{16, 64, 256},
-		DrainLow:           []int{0, 16, 48},
-		DBIAssoc:           []int{4, 8, 16},
-	}
+func Ablation(o Options) (*AblationResult, error) { return runOne(o, "ablation", planAblation) }
 
-	// The three parameter families are one sweep of independent
-	// (value, benchmark) cells. Each family's default value (wbuf=64,
-	// drainlow=16, assoc=8) leaves config.Scaled's machine unchanged,
-	// so those cells repeat one another and are simulated once.
+func planAblation(p *plan) func() (*AblationResult, error) {
+	benches := table6Benches(p.o.Quick)
+
+	// The three parameter families are independent (value, benchmark)
+	// cells. Each family's default value (wbuf=64, drainlow=16,
+	// assoc=8) leaves config.Scaled's machine unchanged, so those cells
+	// repeat one another and are simulated once.
 	type family struct {
 		param             string
 		values            []int
 		mut               func(*config.SystemConfig, int)
+		rs                [][]*system.Results // [value][benchmark]
 		ipc, wrhr, drains map[int]float64
 	}
 	families := []*family{
-		{param: "wbuf", values: res.WriteBufferEntries, mut: func(c *config.SystemConfig, n int) {
+		{param: "wbuf", values: []int{16, 64, 256}, mut: func(c *config.SystemConfig, n int) {
 			c.DRAM.WriteBufferEntries = n
 			if c.DRAM.WriteDrainLow >= n {
 				c.DRAM.WriteDrainLow = n / 4
 			}
 		}},
-		{param: "drainlow", values: res.DrainLow, mut: func(c *config.SystemConfig, low int) {
+		{param: "drainlow", values: []int{0, 16, 48}, mut: func(c *config.SystemConfig, low int) {
 			c.DRAM.WriteDrainLow = low
 		}},
-		{param: "assoc", values: res.DBIAssoc, mut: func(c *config.SystemConfig, assoc int) {
+		{param: "assoc", values: []int{4, 8, 16}, mut: func(c *config.SystemConfig, assoc int) {
 			c.DBI.Associativity = assoc
 		}},
 	}
-	var cells []simCell
 	for _, f := range families {
-		for _, p := range f.values {
+		f.rs = make([][]*system.Results, len(f.values))
+		for i, v := range f.values {
 			for _, b := range benches {
-				c := o.singleCell("ablation", config.DBIAWB, b)
-				f.mut(&c.cfg, p)
-				c.key.Param = fmt.Sprintf("%s=%d", f.param, p)
-				cells = append(cells, c)
+				c := p.o.singleCell("ablation", config.DBIAWB, b)
+				f.mut(&c.cfg, v)
+				c.key.Param = fmt.Sprintf("%s=%d", f.param, v)
+				f.rs[i] = append(f.rs[i], p.add(c))
 			}
 		}
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range families {
-		f.ipc, f.wrhr, f.drains = map[int]float64{}, map[int]float64{}, map[int]float64{}
-		for _, p := range f.values {
-			var ipcs, rhrs, drs []float64
-			for _, r := range rs[:len(benches)] {
-				ipcs = append(ipcs, r.PerCore[0].IPC)
-				rhrs = append(rhrs, r.WriteRowHitRate)
-				drs = append(drs, float64(r.DrainsStarted))
+	return func() (*AblationResult, error) {
+		for _, f := range families {
+			f.ipc, f.wrhr, f.drains = map[int]float64{}, map[int]float64{}, map[int]float64{}
+			for i, v := range f.values {
+				var ipcs, rhrs, drs []float64
+				for _, r := range f.rs[i] {
+					ipcs = append(ipcs, r.PerCore[0].IPC)
+					rhrs = append(rhrs, r.WriteRowHitRate)
+					drs = append(drs, float64(r.DrainsStarted))
+				}
+				f.ipc[v], f.wrhr[v], f.drains[v] = stats.GeoMean(ipcs), stats.Mean(rhrs), stats.Mean(drs)
 			}
-			rs = rs[len(benches):]
-			f.ipc[p], f.wrhr[p], f.drains[p] = stats.GeoMean(ipcs), stats.Mean(rhrs), stats.Mean(drs)
 		}
-	}
-	wbuf, drain, assoc := families[0], families[1], families[2]
-	res.WBufIPC, res.WBufWriteRHR = wbuf.ipc, wbuf.wrhr
-	res.DrainIPC, res.DrainStarted = drain.ipc, drain.drains
-	res.DBIAssocIPC = assoc.ipc
+		wbuf, drain, assoc := families[0], families[1], families[2]
+		res := &AblationResult{
+			WriteBufferEntries: wbuf.values, WBufWriteRHR: wbuf.wrhr, WBufIPC: wbuf.ipc,
+			DrainLow: drain.values, DrainIPC: drain.ipc, DrainStarted: drain.drains,
+			DBIAssoc: assoc.values, DBIAssocIPC: assoc.ipc,
+		}
 
-	w := o.out()
-	fprintf(w, "\nAblations (DBI+AWB on the write-sensitive subset)\n")
-	fprintf(w, "write buffer entries:")
-	for _, n := range res.WriteBufferEntries {
-		fprintf(w, "  %d: IPC %.4f, wRHR %.3f", n, res.WBufIPC[n], res.WBufWriteRHR[n])
+		w := p.o.out()
+		fprintf(w, "\nAblations (DBI+AWB on the write-sensitive subset)\n")
+		fprintf(w, "write buffer entries:")
+		for _, n := range res.WriteBufferEntries {
+			fprintf(w, "  %d: IPC %.4f, wRHR %.3f", n, res.WBufIPC[n], res.WBufWriteRHR[n])
+		}
+		fprintf(w, "\ndrain-stop watermark:")
+		for _, l := range res.DrainLow {
+			fprintf(w, "  %d: IPC %.4f (%.0f drains)", l, res.DrainIPC[l], res.DrainStarted[l])
+		}
+		fprintf(w, "\nDBI associativity:")
+		for _, a := range res.DBIAssoc {
+			fprintf(w, "  %d: IPC %.4f", a, res.DBIAssocIPC[a])
+		}
+		fprintf(w, "\n")
+		return res, nil
 	}
-	fprintf(w, "\ndrain-stop watermark:")
-	for _, l := range res.DrainLow {
-		fprintf(w, "  %d: IPC %.4f (%.0f drains)", l, res.DrainIPC[l], res.DrainStarted[l])
-	}
-	fprintf(w, "\nDBI associativity:")
-	for _, a := range res.DBIAssoc {
-		fprintf(w, "  %d: IPC %.4f", a, res.DBIAssocIPC[a])
-	}
-	fprintf(w, "\n")
-	return res, nil
 }

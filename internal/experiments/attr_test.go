@@ -2,18 +2,20 @@ package experiments
 
 import (
 	"io"
+	"strings"
 	"testing"
 
 	"dbisim/internal/sweep"
 )
 
-// TestEveryRunnerAttributionReconciles runs every simulation-backed
-// experiment runner with the process-wide attribution toggle on and
-// checks the accounting equation on every cell it records: each record
-// carries an Attr report and both of its windows reconcile (closed
-// domains sum exactly). A new call site that charges a domain total
-// without its category — or vice versa — fails here for whichever
-// experiment reaches it.
+// TestEveryRunnerAttributionReconciles plans every registered
+// experiment into one run with attribution on, as `dbibench -experiment
+// all -attr` does, and checks the accounting equation on every cell it
+// records: the run records each planned cell once, and each record
+// carries an Attr report whose windows both reconcile (closed domains
+// sum exactly). A new call site that charges a domain total without its
+// category — or vice versa — fails here for whichever experiment
+// reaches it.
 func TestEveryRunnerAttributionReconciles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -21,38 +23,45 @@ func TestEveryRunnerAttributionReconciles(t *testing.T) {
 	if raceEnabled {
 		t.Skip("deterministic single-run property; -race only multiplies the runtime")
 	}
-	runners := []struct {
-		name string
-		run  func(Options) error
-	}{
-		{"fig6", func(o Options) error { _, err := Fig6(o); return err }},
-		{"fig7", func(o Options) error { _, err := Fig7(o); return err }},
-		{"fig8", func(o Options) error { _, err := Fig8(o); return err }},
-		{"table3", func(o Options) error { _, err := Table3(o); return err }},
-		{"table6", func(o Options) error { _, err := Table6(o); return err }},
-		{"table7", func(o Options) error { _, err := Table7(o); return err }},
-		{"ablation", func(o Options) error { _, err := Ablation(o); return err }},
-		{"dbipolicy", func(o Options) error { _, err := DBIPolicy(o); return err }},
-		{"clbsens", func(o Options) error { _, err := CLBSensitivity(o); return err }},
-		{"drrip", func(o Options) error { _, err := DRRIP(o); return err }},
-		{"casestudy", func(o Options) error { _, err := CaseStudy(o); return err }},
+	rec := &sweep.Recorder{}
+	o := tiny()
+	o.Out = io.Discard
+	o.Recorder = rec
+	o.Attr = true
+	p := &plan{o: o}
+	planned := map[string]int{}
+	var finishes []func() (any, error)
+	for _, e := range Registry {
+		n := len(p.cells)
+		finishes = append(finishes, e.plan(p))
+		planned[e.ID] = len(p.cells) - n
 	}
-	for _, r := range runners {
-		r := r
-		t.Run(r.name, func(t *testing.T) {
-			rec := &sweep.Recorder{}
-			o := tiny()
-			o.Out = io.Discard
-			o.Recorder = rec
-			o.Attr = true
-			if err := r.run(o); err != nil {
-				t.Fatal(err)
+	if err := p.run("all"); err != nil {
+		t.Fatal(err)
+	}
+	for _, finish := range finishes {
+		if _, err := finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := rec.Records()
+	if len(records) != len(p.cells) {
+		t.Fatalf("run recorded %d cells, planned %d", len(records), len(p.cells))
+	}
+	byExp := map[string][]sweep.Record{}
+	for _, r := range records {
+		id, _, _ := strings.Cut(r.Experiment, "/") // fig7/alone is fig7's
+		byExp[id] = append(byExp[id], r)
+	}
+	for _, e := range Registry {
+		if planned[e.ID] == 0 {
+			continue // tab4, tab5 and flushlat simulate no machine
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			if got := len(byExp[e.ID]); got != planned[e.ID] {
+				t.Fatalf("recorded %d cells, planned %d", got, planned[e.ID])
 			}
-			records := rec.Records()
-			if len(records) == 0 {
-				t.Fatal("runner produced no records")
-			}
-			for _, cell := range records {
+			for _, cell := range byExp[e.ID] {
 				if cell.Attr == nil {
 					t.Fatalf("%s: no attribution report", cell.Key)
 				}

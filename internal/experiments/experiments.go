@@ -1,7 +1,11 @@
 // Package experiments contains one runner per table and figure of the
-// DBI paper's evaluation (Section 6). Every runner builds the workloads,
-// sweeps the mechanisms, renders the same rows/series the paper reports
-// and returns structured results for the benchmark harness to assert on.
+// DBI paper's evaluation (Section 6). Every runner plans its cells
+// (the machines and workloads it sweeps) into a run and returns its
+// finish, which reduces their results to the rows/series the paper
+// reports, renders them and returns them as structured results for the
+// benchmark harness to assert on. Registry lists every runner; Run
+// joins any of them into one run, which simulates each distinct cell
+// once however many runners plan it.
 //
 // The runners use the laptop-scale configuration (config.Scaled); the
 // per-experiment index and the paper-vs-measured record live in
@@ -46,6 +50,68 @@ type Options struct {
 	Progress func(done, total int)
 }
 
+// Experiment is one entry of the Registry: the id dbibench selects it
+// by, a one-line description, and the function that plans its cells
+// and returns its finish.
+type Experiment struct {
+	ID   string
+	Desc string
+	plan func(*plan) func() (any, error)
+}
+
+// Registry lists every experiment, in dbibench's order.
+var Registry = []Experiment{
+	{"fig6", "Figure 6: single-core IPC, row hit rates, tag lookups, WPKI", untyped(planFig6)},
+	{"fig7", "Figure 7: multi-core weighted speedup (2/4/8 cores)", untyped(planFig7)},
+	{"fig8", "Figure 8: 4-core per-workload speedup S-curve", untyped(planFig8)},
+	{"tab3", "Table 3: performance and fairness metrics", untyped(planTable3)},
+	{"tab4", "Table 4: bit storage cost reduction", func(p *plan) func() (any, error) {
+		return func() (any, error) { return Table4(p.o), nil }
+	}},
+	{"tab5", "Table 5: DBI power fraction", func(p *plan) func() (any, error) {
+		return func() (any, error) { return Table5(p.o), nil }
+	}},
+	{"tab6", "Table 6: AWB sensitivity to DBI size and granularity", untyped(planTable6)},
+	{"tab7", "Table 7: cache size sensitivity", untyped(planTable7)},
+	{"casestudy", "Section 6.2: GemsFDTD+libquantum case study", untyped(planCaseStudy)},
+	{"dbipolicy", "Section 4.3: DBI replacement policy comparison", untyped(planDBIPolicy)},
+	{"clbsens", "Section 6.4: CLB miss-predictor threshold sensitivity", untyped(planCLBSensitivity)},
+	{"drrip", "Section 6.5: DBI under DRRIP replacement", untyped(planDRRIP)},
+	{"area", "Section 6.3: area and DRAM energy", untyped(planAreaPower)},
+	// The flush walks are not machines: Flush runs its own two-cell
+	// sweep when it finishes.
+	{"flushlat", "Section 7: whole-cache flush latency", func(p *plan) func() (any, error) {
+		return func() (any, error) { return Flush(p.o) }
+	}},
+	{"ablation", "Design-choice ablations (write buffer, drain, DBI assoc)", untyped(planAblation)},
+}
+
+// untyped adapts a runner's plan function to the Registry's.
+func untyped[R any](planFn func(*plan) func() (R, error)) func(*plan) func() (any, error) {
+	return func(p *plan) func() (any, error) {
+		finish := planFn(p)
+		return func() (any, error) { return finish() }
+	}
+}
+
+// Run plans every experiment of exps into one run and simulates it as
+// one sweep, named label on the live monitor (dbibench passes its
+// -experiment value: an id, or "all"). It returns each experiment's
+// finish, in exps' order: a call reduces that experiment's results,
+// renders them to o.Out and returns its result (*Fig6Result for fig6,
+// and so on).
+func Run(o Options, label string, exps []Experiment) ([]func() (any, error), error) {
+	p := &plan{o: o}
+	finishes := make([]func() (any, error), len(exps))
+	for i, e := range exps {
+		finishes[i] = e.plan(p)
+	}
+	if err := p.run(label); err != nil {
+		return nil, err
+	}
+	return finishes, nil
+}
+
 func (o Options) out() io.Writer {
 	if o.Out == nil {
 		return io.Discard
@@ -80,34 +146,14 @@ func (o Options) seed() int64 {
 	return o.Seed
 }
 
-// weightedSpeedup is a convenience wrapper over system.WeightedSpeedup.
-func weightedSpeedup(r system.Results, alone map[string]float64) float64 {
-	return system.WeightedSpeedup(r.PerCore, alone)
-}
-
-// aloneCells builds one baseline single-core cell per distinct
-// benchmark: its IPC alone is the denominator of every speedup metric
-// (Section 5).
-func (o Options) aloneCells(exp string, benches []string) []simCell {
-	var cells []simCell
-	seen := map[string]bool{}
-	for _, b := range benches {
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		cells = append(cells, o.singleCell(exp+"/alone", config.Baseline, b))
+// wsPerMix returns the weighted speedup of each mix's result over the
+// alone IPCs.
+func wsPerMix(rs []*system.Results, alone map[string]float64) []float64 {
+	ws := make([]float64, len(rs))
+	for i, r := range rs {
+		ws[i] = system.WeightedSpeedup(r.PerCore, alone)
 	}
-	return cells
-}
-
-// aloneIPCs maps each alone cell's benchmark to its measured IPC.
-func aloneIPCs(cells []simCell, rs []system.Results) map[string]float64 {
-	out := map[string]float64{}
-	for i, c := range cells {
-		out[c.key.Benchmark] = rs[i].PerCore[0].IPC
-	}
-	return out
+	return ws
 }
 
 // fig6Mechanisms are the mechanisms Figure 6 plots.

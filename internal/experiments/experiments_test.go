@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dbisim/internal/config"
 	"dbisim/internal/sweep"
@@ -291,49 +293,190 @@ func TestFig6OrderingCheck(t *testing.T) {
 	}
 }
 
-// TestAloneCellsOnePerBenchmark: a sub-sweep gets one alone cell per
-// distinct benchmark, in first-seen order, however often its mixes
-// name it; this decides how many alone records a sweep writes.
+// TestAloneCellsOnePerBenchmark: an alone call plans one alone cell per
+// distinct benchmark, in first-seen order, however often its mixes name
+// it; this decides how many alone records a sweep writes.
 func TestAloneCellsOnePerBenchmark(t *testing.T) {
+	p := &plan{}
+	alone := p.alone("t", []string{"a", "b", "b", "c", "a"})
 	var got []string
-	for _, c := range (Options{}).aloneCells("t", []string{"a", "b", "b", "c", "a"}) {
+	for _, c := range p.cells {
 		got = append(got, c.key.String())
 	}
 	want := []string{"t/alone/a/Baseline", "t/alone/b/Baseline", "t/alone/c/Baseline"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("alone cells = %v, want %v", got, want)
 	}
+	for i, b := range []string{"a", "b", "c"} {
+		if alone[b] != p.res[i] {
+			t.Errorf("alone[%q] is not the result of its cell %s", b, want[i])
+		}
+	}
 }
 
-// TestRunCellsReusesEveryRepeat pins reuse in a sweep: runCells gives
-// every cell of one identity the same Memo, so within one call every
-// repeat of a cell is answered from the first one's result — exactly
-// the 3 repeats here, whatever earlier sweeps ran — and every cell, run
+// TestRunCellsReusesEveryRepeat pins reuse in a run: a plan gives every
+// cell of one identity the same Memo, so within one run every repeat of
+// a cell is answered from the first one's result — exactly the 3
+// repeats here, whatever earlier runs simulated — and every cell, run
 // or reused, equals a fresh machine's Run.
 func TestRunCellsReusesEveryRepeat(t *testing.T) {
 	o := Options{Seed: 977, Parallel: 2}
+	p := &plan{o: o}
 	var cells []simCell
+	var rs []*system.Results
 	for _, b := range []string{"stream", "mcf", "stream", "lbm", "mcf", "stream"} {
 		c := o.singleCell("plan", config.Baseline, b)
 		c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = 20000, 20000
 		cells = append(cells, c)
+		rs = append(rs, p.add(c))
 	}
 	before := system.PoolStat.Snapshot()
-	rs, err := o.runCells(cells)
-	if err != nil {
+	if err := p.run("plan"); err != nil {
 		t.Fatal(err)
 	}
 	// Three repeats: stream twice, mcf once.
 	if d := system.PoolStat.Snapshot().Sub(before); d.CkptHits != 3 {
-		t.Errorf("sweep reused %d cells, want 3", d.CkptHits)
+		t.Errorf("run reused %d cells, want 3", d.CkptHits)
 	}
 	for i, c := range cells {
 		fresh, err := system.New(c.cfg, c.benches, o.seed())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fresh.Run(); !reflect.DeepEqual(rs[i], want) {
-			t.Errorf("cell %d (%s): reused vs fresh diverge\nreused: %+v\nfresh:  %+v", i, c.key, rs[i], want)
+		if want := fresh.Run(); !reflect.DeepEqual(*rs[i], want) {
+			t.Errorf("cell %d (%s): reused vs fresh diverge\nreused: %+v\nfresh:  %+v", i, c.key, *rs[i], want)
 		}
+	}
+}
+
+// registered returns the Registry's experiments with the given ids.
+func registered(t *testing.T, ids ...string) []Experiment {
+	t.Helper()
+	var exps []Experiment
+	for _, id := range ids {
+		i := slices.IndexFunc(Registry, func(e Experiment) bool { return e.ID == id })
+		if i < 0 {
+			t.Fatalf("no experiment %q in the registry", id)
+		}
+		exps = append(exps, Registry[i])
+	}
+	return exps
+}
+
+// TestJoinedPlanMatchesStandalone: a run that joins tab6 and area
+// answers each of them exactly as its own run does — result, rendered
+// table and records — while it simulates area's 3 baseline cells, which
+// are tab6's alone cells, once: 33 planned cells, 30 identities.
+func TestJoinedPlanMatchesStandalone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	if raceEnabled {
+		t.Skip("deterministic equality of results; -race only multiplies the runtime")
+	}
+	type finished struct {
+		res any
+		out string
+	}
+	// run runs exps as one plan, records into rec, and finishes each
+	// experiment into its own output.
+	run := func(exps []Experiment, rec *sweep.Recorder) ([]finished, system.PoolSnapshot) {
+		var buf bytes.Buffer
+		o := tiny()
+		o.Out = &buf
+		o.Recorder = rec
+		before := system.PoolStat.Snapshot()
+		finishes, err := Run(o, "t", exps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := system.PoolStat.Snapshot().Sub(before)
+		fs := make([]finished, len(finishes))
+		for i, finish := range finishes {
+			buf.Reset()
+			res, err := finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs[i] = finished{res: res, out: buf.String()}
+		}
+		return fs, pool
+	}
+
+	exps := registered(t, "tab6", "area")
+	joinedRec := &sweep.Recorder{}
+	joined, pool := run(exps, joinedRec)
+	if pool.Rebuilds != 30 || pool.CkptHits != 3 {
+		t.Errorf("joined run simulated %d cells and reused %d, want 30 and 3", pool.Rebuilds, pool.CkptHits)
+	}
+	aloneRec := &sweep.Recorder{}
+	for i, e := range exps {
+		want, _ := run(exps[i:i+1], aloneRec)
+		if !reflect.DeepEqual(joined[i].res, want[0].res) {
+			t.Errorf("%s: joined result %+v, standalone %+v", e.ID, joined[i].res, want[0].res)
+		}
+		if joined[i].out != want[0].out {
+			t.Errorf("%s: joined table\n%s\nstandalone table\n%s", e.ID, joined[i].out, want[0].out)
+		}
+	}
+	got, want := joinedRec.Records(), aloneRec.Records()
+	if len(got) != 33 || len(want) != 33 {
+		t.Fatalf("joined run recorded %d cells and the standalone runs %d, want 33 each", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Key != want[i].Key || !reflect.DeepEqual(got[i].Metrics, want[i].Metrics) {
+			t.Errorf("record %d: joined %s %v, standalone %s %v", i, got[i].Key, got[i].Metrics, want[i].Key, want[i].Metrics)
+		}
+	}
+}
+
+// labelSink records the label of every sweep the live monitor starts.
+type labelSink struct {
+	mu     sync.Mutex
+	labels []string
+}
+
+func (s *labelSink) SweepStart(label string, _, _ int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.labels = append(s.labels, label)
+}
+func (s *labelSink) SweepEnd(string, int)                      {}
+func (s *labelSink) CellStart(int, string)                     {}
+func (s *labelSink) CellEnd(int, string, time.Duration, error) {}
+func (s *labelSink) WorkerPanic(int, string, any)              {}
+
+// TestSweepLabelNamesTheRun: the live monitor's sink sees each run
+// under the name its caller gives it — a runner's own run its id, a
+// joined run "all" — not its first cell's experiment, and Flush's own
+// sweep as flushlat.
+func TestSweepLabelNamesTheRun(t *testing.T) {
+	// planOne plans one short single-core cell.
+	planOne := func(p *plan) func() (any, error) {
+		c := p.o.singleCell("t", config.Baseline, "stream")
+		c.cfg.WarmupInstructions, c.cfg.MeasureInstructions = 20000, 20000
+		p.add(c)
+		return func() (any, error) { return nil, nil }
+	}
+	sink := &labelSink{}
+	sweep.Live.Enable(sink)
+	defer sweep.Live.Disable()
+	o := Options{Parallel: 1}
+	if _, err := runOne(o, "fig6", planOne); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(o, "tab3", []Experiment{{ID: "tab3", plan: planOne}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(o, "all", []Experiment{{ID: "fig6", plan: planOne}, {ID: "tab3", plan: planOne}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Flush(o); err != nil {
+		t.Fatal(err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if want := []string{"fig6", "tab3", "all", "flushlat"}; !slices.Equal(sink.labels, want) {
+		t.Errorf("sweep labels = %v, want %v", sink.labels, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"dbisim/internal/areamodel"
 	"dbisim/internal/config"
 	"dbisim/internal/stats"
+	"dbisim/internal/system"
 )
 
 // DBIPolicyResult compares the five DBI replacement policies of
@@ -19,43 +20,43 @@ type DBIPolicyResult struct {
 // policies on the write-sensitive benchmark subset. The paper finds LRW
 // comparable to or better than the alternatives.
 func DBIPolicy(o Options) (*DBIPolicyResult, error) {
+	return runOne(o, "dbipolicy", planDBIPolicy)
+}
+
+func planDBIPolicy(p *plan) func() (*DBIPolicyResult, error) {
 	policies := []config.DBIReplacement{
 		config.DBILRW, config.DBILRWBIP, config.DBIRWIP,
 		config.DBIMaxDirty, config.DBIMinDirty,
 	}
-	benches := table6Benches(o.Quick)
-	res := &DBIPolicyResult{
-		Policies: policies,
-		GMeanIPC: map[config.DBIReplacement]float64{},
-	}
-	var cells []simCell
-	for _, pol := range policies {
+	benches := table6Benches(p.o.Quick)
+	rs := make([][]*system.Results, len(policies)) // [policy][benchmark]
+	for i, pol := range policies {
 		for _, b := range benches {
-			c := o.singleCell("dbipolicy", config.DBIAWB, b)
+			c := p.o.singleCell("dbipolicy", config.DBIAWB, b)
 			c.cfg.DBI.Replacement = pol
 			c.key.Param = fmt.Sprintf("policy=%v", pol)
-			cells = append(cells, c)
+			rs[i] = append(rs[i], p.add(c))
 		}
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, pol := range policies {
-		var ipcs []float64
-		for range benches {
-			ipcs = append(ipcs, rs[i].PerCore[0].IPC)
-			i++
+	return func() (*DBIPolicyResult, error) {
+		res := &DBIPolicyResult{
+			Policies: policies,
+			GMeanIPC: map[config.DBIReplacement]float64{},
 		}
-		res.GMeanIPC[pol] = stats.GeoMean(ipcs)
+		for i, pol := range policies {
+			var ipcs []float64
+			for _, r := range rs[i] {
+				ipcs = append(ipcs, r.PerCore[0].IPC)
+			}
+			res.GMeanIPC[pol] = stats.GeoMean(ipcs)
+		}
+		w := p.o.out()
+		fprintf(w, "\nSection 4.3: DBI replacement policy comparison (gmean IPC)\n")
+		for _, pol := range policies {
+			fprintf(w, "%-10s %.4f\n", pol, res.GMeanIPC[pol])
+		}
+		return res, nil
 	}
-	w := o.out()
-	fprintf(w, "\nSection 4.3: DBI replacement policy comparison (gmean IPC)\n")
-	for _, pol := range policies {
-		fprintf(w, "%-10s %.4f\n", pol, res.GMeanIPC[pol])
-	}
-	return res, nil
 }
 
 // CLBSensitivityResult sweeps the CLB parameters of Section 6.4.
@@ -68,46 +69,44 @@ type CLBSensitivityResult struct {
 // CLBSensitivity reproduces the Section 6.4 finding that CLB performance
 // is insensitive to the miss-predictor threshold for reasonable values.
 func CLBSensitivity(o Options) (*CLBSensitivityResult, error) {
-	res := &CLBSensitivityResult{
-		Thresholds: []float64{0.5, 0.75, 0.95},
-		IPC:        map[float64]float64{},
-	}
+	return runOne(o, "clbsens", planCLBSensitivity)
+}
+
+func planCLBSensitivity(p *plan) func() (*CLBSensitivityResult, error) {
+	thresholds := []float64{0.5, 0.75, 0.95}
 	benches := []string{"libquantum", "stream", "mcf"}
-	var cells []simCell
-	for _, th := range res.Thresholds {
+	rs := make([][]*system.Results, len(thresholds)) // [threshold][benchmark]
+	for i, th := range thresholds {
 		for _, b := range benches {
-			c := o.singleCell("clbsens", config.DBIAWBCLB, b)
+			c := p.o.singleCell("clbsens", config.DBIAWBCLB, b)
 			c.cfg.MissPred.Threshold = th
 			c.key.Param = fmt.Sprintf("threshold=%.2f", th)
-			cells = append(cells, c)
+			rs[i] = append(rs[i], p.add(c))
 		}
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var all []float64
-	i := 0
-	for _, th := range res.Thresholds {
-		var ipcs []float64
-		for range benches {
-			ipcs = append(ipcs, rs[i].PerCore[0].IPC)
-			i++
+	return func() (*CLBSensitivityResult, error) {
+		res := &CLBSensitivityResult{Thresholds: thresholds, IPC: map[float64]float64{}}
+		var all []float64
+		for i, th := range thresholds {
+			var ipcs []float64
+			for _, r := range rs[i] {
+				ipcs = append(ipcs, r.PerCore[0].IPC)
+			}
+			res.IPC[th] = stats.GeoMean(ipcs)
+			all = append(all, res.IPC[th])
 		}
-		res.IPC[th] = stats.GeoMean(ipcs)
-		all = append(all, res.IPC[th])
+		sorted := stats.SortedCopy(all)
+		if sorted[0] > 0 {
+			res.Spread = sorted[len(sorted)-1]/sorted[0] - 1
+		}
+		w := p.o.out()
+		fprintf(w, "\nSection 6.4: CLB sensitivity to miss-predictor threshold\n")
+		for _, th := range res.Thresholds {
+			fprintf(w, "threshold %.2f  gmean IPC %.4f\n", th, res.IPC[th])
+		}
+		fprintf(w, "spread %.1f%%\n", 100*res.Spread)
+		return res, nil
 	}
-	sorted := stats.SortedCopy(all)
-	if sorted[0] > 0 {
-		res.Spread = sorted[len(sorted)-1]/sorted[0] - 1
-	}
-	w := o.out()
-	fprintf(w, "\nSection 6.4: CLB sensitivity to miss-predictor threshold\n")
-	for _, th := range res.Thresholds {
-		fprintf(w, "threshold %.2f  gmean IPC %.4f\n", th, res.IPC[th])
-	}
-	fprintf(w, "spread %.1f%%\n", 100*res.Spread)
-	return res, nil
 }
 
 // DRRIPResult compares DAWB and DBI+AWB+CLB under the DRRIP replacement
@@ -120,37 +119,36 @@ type DRRIPResult struct {
 // DRRIP reproduces the Section 6.5 check: DBI's benefit persists under a
 // better replacement policy (the paper reports +7% over DAWB at 8
 // cores with DRRIP).
-func DRRIP(o Options) (*DRRIPResult, error) {
-	cores := 8
-	mixes := o.mixesFor(cores)
-	if o.Quick {
+func DRRIP(o Options) (*DRRIPResult, error) { return runOne(o, "drrip", planDRRIP) }
+
+func planDRRIP(p *plan) func() (*DRRIPResult, error) {
+	mixes := p.o.mixesFor(8)
+	if p.o.Quick {
 		mixes = mixes[:2]
 	}
-	sub := o.newMixSweep("drrip", mixes)
-	for _, mech := range []config.Mechanism{config.DAWB, config.DBIAWBCLB} {
+	alone := p.aloneMixes("drrip", mixes)
+	mechs := []config.Mechanism{config.DAWB, config.DBIAWBCLB}
+	rs := make([][]*system.Results, len(mechs)) // [mechanism][mix]
+	for i, mech := range mechs {
 		for _, mix := range mixes {
-			c := o.multiCell("drrip", mech, mix.Name, mix.Benches)
+			c := p.o.multiCell("drrip", mech, mix.Name, mix.Benches)
 			c.cfg.L3.Replacement = config.ReplDRRIP
 			c.key.Param = "repl=DRRIP"
-			sub.cells = append(sub.cells, c)
+			rs[i] = append(rs[i], p.add(c))
 		}
 	}
-	if err := o.runMixSweeps(sub); err != nil {
-		return nil, err
-	}
-	mean := func(off int) float64 {
-		var ws []float64
-		for i := range mixes {
-			ws = append(ws, weightedSpeedup(sub.rs[off+i], sub.alone))
+	return func() (*DRRIPResult, error) {
+		ipc := alone.ipc()
+		res := &DRRIPResult{
+			WSDAWB: stats.Mean(wsPerMix(rs[0], ipc)),
+			WSDBI:  stats.Mean(wsPerMix(rs[1], ipc)),
 		}
-		return stats.Mean(ws)
+		w := p.o.out()
+		fprintf(w, "\nSection 6.5: 8-core with DRRIP replacement\n")
+		fprintf(w, "DAWB        WS=%.3f\nDBI+AWB+CLB WS=%.3f (%+.0f%%)\n",
+			res.WSDAWB, res.WSDBI, 100*(res.WSDBI/res.WSDAWB-1))
+		return res, nil
 	}
-	res := &DRRIPResult{WSDAWB: mean(0), WSDBI: mean(len(mixes))}
-	w := o.out()
-	fprintf(w, "\nSection 6.5: 8-core with DRRIP replacement\n")
-	fprintf(w, "DAWB        WS=%.3f\nDBI+AWB+CLB WS=%.3f (%+.0f%%)\n",
-		res.WSDAWB, res.WSDBI, 100*(res.WSDBI/res.WSDAWB-1))
-	return res, nil
 }
 
 // AreaPowerResult carries the Section 6.3 headline numbers.
@@ -163,44 +161,45 @@ type AreaPowerResult struct {
 // AreaPower reproduces the Section 6.3 area and energy claims: ~8%/5%
 // cache area reduction for α=1/4 and 1/2 at 16MB, and the DRAM energy
 // reduction from higher row hit rates.
-func AreaPower(o Options) (*AreaPowerResult, error) {
-	cfg16 := config.PaperWithL3PerCore(8, config.DBIAWBCLB, 2<<20)
-	bits, sram := areamodel.DefaultBits(), areamodel.DefaultSRAM()
-	res := &AreaPowerResult{}
-	d := cfg16.DBI
-	res.AreaReductionQuarter = areamodel.CacheAreaReduction(bits, sram, cfg16.L3, d)
-	d.AlphaNum, d.AlphaDen = 1, 2
-	res.AreaReductionHalf = areamodel.CacheAreaReduction(bits, sram, cfg16.L3, d)
+func AreaPower(o Options) (*AreaPowerResult, error) { return runOne(o, "area", planAreaPower) }
 
-	energy := areamodel.DefaultDRAMEnergy()
-	benches := table6Benches(o.Quick)
-	var cells []simCell
-	for _, b := range benches {
-		cells = append(cells, o.singleCell("area", config.Baseline, b))
-		cells = append(cells, o.singleCell("area", config.DBIAWBCLB, b))
+func planAreaPower(p *plan) func() (*AreaPowerResult, error) {
+	benches := table6Benches(p.o.Quick)
+	base := make([]*system.Results, len(benches))
+	dbi := make([]*system.Results, len(benches))
+	for i, b := range benches {
+		base[i] = p.add(p.o.singleCell("area", config.Baseline, b))
+		dbi[i] = p.add(p.o.singleCell("area", config.DBIAWBCLB, b))
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var ratios []float64
-	for i := range benches {
-		base, dbi := rs[2*i], rs[2*i+1]
-		eb := energy.EnergyFromCounts(base.MemActivates, base.MemReads, base.MemWrites)
-		ed := energy.EnergyFromCounts(dbi.MemActivates, dbi.MemReads, dbi.MemWrites)
-		if eb > 0 {
-			// Normalize per measured instruction so run lengths compare.
-			ebPI := eb / float64(base.TotalInstructions)
-			edPI := ed / float64(dbi.TotalInstructions)
-			ratios = append(ratios, edPI/ebPI)
+	return func() (*AreaPowerResult, error) {
+		cfg16 := config.PaperWithL3PerCore(8, config.DBIAWBCLB, 2<<20)
+		bits, sram := areamodel.DefaultBits(), areamodel.DefaultSRAM()
+		res := &AreaPowerResult{}
+		d := cfg16.DBI
+		res.AreaReductionQuarter = areamodel.CacheAreaReduction(bits, sram, cfg16.L3, d)
+		d.AlphaNum, d.AlphaDen = 1, 2
+		res.AreaReductionHalf = areamodel.CacheAreaReduction(bits, sram, cfg16.L3, d)
+
+		energy := areamodel.DefaultDRAMEnergy()
+		var ratios []float64
+		for i := range benches {
+			rb, rd := base[i], dbi[i]
+			eb := energy.EnergyFromCounts(rb.MemActivates, rb.MemReads, rb.MemWrites)
+			ed := energy.EnergyFromCounts(rd.MemActivates, rd.MemReads, rd.MemWrites)
+			if eb > 0 {
+				// Normalize per measured instruction so run lengths compare.
+				ebPI := eb / float64(rb.TotalInstructions)
+				edPI := ed / float64(rd.TotalInstructions)
+				ratios = append(ratios, edPI/ebPI)
+			}
 		}
+		res.DRAMEnergyReduction = 1 - stats.GeoMean(ratios)
+		w := p.o.out()
+		fprintf(w, "\nSection 6.3: area and energy\n")
+		fprintf(w, "cache area reduction (16MB, ECC): α=1/4 %.1f%%, α=1/2 %.1f%%\n",
+			100*res.AreaReductionQuarter, 100*res.AreaReductionHalf)
+		fprintf(w, "DRAM energy change (DBI+AWB+CLB vs baseline): %+.1f%%\n",
+			-100*res.DRAMEnergyReduction)
+		return res, nil
 	}
-	res.DRAMEnergyReduction = 1 - stats.GeoMean(ratios)
-	w := o.out()
-	fprintf(w, "\nSection 6.3: area and energy\n")
-	fprintf(w, "cache area reduction (16MB, ECC): α=1/4 %.1f%%, α=1/2 %.1f%%\n",
-		100*res.AreaReductionQuarter, 100*res.AreaReductionHalf)
-	fprintf(w, "DRAM energy change (DBI+AWB+CLB vs baseline): %+.1f%%\n",
-		-100*res.DRAMEnergyReduction)
-	return res, nil
 }

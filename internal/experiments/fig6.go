@@ -28,55 +28,54 @@ type Fig6Result struct {
 // Fig6 reproduces Figure 6: single-core IPC, write row hit rate, tag
 // lookups PKI, memory writes PKI and read row hit rate for the 14
 // benchmark models under the seven mechanisms.
-func Fig6(o Options) (*Fig6Result, error) {
-	res := &Fig6Result{
-		Benchmarks: trace.Benchmarks(),
-		Mechanisms: fig6Mechanisms(),
-		IPC:        map[config.Mechanism]map[string]float64{},
-		WriteRHR:   map[config.Mechanism]map[string]float64{},
-		TagPKI:     map[config.Mechanism]map[string]float64{},
-		WPKI:       map[config.Mechanism]map[string]float64{},
-		ReadRHR:    map[config.Mechanism]map[string]float64{},
-		GMeanIPC:   map[config.Mechanism]float64{},
-		MeanWRHR:   map[config.Mechanism]float64{},
-		MeanTagPKI: map[config.Mechanism]float64{},
-	}
-	var cells []simCell
-	for _, mech := range res.Mechanisms {
-		for _, b := range res.Benchmarks {
-			cells = append(cells, o.singleCell("fig6", mech, b))
+func Fig6(o Options) (*Fig6Result, error) { return runOne(o, "fig6", planFig6) }
+
+func planFig6(p *plan) func() (*Fig6Result, error) {
+	benches, mechs := trace.Benchmarks(), fig6Mechanisms()
+	rs := make([][]*system.Results, len(mechs)) // [mechanism][benchmark]
+	for i, mech := range mechs {
+		for _, b := range benches {
+			rs[i] = append(rs[i], p.add(p.o.singleCell("fig6", mech, b)))
 		}
 	}
-	rs, err := o.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, mech := range res.Mechanisms {
-		res.IPC[mech] = map[string]float64{}
-		res.WriteRHR[mech] = map[string]float64{}
-		res.TagPKI[mech] = map[string]float64{}
-		res.WPKI[mech] = map[string]float64{}
-		res.ReadRHR[mech] = map[string]float64{}
-		var ipcs, wrhrs, tags []float64
-		for _, b := range res.Benchmarks {
-			r := rs[i]
-			i++
-			res.IPC[mech][b] = r.PerCore[0].IPC
-			res.WriteRHR[mech][b] = r.WriteRowHitRate
-			res.TagPKI[mech][b] = r.TagLookupsPKI
-			res.WPKI[mech][b] = r.MemWritesPKI
-			res.ReadRHR[mech][b] = r.ReadRowHitRate
-			ipcs = append(ipcs, r.PerCore[0].IPC)
-			wrhrs = append(wrhrs, r.WriteRowHitRate)
-			tags = append(tags, r.TagLookupsPKI)
+	return func() (*Fig6Result, error) {
+		res := &Fig6Result{
+			Benchmarks: benches,
+			Mechanisms: mechs,
+			IPC:        map[config.Mechanism]map[string]float64{},
+			WriteRHR:   map[config.Mechanism]map[string]float64{},
+			TagPKI:     map[config.Mechanism]map[string]float64{},
+			WPKI:       map[config.Mechanism]map[string]float64{},
+			ReadRHR:    map[config.Mechanism]map[string]float64{},
+			GMeanIPC:   map[config.Mechanism]float64{},
+			MeanWRHR:   map[config.Mechanism]float64{},
+			MeanTagPKI: map[config.Mechanism]float64{},
 		}
-		res.GMeanIPC[mech] = stats.GeoMean(ipcs)
-		res.MeanWRHR[mech] = stats.Mean(wrhrs)
-		res.MeanTagPKI[mech] = stats.Mean(tags)
+		for i, mech := range mechs {
+			res.IPC[mech] = map[string]float64{}
+			res.WriteRHR[mech] = map[string]float64{}
+			res.TagPKI[mech] = map[string]float64{}
+			res.WPKI[mech] = map[string]float64{}
+			res.ReadRHR[mech] = map[string]float64{}
+			var ipcs, wrhrs, tags []float64
+			for j, b := range benches {
+				r := rs[i][j]
+				res.IPC[mech][b] = r.PerCore[0].IPC
+				res.WriteRHR[mech][b] = r.WriteRowHitRate
+				res.TagPKI[mech][b] = r.TagLookupsPKI
+				res.WPKI[mech][b] = r.MemWritesPKI
+				res.ReadRHR[mech][b] = r.ReadRowHitRate
+				ipcs = append(ipcs, r.PerCore[0].IPC)
+				wrhrs = append(wrhrs, r.WriteRowHitRate)
+				tags = append(tags, r.TagLookupsPKI)
+			}
+			res.GMeanIPC[mech] = stats.GeoMean(ipcs)
+			res.MeanWRHR[mech] = stats.Mean(wrhrs)
+			res.MeanTagPKI[mech] = stats.Mean(tags)
+		}
+		res.render(p.o)
+		return res, nil
 	}
-	res.render(o)
-	return res, nil
 }
 
 // CheckPaperOrdering verifies the Figure-6a mechanism ordering the
@@ -154,34 +153,39 @@ type CaseStudyResult struct {
 // (even without AWB) captures most of the DRAM-aware-writeback benefit
 // while CLB removes libquantum's useless lookups.
 func CaseStudy(o Options) (*CaseStudyResult, error) {
+	return runOne(o, "casestudy", planCaseStudy)
+}
+
+func planCaseStudy(p *plan) func() (*CaseStudyResult, error) {
 	mix := workloads.Mix{Name: "GemsFDTD+libquantum", Benches: []string{"GemsFDTD", "libquantum"}}
 	mechs := []config.Mechanism{
 		config.Baseline, config.DAWB, config.DBI, config.DBIAWB, config.DBIAWBCLB,
 	}
-	res := &CaseStudyResult{
-		Mechanisms: mechs,
-		WS:         map[config.Mechanism]float64{},
-		TagPKI:     map[config.Mechanism]float64{},
-	}
-	sub := o.newMixSweep("casestudy", []workloads.Mix{mix})
-	for _, mech := range mechs {
-		sub.cells = append(sub.cells, o.multiCell("casestudy", mech, mix.Name, mix.Benches))
-	}
-	if err := o.runMixSweeps(sub); err != nil {
-		return nil, err
-	}
-	w := o.out()
-	fprintf(w, "\nSection 6.2 case study: 2-core GemsFDTD + libquantum\n")
+	alone := p.aloneMixes("casestudy", []workloads.Mix{mix})
+	rs := make([]*system.Results, len(mechs))
 	for i, mech := range mechs {
-		res.WS[mech] = system.WeightedSpeedup(sub.rs[i].PerCore, sub.alone)
-		res.TagPKI[mech] = sub.rs[i].TagLookupsPKI
-		fprintf(w, "%-12s WS=%.3f tagPKI=%.1f\n", mech, res.WS[mech], res.TagPKI[mech])
+		rs[i] = p.add(p.o.multiCell("casestudy", mech, mix.Name, mix.Benches))
 	}
-	base := res.WS[config.Baseline]
-	if base > 0 {
-		for _, mech := range mechs[1:] {
-			fprintf(w, "%-12s %+.0f%% vs baseline\n", mech, 100*(res.WS[mech]/base-1))
+	return func() (*CaseStudyResult, error) {
+		res := &CaseStudyResult{
+			Mechanisms: mechs,
+			WS:         map[config.Mechanism]float64{},
+			TagPKI:     map[config.Mechanism]float64{},
 		}
+		ipc := alone.ipc()
+		w := p.o.out()
+		fprintf(w, "\nSection 6.2 case study: 2-core GemsFDTD + libquantum\n")
+		for i, mech := range mechs {
+			res.WS[mech] = system.WeightedSpeedup(rs[i].PerCore, ipc)
+			res.TagPKI[mech] = rs[i].TagLookupsPKI
+			fprintf(w, "%-12s WS=%.3f tagPKI=%.1f\n", mech, res.WS[mech], res.TagPKI[mech])
+		}
+		base := res.WS[config.Baseline]
+		if base > 0 {
+			for _, mech := range mechs[1:] {
+				fprintf(w, "%-12s %+.0f%% vs baseline\n", mech, 100*(res.WS[mech]/base-1))
+			}
+		}
+		return res, nil
 	}
-	return res, nil
 }

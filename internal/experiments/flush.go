@@ -72,7 +72,7 @@ func Flush(o Options) (*FlushResult, error) {
 			},
 		}
 	}
-	outs, err := sweep.RunWithProgress([]sweep.Cell[walk]{cell(config.TADIP), cell(config.DBI)}, o.workers(), o.Progress)
+	outs, err := sweep.RunWithProgress("flushlat", []sweep.Cell[walk]{cell(config.TADIP), cell(config.DBI)}, o.workers(), o.Progress)
 	if err != nil {
 		return nil, err
 	}

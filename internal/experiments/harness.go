@@ -10,8 +10,8 @@ import (
 	"dbisim/internal/workloads"
 )
 
-// simCell is one simulation the worker pool can run: a complete system
-// configuration plus the benchmark on each of its cores.
+// simCell is one planned simulation: a complete system configuration
+// plus the benchmark on each of its cores.
 type simCell struct {
 	key     sweep.Key
 	cfg     config.SystemConfig
@@ -54,24 +54,76 @@ func (o Options) multiCell(exp string, mech config.Mechanism, mixName string, be
 	}
 }
 
-// runCells executes the cells across the worker pool and returns their
-// results in cell order. Every cell runs at the base seed, so the
-// result set is identical for every worker count; each outcome is also
-// pushed to the Recorder for the -json report. All cells of one
-// identity share one system.Memo, so the call simulates each distinct
-// cell once and answers its repeats with copies of that result; each
-// experiment plans its cells into one call, so every repeat is
-// reused. Cells are also grouped by identity, so a repeat completes
-// right after the cell it repeats.
-func (o Options) runCells(cells []simCell) ([]system.Results, error) {
+// plan is the cells of one run. Each runner's plan function adds the
+// cells it needs and returns its finish, which reads their results
+// once run has filled them in.
+type plan struct {
+	o     Options
+	cells []simCell
+	res   []*system.Results
+}
+
+// add plans one cell and returns where run will put its result.
+func (p *plan) add(c simCell) *system.Results {
+	r := new(system.Results)
+	p.cells = append(p.cells, c)
+	p.res = append(p.res, r)
+	return r
+}
+
+// aloneRuns maps a benchmark to the result of its alone cell.
+type aloneRuns map[string]*system.Results
+
+// alone plans one baseline single-core cell per distinct benchmark of
+// benches, in first-seen order: its IPC alone is the denominator of
+// every speedup metric (Section 5).
+func (p *plan) alone(exp string, benches []string) aloneRuns {
+	a := aloneRuns{}
+	for _, b := range benches {
+		if a[b] == nil {
+			a[b] = p.add(p.o.singleCell(exp+"/alone", config.Baseline, b))
+		}
+	}
+	return a
+}
+
+// aloneMixes plans the alone cells of every benchmark of mixes.
+func (p *plan) aloneMixes(exp string, mixes []workloads.Mix) aloneRuns {
+	var benches []string
+	for _, m := range mixes {
+		benches = append(benches, m.Benches...)
+	}
+	return p.alone(exp, benches)
+}
+
+// ipc maps each benchmark to its IPC alone.
+func (a aloneRuns) ipc() map[string]float64 {
+	m := make(map[string]float64, len(a))
+	for b, r := range a {
+		m[b] = r.PerCore[0].IPC
+	}
+	return m
+}
+
+// run simulates the plan as one sweep labelled label, in plan order.
+// Every cell runs at the base seed, so the results are identical for
+// every worker count. All cells of one identity — config with both
+// budgets, benchmarks and seed — share one system.Memo, so the run
+// simulates each distinct cell once, whichever experiment planned it,
+// and answers its repeats with copies of that result. Cells are also
+// grouped by identity, so a repeat completes right after the cell it
+// repeats. Each planned cell gets its result and one record for the
+// -json report.
+func (p *plan) run(label string) error {
+	o := p.o
 	seed := o.seed()
 	var opts []system.Option
 	if o.Attr {
 		opts = append(opts, system.WithAttribution())
 	}
 	memos := map[string]*system.Memo{}
-	sc := make([]sweep.Cell[system.Results], len(cells))
-	for i, c := range cells {
+	sc := make([]sweep.Cell[system.Results], len(p.cells))
+	for i, c := range p.cells {
 		id := fmt.Sprintf("%+v|%v|%d", c.cfg, c.benches, seed)
 		m := memos[id]
 		if m == nil {
@@ -80,13 +132,12 @@ func (o Options) runCells(cells []simCell) ([]system.Results, error) {
 		}
 		sc[i] = sweep.Cell[system.Results]{Key: c.key, Run: m.Run, Group: id}
 	}
-	outs, err := sweep.RunWithProgress(sc, o.workers(), o.Progress)
+	outs, err := sweep.RunWithProgress(label, sc, o.workers(), o.Progress)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := make([]system.Results, len(outs))
 	for i, out := range outs {
-		res[i] = out.Value
+		*p.res[i] = out.Value
 		o.Recorder.Add(sweep.Record{
 			Key:        out.Key.String(),
 			Experiment: out.Key.Experiment,
@@ -100,49 +151,17 @@ func (o Options) runCells(cells []simCell) ([]system.Results, error) {
 			ElapsedMS:  float64(out.Elapsed.Microseconds()) / 1000,
 		})
 	}
-	return res, nil
-}
-
-// mixSweep is one sub-sweep of an experiment whose metrics divide by
-// alone IPCs: the alone cells of its benchmarks (those of its workload
-// mixes, for a multi-core experiment) and its own cells. runMixSweeps
-// fills alone and rs.
-type mixSweep struct {
-	mixes      []workloads.Mix
-	aloneCells []simCell
-	cells      []simCell
-
-	alone map[string]float64
-	rs    []system.Results
-}
-
-// newMixSweep starts a sub-sweep over mixes; the caller appends its mix
-// cells.
-func (o Options) newMixSweep(exp string, mixes []workloads.Mix) *mixSweep {
-	var benches []string
-	for _, m := range mixes {
-		benches = append(benches, m.Benches...)
-	}
-	return &mixSweep{mixes: mixes, aloneCells: o.aloneCells(exp, benches)}
-}
-
-// runMixSweeps runs the sub-sweeps as one sweep, in order, with each
-// one's alone cells before its own cells. An alone cell that several
-// sub-sweeps repeat is then simulated once and reused, where separate
-// runs would simulate it again each time.
-func (o Options) runMixSweeps(subs ...*mixSweep) error {
-	var cells []simCell
-	for _, s := range subs {
-		cells = append(cells, s.aloneCells...)
-		cells = append(cells, s.cells...)
-	}
-	rs, err := o.runCells(cells)
-	if err != nil {
-		return err
-	}
-	for _, s := range subs {
-		n, m := len(s.aloneCells), len(s.aloneCells)+len(s.cells)
-		s.alone, s.rs, rs = aloneIPCs(s.aloneCells, rs[:n]), rs[n:m], rs[m:]
-	}
 	return nil
+}
+
+// runOne runs a plan that holds one experiment, labelled with its id,
+// and finishes it.
+func runOne[R any](o Options, id string, planFn func(*plan) func() (R, error)) (R, error) {
+	p := &plan{o: o}
+	finish := planFn(p)
+	if err := p.run(id); err != nil {
+		var zero R
+		return zero, err
+	}
+	return finish()
 }

@@ -6,6 +6,7 @@ import (
 	"dbisim/internal/areamodel"
 	"dbisim/internal/config"
 	"dbisim/internal/stats"
+	"dbisim/internal/system"
 )
 
 // Table4 renders the paper's Table 4 (bit-storage cost reduction) and
@@ -56,57 +57,55 @@ func table6Benches(quick bool) []string {
 
 // Table6 reproduces Table 6: sensitivity of the AWB optimization to DBI
 // size (α) and granularity.
-func Table6(o Options) (*Table6Result, error) {
-	res := &Table6Result{
-		Granularities: []int{16, 32, 64, 128},
-		Alphas:        [][2]int{{1, 4}, {1, 2}},
-	}
-	benches := table6Benches(o.Quick)
+func Table6(o Options) (*Table6Result, error) { return runOne(o, "tab6", planTable6) }
 
-	sub := &mixSweep{aloneCells: o.aloneCells("tab6", benches)}
-	for _, alpha := range res.Alphas {
-		for _, gran := range res.Granularities {
+func planTable6(p *plan) func() (*Table6Result, error) {
+	grans, alphas := []int{16, 32, 64, 128}, [][2]int{{1, 4}, {1, 2}}
+	benches := table6Benches(p.o.Quick)
+	alone := p.alone("tab6", benches)
+	rs := make([][][]*system.Results, len(alphas)) // [alpha][granularity][benchmark]
+	for i, alpha := range alphas {
+		rs[i] = make([][]*system.Results, len(grans))
+		for j, gran := range grans {
 			for _, b := range benches {
-				c := o.singleCell("tab6", config.DBIAWB, b)
+				c := p.o.singleCell("tab6", config.DBIAWB, b)
 				c.cfg.DBI.AlphaNum, c.cfg.DBI.AlphaDen = alpha[0], alpha[1]
 				c.cfg.DBI.Granularity = gran
 				c.key.Param = fmt.Sprintf("alpha=%d/%d,gran=%d", alpha[0], alpha[1], gran)
-				sub.cells = append(sub.cells, c)
+				rs[i][j] = append(rs[i][j], p.add(c))
 			}
 		}
 	}
-	if err := o.runMixSweeps(sub); err != nil {
-		return nil, err
-	}
-	rs, baseIPC := sub.rs, sub.alone
-	i := 0
-	for range res.Alphas {
-		var row []float64
-		for range res.Granularities {
-			var speedups []float64
-			for _, b := range benches {
-				speedups = append(speedups, rs[i].PerCore[0].IPC/baseIPC[b])
-				i++
+	return func() (*Table6Result, error) {
+		res := &Table6Result{Granularities: grans, Alphas: alphas}
+		baseIPC := alone.ipc()
+		for i := range alphas {
+			var row []float64
+			for j := range grans {
+				var speedups []float64
+				for k, b := range benches {
+					speedups = append(speedups, rs[i][j][k].PerCore[0].IPC/baseIPC[b])
+				}
+				row = append(row, stats.GeoMean(speedups)-1)
 			}
-			row = append(row, stats.GeoMean(speedups)-1)
+			res.Improvement = append(res.Improvement, row)
 		}
-		res.Improvement = append(res.Improvement, row)
-	}
-	w := o.out()
-	fprintf(w, "\nTable 6: AWB sensitivity to DBI size and granularity\n")
-	fprintf(w, "%-10s", "size\\gran")
-	for _, g := range res.Granularities {
-		fprintf(w, "%8d", g)
-	}
-	fprintf(w, "\n")
-	for i, alpha := range res.Alphas {
-		fprintf(w, "α=%d/%-6d", alpha[0], alpha[1])
-		for j := range res.Granularities {
-			fprintf(w, "%+7.0f%%", 100*res.Improvement[i][j])
+		w := p.o.out()
+		fprintf(w, "\nTable 6: AWB sensitivity to DBI size and granularity\n")
+		fprintf(w, "%-10s", "size\\gran")
+		for _, g := range res.Granularities {
+			fprintf(w, "%8d", g)
 		}
 		fprintf(w, "\n")
+		for i, alpha := range res.Alphas {
+			fprintf(w, "α=%d/%-6d", alpha[0], alpha[1])
+			for j := range res.Granularities {
+				fprintf(w, "%+7.0f%%", 100*res.Improvement[i][j])
+			}
+			fprintf(w, "\n")
+		}
+		return res, nil
 	}
-	return res, nil
 }
 
 // Table7Result maps LLC capacity per core to the WS improvement of
@@ -120,59 +119,60 @@ type Table7Result struct {
 // Table7 reproduces Table 7: the effect of cache size (the scaled
 // analogues of the paper's 2MB/core and 4MB/core) on the multi-core
 // improvement.
-func Table7(o Options) (*Table7Result, error) {
-	res := &Table7Result{
-		Cores:       []int{2, 4, 8},
-		Improvement: map[uint64]map[int]float64{},
-	}
+func Table7(o Options) (*Table7Result, error) { return runOne(o, "tab7", planTable7) }
+
+func planTable7(p *plan) func() (*Table7Result, error) {
+	cores := []int{2, 4, 8}
 	sizes := []uint64{1 << 20, 2 << 20} // scaled analogues of 2MB/4MB per core
-	var subs []*mixSweep
+	type sub struct {
+		alone     aloneRuns
+		base, dbi []*system.Results // one per mix
+	}
+	subs := map[uint64][]sub{} // [size][cores]
 	for _, size := range sizes {
-		for _, cores := range res.Cores {
-			mixes := o.mixesFor(cores)
-			if o.Quick {
+		for _, n := range cores {
+			mixes := p.o.mixesFor(n)
+			if p.o.Quick {
 				mixes = mixes[:2]
 			}
-			sub := o.newMixSweep("tab7", mixes)
+			s := sub{alone: p.aloneMixes("tab7", mixes)}
 			for _, mix := range mixes {
-				for _, mech := range []config.Mechanism{config.Baseline, config.DBIAWBCLB} {
-					c := o.multiCell("tab7", mech, mix.Name, mix.Benches)
-					c.cfg.L3.SizeBytes = size * uint64(cores)
+				cell := func(mech config.Mechanism) *system.Results {
+					c := p.o.multiCell("tab7", mech, mix.Name, mix.Benches)
+					c.cfg.L3.SizeBytes = size * uint64(n)
 					c.key.Param = fmt.Sprintf("llc=%dKB/core", size>>10)
-					sub.cells = append(sub.cells, c)
+					return p.add(c)
 				}
+				s.base = append(s.base, cell(config.Baseline))
+				s.dbi = append(s.dbi, cell(config.DBIAWBCLB))
 			}
-			subs = append(subs, sub)
+			subs[size] = append(subs[size], s)
 		}
 	}
-	if err := o.runMixSweeps(subs...); err != nil {
-		return nil, err
-	}
-	for si, size := range sizes {
-		res.Improvement[size] = map[int]float64{}
-		for ci, cores := range res.Cores {
-			sub := subs[si*len(res.Cores)+ci]
-			var base, dbi []float64
-			for i := range sub.mixes {
-				base = append(base, weightedSpeedup(sub.rs[2*i], sub.alone))
-				dbi = append(dbi, weightedSpeedup(sub.rs[2*i+1], sub.alone))
+	return func() (*Table7Result, error) {
+		res := &Table7Result{Cores: cores, Improvement: map[uint64]map[int]float64{}}
+		for _, size := range sizes {
+			res.Improvement[size] = map[int]float64{}
+			for i, n := range cores {
+				s := subs[size][i]
+				ipc := s.alone.ipc()
+				res.Improvement[size][n] = stats.Mean(wsPerMix(s.dbi, ipc))/stats.Mean(wsPerMix(s.base, ipc)) - 1
 			}
-			res.Improvement[size][cores] = stats.Mean(dbi)/stats.Mean(base) - 1
 		}
-	}
-	w := o.out()
-	fprintf(w, "\nTable 7: effect of cache size (DBI+AWB+CLB vs baseline WS)\n")
-	fprintf(w, "%-14s", "LLC/core")
-	for _, c := range res.Cores {
-		fprintf(w, "%9d-core", c)
-	}
-	fprintf(w, "\n")
-	for _, size := range sizes {
-		fprintf(w, "%10dKB  ", size>>10)
+		w := p.o.out()
+		fprintf(w, "\nTable 7: effect of cache size (DBI+AWB+CLB vs baseline WS)\n")
+		fprintf(w, "%-14s", "LLC/core")
 		for _, c := range res.Cores {
-			fprintf(w, "%+12.0f%%", 100*res.Improvement[size][c])
+			fprintf(w, "%9d-core", c)
 		}
 		fprintf(w, "\n")
+		for _, size := range sizes {
+			fprintf(w, "%10dKB  ", size>>10)
+			for _, c := range res.Cores {
+				fprintf(w, "%+12.0f%%", 100*res.Improvement[size][c])
+			}
+			fprintf(w, "\n")
+		}
+		return res, nil
 	}
-	return res, nil
 }

@@ -97,7 +97,7 @@ func TestFlightRecordEndpointDuringSweep(t *testing.T) {
 	}
 	sweepDone := make(chan error, 1)
 	go func() {
-		_, err := sweep.RunWithProgress(cells, 4, nil)
+		_, err := sweep.RunWithProgress("flight-race", cells, 4, nil)
 		sweepDone <- err
 	}()
 	<-started

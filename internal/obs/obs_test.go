@@ -189,7 +189,7 @@ func TestServerEndpoints(t *testing.T) {
 		Run: func() (int, error) { return 1, nil },
 	}}
 	cells[0].Key.Experiment = "obs-test"
-	if _, err := sweep.RunWithProgress(cells, 1, nil); err != nil {
+	if _, err := sweep.RunWithProgress("obs-test", cells, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	body, ctype := get("/sweep")
@@ -364,7 +364,7 @@ func TestSweepPoolDelta(t *testing.T) {
 				return 1, nil
 			},
 		}}
-		if _, err := sweep.RunWithProgress(cells, 1, nil); err != nil {
+		if _, err := sweep.RunWithProgress(label, cells, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

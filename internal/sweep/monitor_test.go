@@ -60,7 +60,7 @@ func TestMonitorPublishesSweep(t *testing.T) {
 	for i := range cells {
 		cells[i] = busyCell(i)
 	}
-	outs, err := RunWithProgress(cells, 3, nil)
+	outs, err := RunWithProgress("t", cells, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

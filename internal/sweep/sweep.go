@@ -77,13 +77,15 @@ type Outcome[T any] struct {
 
 // RunWithProgress executes the cells on `workers` goroutines (0 or
 // less means GOMAXPROCS) and returns their outcomes in input order.
+// label names the sweep on the live monitor (/sweep, the flight
+// recorder): the experiment id, or "all" for a run of every one.
 // After the first failure no new cells are started; cells already in
 // flight finish, and the error of the earliest-indexed failed cell is
 // returned, wrapped with its key. progress(done, total), when non-nil,
 // fires after each cell finishes, from the finishing worker's
 // goroutine, so it must be safe for concurrent use (an atomic counter
 // plus stderr writes in practice).
-func RunWithProgress[T any](cells []Cell[T], workers int, progress func(done, total int)) ([]Outcome[T], error) {
+func RunWithProgress[T any](label string, cells []Cell[T], workers int, progress func(done, total int)) ([]Outcome[T], error) {
 	chains := buildChains(cells)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -96,10 +98,6 @@ func RunWithProgress[T any](cells []Cell[T], workers int, progress func(done, to
 
 	// One atomic load decides whether this sweep publishes to the live
 	// monitor; disabled, the per-cell path below is untouched.
-	label := ""
-	if len(cells) > 0 {
-		label = cells[0].Key.Experiment
-	}
 	live := Live.begin(label, workers, len(cells))
 
 	var failed atomic.Bool

@@ -32,7 +32,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	var want []int
 	for _, workers := range []int{1, 2, 4, 8, 0} {
-		outs, err := RunWithProgress(cells, workers, nil)
+		outs, err := RunWithProgress("t", cells, workers, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -73,7 +73,7 @@ func TestRunErrorPropagation(t *testing.T) {
 				},
 			}
 		}
-		_, err := RunWithProgress(cells, workers, nil)
+		_, err := RunWithProgress("t", cells, workers, nil)
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
@@ -87,10 +87,10 @@ func TestRunErrorPropagation(t *testing.T) {
 }
 
 func TestRunEmptyAndFewerCellsThanWorkers(t *testing.T) {
-	if outs, err := RunWithProgress[int](nil, 8, nil); err != nil || len(outs) != 0 {
+	if outs, err := RunWithProgress[int]("t", nil, 8, nil); err != nil || len(outs) != 0 {
 		t.Fatalf("empty run: %v %v", outs, err)
 	}
-	outs, err := RunWithProgress([]Cell[string]{{Key: Key{Experiment: "t"}, Run: func() (string, error) { return "x", nil }}}, 64, nil)
+	outs, err := RunWithProgress("t", []Cell[string]{{Key: Key{Experiment: "t"}, Run: func() (string, error) { return "x", nil }}}, 64, nil)
 	if err != nil || len(outs) != 1 || outs[0].Value != "x" {
 		t.Fatalf("single cell: %v %v", outs, err)
 	}
@@ -146,7 +146,7 @@ func TestRunWithProgressReportsEveryCell(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var dones []int
-	outs, err := RunWithProgress(cells, 3, func(done, total int) {
+	outs, err := RunWithProgress("p", cells, 3, func(done, total int) {
 		if total != len(cells) {
 			t.Errorf("total = %d, want %d", total, len(cells))
 		}
@@ -200,7 +200,7 @@ func TestGroupedCellsRunInOrder(t *testing.T) {
 			},
 		}
 	}
-	if _, err := RunWithProgress(cells, 4, nil); err != nil {
+	if _, err := RunWithProgress("t", cells, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Per group, the log must read start, end of its first cell, then

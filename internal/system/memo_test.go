@@ -220,7 +220,7 @@ func TestReusedSweepParallelMatchesSequential(t *testing.T) {
 			}
 		}
 		before := PoolStat.Snapshot()
-		outs, err := sweep.RunWithProgress(cells, workers, nil)
+		outs, err := sweep.RunWithProgress("t", cells, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,13 @@ import (
 // first eight batches since the previous flush. Every request is built
 // before the timer starts, and one untimed pass over them warms the
 // tracker to steady eviction, so one op is one request in steady state.
+//
+// Compare tracker changes at -cpu 1, alternating runs of the two
+// builds. The benchmark runs one goroutine, yet on a 2-CPU container
+// six runs each read 3,958–5,198 ns/request at -cpu 1 and 5,742–7,132
+// at -cpu 2, and only -cpu 1 separated a branchy dirty count (slower
+// in 5 of 6 alternated pairs, against 3 of 6 at -cpu 2). Why -cpu 2 is
+// slower and noisier is not established.
 func BenchmarkShardedWriteReplay(b *testing.B) {
 	const (
 		requests   = 4096
