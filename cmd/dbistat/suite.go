@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"dbisim/internal/addr"
@@ -295,19 +296,19 @@ func simStream(seed int64) (perfstat.Counts, error) {
 }
 
 // macroTarget wraps an experiment runner as a sequential quick sweep.
-// Completed cells are counted through the process-wide perfstat
-// counter the sweep worker pool feeds — the same signal the ops
-// plane's proc.cells_done counter reads — so every sweep-driven
-// experiment reports cells uniformly whether or not it uses a Recorder.
+// Completed cells are counted through Options.Progress, which every
+// sweep calls once per finished cell, so every sweep-driven experiment
+// reports cells uniformly whether or not it uses a Recorder.
 func macroTarget(name string, seed int64, run func(experiments.Options) error) perfstat.Target {
 	return perfstat.Target{Name: name, Kind: perfstat.KindMacro, Run: func() (perfstat.Counts, error) {
-		before := perfstat.CellCount()
+		var cells atomic.Uint64
 		o := experiments.Options{
 			Out: io.Discard, Quick: true, Seed: seed, Parallel: 1,
+			Progress: func(int, int) { cells.Add(1) },
 		}
 		if err := run(o); err != nil {
 			return perfstat.Counts{}, err
 		}
-		return perfstat.Counts{Cells: perfstat.CellCount() - before}, nil
+		return perfstat.Counts{Cells: cells.Load()}, nil
 	}}
 }

@@ -27,7 +27,6 @@ type LoadConfig struct {
 	Profile  string        // internal/trace profile name
 	Seed     int64
 	Rate     float64 // total target requests/sec across clients; 0 = closed loop
-	Timeout  time.Duration
 }
 
 // LoadReport is what the driver measures. Latencies are microseconds
@@ -62,13 +61,13 @@ type loadClient interface {
 // passing p99.
 const maxLatencyUs = 1_000_000
 
+// opTimeout bounds one request's round trip.
+const opTimeout = 5 * time.Second
+
 // RunLoad replays cfg against a running server and reports.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if cfg.Clients < 1 || cfg.Batch < 1 {
 		return nil, fmt.Errorf("loadgen: need at least 1 client and 1-key batches")
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = "binary"
@@ -157,7 +156,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 						}
 					}
 				}
-				opCtx, opDone := context.WithTimeout(ctx, cfg.Timeout)
+				opCtx, opDone := context.WithTimeout(ctx, opTimeout)
 				t0 := time.Now()
 				ev, err := cl.SetDirty(opCtx, setBatch)
 				observe(time.Since(t0))
@@ -179,7 +178,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 				}
 
 				if len(loadBatch) == cfg.Batch {
-					opCtx, opDone := context.WithTimeout(ctx, cfg.Timeout)
+					opCtx, opDone := context.WithTimeout(ctx, opTimeout)
 					t0 := time.Now()
 					_, err := cl.IsDirty(opCtx, loadBatch)
 					observe(time.Since(t0))
@@ -195,7 +194,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 				}
 				// Periodic AWB harvest of recently written rows.
 				if turn%64 == 0 && len(recentRows) > 0 {
-					opCtx, opDone := context.WithTimeout(ctx, cfg.Timeout)
+					opCtx, opDone := context.WithTimeout(ctx, opTimeout)
 					t0 := time.Now()
 					fl, err := cl.FlushRows(opCtx, recentRows)
 					observe(time.Since(t0))

@@ -11,12 +11,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"sync/atomic"
 
@@ -90,17 +88,11 @@ func (s *Server) Handler() http.Handler {
 			fmt.Sprintf("no such path %s", r.URL.Path))
 	})
 
-	// Ops plane (unversioned, same as every dbisim binary).
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WritePrometheus(w, s.reg)
-	})
+	// Ops plane (unversioned, the same routes as every dbisim binary's).
+	obs.MountOps(mux, s.reg)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	return mux
 }
 

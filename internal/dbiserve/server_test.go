@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -468,6 +469,32 @@ func TestOpsPlane(t *testing.T) {
 	}
 	if got := readAll(t, resp); got != "ok\n" {
 		t.Errorf("/healthz = %q", got)
+	}
+}
+
+// TestOpsPlaneServesEveryPprofRoute checks that dbiserved mounts the
+// pprof routes beyond the index and CPU profile that every dbisim ops
+// server serves: the command line, symbol lookup and execution trace.
+func TestOpsPlaneServesEveryPprofRoute(t *testing.T) {
+	_, hs, _ := testServer(t)
+	for _, c := range []struct{ path, want string }{
+		{"/debug/pprof/cmdline", strings.Join(os.Args, "\x00")},
+		{"/debug/pprof/symbol", "num_symbols: 1\n"},
+		{"/debug/pprof/trace?seconds=0.05", ""},
+	} {
+		resp, err := http.Get(hs.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		switch {
+		case resp.StatusCode != http.StatusOK:
+			t.Errorf("GET %s = %d: %s", c.path, resp.StatusCode, body)
+		case c.want != "" && body != c.want:
+			t.Errorf("GET %s = %q, want %q", c.path, body, c.want)
+		case body == "":
+			t.Errorf("GET %s returned an empty body", c.path)
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"dbisim/internal/system"
 )
 
 // DefaultFlightEvents is the per-lane ring capacity: enough to hold the
@@ -66,6 +68,10 @@ func (l *lane) snapshot() []FlightEvent {
 // the ops plane's black box: always cheap enough to leave on, dumped on
 // panic, on SIGQUIT, or on demand via /debug/flightrecord.
 //
+// It is also the ops plane's one record of a running sweep: the sweep
+// events that fill the rings keep the status /sweep serves, the pool
+// counters at the sweep's start and the count of completed cells.
+//
 // Lane 0 is the control plane (sweep start/end, reuse decisions);
 // worker w records on lane w+1. All methods are safe for concurrent use.
 type FlightRecorder struct {
@@ -76,14 +82,38 @@ type FlightRecorder struct {
 	perLane int
 	mu      sync.RWMutex
 	lanes   map[int]*lane
+
+	// stMu guards the most recently started sweep's status, the pool
+	// counters at its start (nil before the first sweep) and the cells
+	// completed without error since the recorder was made.
+	stMu     sync.Mutex
+	status   sweepStatus
+	poolBase *system.PoolSnapshot
+	cellsOK  uint64
 }
 
-// NewFlightRecorder builds a recorder holding up to perLane events per
-// lane (0 means DefaultFlightEvents).
+// sweepStatus is the most recently started sweep, as /sweep serves it.
+type sweepStatus struct {
+	Seq     uint64         `json:"seq"` // increments per sweep
+	Label   string         `json:"label"`
+	Total   int            `json:"cells_total"`
+	Done    int            `json:"cells_done"`
+	StartNS int64          `json:"start_ns"`
+	Active  bool           `json:"active"`
+	Workers []workerStatus `json:"workers,omitempty"`
+}
+
+// workerStatus is one worker lane of the sweep.
+type workerStatus struct {
+	Worker  int    `json:"worker"`
+	Cell    string `json:"cell,omitempty"` // empty when idle
+	StartNS int64  `json:"cell_start_ns,omitempty"`
+	Done    int    `json:"cells_done"`
+}
+
+// NewFlightRecorder builds a recorder holding up to perLane (at least
+// 1) events per lane; the ops plane's holds DefaultFlightEvents.
 func NewFlightRecorder(perLane int) *FlightRecorder {
-	if perLane <= 0 {
-		perLane = DefaultFlightEvents
-	}
 	return &FlightRecorder{perLane: perLane, lanes: map[int]*lane{}}
 }
 
@@ -122,14 +152,34 @@ func (f *FlightRecorder) record(laneID int, ph byte, name, detail string) {
 
 func (f *FlightRecorder) SweepStart(label string, workers, total int) {
 	f.record(0, 'i', "sweep:"+label, fmt.Sprintf("%d cells on %d workers", total, workers))
+	base := system.PoolStat.Snapshot()
+	lanes := make([]workerStatus, workers)
+	for w := range lanes {
+		lanes[w].Worker = w
+	}
+	f.stMu.Lock()
+	f.status = sweepStatus{
+		Seq: f.status.Seq + 1, Label: label, Total: total,
+		StartNS: time.Now().UnixNano(), Active: true, Workers: lanes,
+	}
+	f.poolBase = &base
+	f.stMu.Unlock()
 }
 
 func (f *FlightRecorder) SweepEnd(label string, done int) {
 	f.record(0, 'i', "sweep-end:"+label, fmt.Sprintf("%d cells done", done))
+	f.stMu.Lock()
+	f.status.Active = false
+	f.stMu.Unlock()
 }
 
 func (f *FlightRecorder) CellStart(worker int, key string) {
 	f.record(workerLane(worker), 'B', key, "")
+	f.stMu.Lock()
+	if w := f.worker(worker); w != nil {
+		w.Cell, w.StartNS = key, time.Now().UnixNano()
+	}
+	f.stMu.Unlock()
 }
 
 func (f *FlightRecorder) CellEnd(worker int, key string, elapsed time.Duration, err error) {
@@ -138,6 +188,44 @@ func (f *FlightRecorder) CellEnd(worker int, key string, elapsed time.Duration, 
 		detail = "error: " + err.Error()
 	}
 	f.record(workerLane(worker), 'E', key, detail)
+	f.stMu.Lock()
+	if err == nil {
+		f.cellsOK++
+	}
+	if w := f.worker(worker); w != nil {
+		w.Cell, w.StartNS = "", 0
+		w.Done++
+		f.status.Done++
+	}
+	f.stMu.Unlock()
+}
+
+// worker returns worker w's lane of the current sweep's status, nil for
+// an event outside it (before any sweep, or from a worker it does not
+// have). The caller holds stMu.
+func (f *FlightRecorder) worker(w int) *workerStatus {
+	if w < 0 || w >= len(f.status.Workers) {
+		return nil
+	}
+	return &f.status.Workers[w]
+}
+
+// sweep returns a copy of the current sweep's status and the pool
+// counters at its start (nil before the first sweep).
+func (f *FlightRecorder) sweep() (sweepStatus, *system.PoolSnapshot) {
+	f.stMu.Lock()
+	defer f.stMu.Unlock()
+	st := f.status
+	st.Workers = append([]workerStatus(nil), st.Workers...)
+	return st, f.poolBase
+}
+
+// cellsDone returns the cells completed without error since the
+// recorder was made, across every sweep: proc.cells_done.
+func (f *FlightRecorder) cellsDone() uint64 {
+	f.stMu.Lock()
+	defer f.stMu.Unlock()
+	return f.cellsOK
 }
 
 // WorkerPanic records the crash instant and flushes the whole ring to

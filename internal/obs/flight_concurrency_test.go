@@ -71,15 +71,7 @@ func TestFlightRecorderConcurrentDumps(t *testing.T) {
 // actively running cells. Every response must be complete, valid
 // Chrome-trace JSON.
 func TestFlightRecordEndpointDuringSweep(t *testing.T) {
-	srv, err := Start(Config{Addr: "127.0.0.1:0", FlightCap: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Close()
-		sweep.Live.Disable()
-		system.SetPoolEventHook(nil)
-	}()
+	srv := startOps(t, Config{})
 	url := "http://" + srv.Addr() + "/debug/flightrecord"
 
 	started := make(chan struct{})

@@ -7,11 +7,12 @@
 //
 // Everything here is off by default and opt-in per process (the CLIs'
 // -listen flag). The design constraint mirrors the telemetry package's:
-// zero cost when disabled. Starting a server enables three cheap,
-// always-race-safe feeds — the process-wide pool counters (atomic
-// adds that are unconditionally on), the sweep monitor's lock-free
-// status slots, and the flight recorder's per-lane rings — none of
-// which touch a simulation's hot path or perturb its Results.
+// zero cost when disabled. Starting a server installs the flight
+// recorder as the sweep monitor's sink and the pool event hook, so the
+// recorder sees every sweep event under a per-event lock and is the
+// one record /sweep and proc.cells_done read. The process-wide pool
+// counters are atomic adds that are unconditionally on. None of this
+// touches a simulation's hot path or perturbs its Results.
 package obs
 
 import (
@@ -24,11 +25,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"dbisim/internal/perfstat"
 	"dbisim/internal/sweep"
 	"dbisim/internal/system"
 	"dbisim/internal/telemetry"
@@ -43,9 +42,6 @@ type Config struct {
 	// SIGQUIT ("" disables the on-disk dump; /debug/flightrecord still
 	// serves the ring).
 	FlightPath string
-	// FlightCap bounds events per flight-recorder lane (0 means
-	// DefaultFlightEvents).
-	FlightCap int
 	// Register, when non-nil, adds caller-specific probes to the served
 	// registry before the server starts (e.g. dbisim registering its
 	// System's component counters). Probes must tolerate concurrent
@@ -54,16 +50,15 @@ type Config struct {
 }
 
 // Server is a running ops server. Close shuts it down; the feeds it
-// enabled (sweep monitor, pool event hook) stay enabled — they are
+// installed (sweep sink, pool event hook) stay installed — they are
 // harmless without a consumer and the CLIs run one server per process.
 type Server struct {
 	Registry *telemetry.Registry
 	Flight   *FlightRecorder
 
-	sweepSink *poolBaseliner
-	ln        net.Listener
-	srv       *http.Server
-	stop      chan os.Signal
+	ln   net.Listener
+	srv  *http.Server
+	stop chan os.Signal
 }
 
 // Start builds the ops plane and serves it on cfg.Addr: the shared
@@ -74,32 +69,26 @@ type Server struct {
 // and the pool event hook, and installs a SIGQUIT handler that dumps
 // the flight record before the runtime's usual goroutine dump.
 func Start(cfg Config) (*Server, error) {
+	flight := NewFlightRecorder(DefaultFlightEvents)
+	flight.DumpPath = cfg.FlightPath
+
 	reg := telemetry.NewRegistry()
 	system.RegisterPoolMetrics(reg)
 	telemetry.AttrTotals.RegisterMetrics(reg)
-	registerProcessMetrics(reg)
+	registerProcessMetrics(reg, flight)
 	if cfg.Register != nil {
 		cfg.Register(reg)
 	}
 
-	flight := NewFlightRecorder(cfg.FlightCap)
-	flight.DumpPath = cfg.FlightPath
-	sink := &poolBaseliner{Sink: flight}
-	sweep.Live.Enable(sink)
+	sweep.Live.Enable(flight)
 	system.SetPoolEventHook(flight.PoolEvent)
 
-	s := &Server{Registry: reg, Flight: flight, sweepSink: sink}
+	s := &Server{Registry: reg, Flight: flight}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/sweep", s.handleSweep)
 	mux.HandleFunc("/debug/flightrecord", s.handleFlight)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	MountOps(mux, reg)
 
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -139,11 +128,27 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// registerProcessMetrics adds host-process gauges: completed cells,
-// goroutines, and heap occupancy. ReadMemStats is a brief
-// stop-the-world, acceptable at scrape frequency.
-func registerProcessMetrics(reg *telemetry.Registry) {
-	reg.Counter("proc.cells_done", perfstat.CellCount)
+// MountOps adds the ops routes every dbisim server shares to mux:
+// reg in Prometheus text exposition at /metrics, expvar at /debug/vars
+// and every stdlib /debug/pprof route.
+func MountOps(mux *http.ServeMux, reg *telemetry.Registry) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = WritePrometheus(w, reg) // a failed write means the scraper is gone
+	})
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// registerProcessMetrics adds host-process gauges: cells the flight
+// recorder saw complete, goroutines, and heap occupancy. ReadMemStats
+// is a brief stop-the-world, acceptable at scrape frequency.
+func registerProcessMetrics(reg *telemetry.Registry, flight *FlightRecorder) {
+	reg.Counter("proc.cells_done", flight.cellsDone)
 	reg.Gauge("proc.goroutines", func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.Gauge("proc.heap_alloc_bytes", func() float64 {
 		var m runtime.MemStats
@@ -178,15 +183,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 `)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WritePrometheus(w, s.Registry)
-}
-
-// sweepDoc is the /sweep response: the monitor's snapshot plus derived
-// timing and the cumulative pool counters.
+// sweepDoc is the /sweep response: the flight recorder's sweep status
+// plus derived timing and the cumulative pool counters.
 type sweepDoc struct {
-	sweep.Status
+	sweepStatus
 	ElapsedSec float64             `json:"elapsed_sec"`
 	ETASec     float64             `json:"eta_sec,omitempty"`
 	Pool       system.PoolSnapshot `json:"pool"`
@@ -202,37 +202,20 @@ type poolSweepDoc struct {
 	CkptHitRate float64 `json:"ckpt_hit_rate"`
 }
 
-// poolBaseliner wraps the sweep sink (the flight recorder) to also
-// capture the pool counters at each SweepStart, giving /sweep its
-// per-sweep delta. Callbacks fire from worker goroutines; the baseline
-// is a single atomic pointer swap.
-type poolBaseliner struct {
-	sweep.Sink
-	base atomic.Pointer[system.PoolSnapshot]
-}
-
-func (p *poolBaseliner) SweepStart(label string, workers, total int) {
-	snap := system.PoolStat.Snapshot()
-	p.base.Store(&snap)
-	p.Sink.SweepStart(label, workers, total)
-}
-
-func (s *Server) currentSweepDoc() (sweepDoc, bool) {
-	st, ok := sweep.Live.Snapshot()
-	if !ok {
-		return sweepDoc{Pool: system.PoolStat.Snapshot()}, false
+func (s *Server) currentSweepDoc() sweepDoc {
+	st, base := s.Flight.sweep()
+	doc := sweepDoc{sweepStatus: st, Pool: system.PoolStat.Snapshot()}
+	if base == nil {
+		return doc
 	}
-	doc := sweepDoc{Status: st, Pool: system.PoolStat.Snapshot()}
-	if base := s.sweepSink.base.Load(); base != nil {
-		delta := doc.Pool.Sub(*base)
-		doc.PoolSweep = &poolSweepDoc{PoolSnapshot: delta, CkptHitRate: delta.CkptHitRate()}
-	}
+	delta := doc.Pool.Sub(*base)
+	doc.PoolSweep = &poolSweepDoc{PoolSnapshot: delta, CkptHitRate: delta.CkptHitRate()}
 	elapsed := time.Since(time.Unix(0, st.StartNS))
 	doc.ElapsedSec = elapsed.Seconds()
 	if st.Active && st.Done > 0 && st.Done < st.Total {
 		doc.ETASec = (elapsed.Seconds() / float64(st.Done)) * float64(st.Total-st.Done)
 	}
-	return doc, true
+	return doc
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -240,7 +223,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.streamSweep(w, r)
 		return
 	}
-	doc, _ := s.currentSweepDoc()
+	doc := s.currentSweepDoc()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -260,8 +243,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request) {
 	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
 	for {
-		doc, _ := s.currentSweepDoc()
-		b, err := json.Marshal(doc)
+		b, err := json.Marshal(s.currentSweepDoc())
 		if err != nil {
 			return
 		}

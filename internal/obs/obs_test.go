@@ -139,18 +139,11 @@ func TestTermLogInterleaving(t *testing.T) {
 
 // TestServerEndpoints boots a real server on an ephemeral port and
 // walks the surface: /metrics serves the pool counters in exposition
-// format, /sweep serves JSON (and reflects a live monitor snapshot),
-// /debug/flightrecord serves a valid trace, and expvar answers.
+// format, /sweep serves JSON (the flight recorder's status of a
+// finished sweep), /debug/flightrecord serves a valid trace, and
+// expvar answers.
 func TestServerEndpoints(t *testing.T) {
-	srv, err := Start(Config{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Close()
-		sweep.Live.Disable()
-		system.SetPoolEventHook(nil)
-	}()
+	srv := startOps(t, Config{})
 	base := "http://" + srv.Addr()
 
 	get := func(path string) (string, string) {
@@ -201,7 +194,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/sweep is not valid JSON: %v\n%s", err, body)
 	}
 	if doc.Label != "obs-test" || doc.Done != 1 || doc.Total != 1 || doc.Active {
-		t.Errorf("/sweep status = %+v, want obs-test 1/1 inactive", doc.Status)
+		t.Errorf("/sweep status = %+v, want obs-test 1/1 inactive", doc.sweepStatus)
 	}
 
 	flightBody, _ := get("/debug/flightrecord")
@@ -232,15 +225,7 @@ type Key = sweep.Key
 // TestSweepStreamSSE checks one server-sent event frame arrives and is
 // valid JSON.
 func TestSweepStreamSSE(t *testing.T) {
-	srv, err := Start(Config{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Close()
-		sweep.Live.Disable()
-		system.SetPoolEventHook(nil)
-	}()
+	srv := startOps(t, Config{})
 
 	client := http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get("http://" + srv.Addr() + "/sweep?stream=1")
@@ -323,31 +308,10 @@ func TestPrometheusHelpLines(t *testing.T) {
 // (pool_sweep), not just the cumulative process totals, and the delta
 // rebaselines at each new sweep.
 func TestSweepPoolDelta(t *testing.T) {
-	srv, err := Start(Config{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Close()
-		sweep.Live.Disable()
-		system.SetPoolEventHook(nil)
-	}()
-	getDoc := func() sweepDoc {
-		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr() + "/sweep")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var doc sweepDoc
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			t.Fatal(err)
-		}
-		return doc
-	}
+	srv := startOps(t, Config{})
 
 	// Before any sweep: cumulative pool numbers only, no per-sweep block.
-	if doc := getDoc(); doc.PoolSweep != nil {
+	if doc, _, _ := getSweep(t, srv); doc.PoolSweep != nil {
 		t.Errorf("pool_sweep present before any sweep: %+v", doc.PoolSweep)
 	}
 
@@ -369,7 +333,7 @@ func TestSweepPoolDelta(t *testing.T) {
 		}
 	}
 	runSweep("first", 9, 1)
-	doc := getDoc()
+	doc, _, _ := getSweep(t, srv)
 	if doc.PoolSweep == nil {
 		t.Fatal("pool_sweep absent after a monitored sweep")
 	}
@@ -381,7 +345,7 @@ func TestSweepPoolDelta(t *testing.T) {
 	}
 
 	runSweep("second", 1, 3)
-	doc = getDoc()
+	doc, _, _ = getSweep(t, srv)
 	if doc.PoolSweep.CkptHits != 1 || doc.PoolSweep.Rebuilds != 3 {
 		t.Errorf("second sweep delta = %+v, want rebaselined hits=1 rebuilds=3", doc.PoolSweep.PoolSnapshot)
 	}

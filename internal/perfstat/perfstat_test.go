@@ -290,14 +290,6 @@ func TestDirection(t *testing.T) {
 	}
 }
 
-func TestCellCounter(t *testing.T) {
-	before := CellCount()
-	CellDone(3)
-	if got := CellCount() - before; got != 3 {
-		t.Fatalf("cell counter advanced by %d, want 3", got)
-	}
-}
-
 func TestDirtyTrees(t *testing.T) {
 	clean, dirty := Env{GitSHA: "a"}, Env{GitSHA: "b", GitDirty: true}
 	for _, c := range []struct {

@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ type recordingSink struct {
 	ends   []string
 	sweeps []string
 	panics []string
+	ended  int // SweepEnd's count
 }
 
 func (r *recordingSink) SweepStart(label string, workers, total int) {
@@ -27,6 +31,7 @@ func (r *recordingSink) SweepEnd(label string, done int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sweeps = append(r.sweeps, "end:"+label)
+	r.ended = done
 }
 
 func (r *recordingSink) CellStart(worker int, key string) {
@@ -47,9 +52,17 @@ func (r *recordingSink) WorkerPanic(worker int, key string, recovered any) {
 	r.panics = append(r.panics, key)
 }
 
-// TestMonitorPublishesSweep pins the live-status plumbing: an enabled
-// monitor sees every cell start and end, the final snapshot reports the
-// sweep complete and every lane idle, and results are untouched.
+// calls counts every sink event received.
+func (r *recordingSink) calls() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.starts) + len(r.ends) + len(r.sweeps) + len(r.panics)
+}
+
+// TestMonitorPublishesSweep pins the forwarding: an installed sink sees
+// the sweep start, every cell start and end with the cell's key, and the
+// sweep end with the count of cells that ended, and results are
+// untouched.
 func TestMonitorPublishesSweep(t *testing.T) {
 	const n = 12
 	sink := &recordingSink{}
@@ -83,61 +96,67 @@ func TestMonitorPublishesSweep(t *testing.T) {
 	if len(sink.sweeps) != 2 || sink.sweeps[0] != "start:t" || sink.sweeps[1] != "end:t" {
 		t.Errorf("sweep events = %v, want [start:t end:t]", sink.sweeps)
 	}
+	if sink.ended != n {
+		t.Errorf("SweepEnd reported %d cells ended, want %d", sink.ended, n)
+	}
 	if len(sink.panics) != 0 {
 		t.Errorf("unexpected panic events: %v", sink.panics)
 	}
-
-	st, ok := Live.Snapshot()
-	if !ok {
-		t.Fatal("no status published")
-	}
-	if st.Label != "t" || st.Total != n || st.Done != n || st.Active {
-		t.Errorf("final status = %+v, want label t, %d/%d done, inactive", st, n, n)
-	}
-	var laneDone int64
-	for _, w := range st.Workers {
-		if w.Cell != "" {
-			t.Errorf("worker %d still shows cell %q after the sweep", w.Worker, w.Cell)
-		}
-		laneDone += w.Done
-	}
-	if laneDone != n {
-		t.Errorf("lane counters sum to %d, want %d", laneDone, n)
-	}
 }
 
-// TestMonitorDisabledIsInert checks the default path: with the monitor
-// off, sweeps publish nothing and no status is ever visible beyond what
-// an earlier enabled sweep left behind.
+// TestMonitorDisabledIsInert checks the default path: a sweep with no
+// sink installed, after Disable or Enable(nil), makes no sink call.
 func TestMonitorDisabledIsInert(t *testing.T) {
-	var m Monitor // fresh, never enabled
-	if m.begin("x", 1, 1) {
-		t.Fatal("disabled monitor accepted a sweep")
+	sink := &recordingSink{}
+	cells := []Cell[int]{busyCell(1), busyCell(2)}
+	for _, off := range []func(){Live.Disable, func() { Live.Enable(nil) }} {
+		Live.Enable(sink)
+		off()
+		if _, err := RunWithProgress("x", cells, 2, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := m.Snapshot(); ok {
-		t.Fatal("disabled monitor published a status")
+	if n := sink.calls(); n != 0 {
+		t.Errorf("a sweep with no sink installed made %d sink calls", n)
 	}
 }
 
-// TestMonitorSeesWorkerPanic pins the crash path at the monitor level:
-// a worker that dies mid-cell reports the in-flight cell's identity to
-// the sink (the flight recorder's flush hook). The end-to-end re-panic
-// in RunWithProgress cannot run under `go test` — an unrecovered worker
-// panic is rightly fatal to the process — so the test drives the same
-// calls the worker's deferred recover makes.
-func TestMonitorSeesWorkerPanic(t *testing.T) {
-	sink := &recordingSink{}
-	var m Monitor
-	m.Enable(sink)
-	if !m.begin("boom", 1, 1) {
-		t.Fatal("enabled monitor refused a sweep")
-	}
-	m.cellStart(0, Key{Experiment: "boom", Benchmark: "b"})
-	m.workerPanic(0, "cell exploded")
+// panicChildEnv marks the child process of TestMonitorSeesWorkerPanic.
+const panicChildEnv = "SWEEP_TEST_PANIC_CHILD"
 
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if len(sink.panics) != 1 || sink.panics[0] != "boom/b" {
-		t.Errorf("panic events = %v, want [boom/b]", sink.panics)
+// panicReporter prints the key WorkerPanic receives, for the parent
+// process to read after the child dies.
+type panicReporter struct{ recordingSink }
+
+func (*panicReporter) WorkerPanic(worker int, key string, recovered any) {
+	fmt.Fprintf(os.Stderr, "worker-panic key=%q recovered=%v\n", key, recovered)
+}
+
+// TestMonitorSeesWorkerPanic pins the crash path end to end: a cell that
+// panics reaches RunWithProgress's deferred recover, which reports the
+// in-flight cell's key to the sink and re-raises. An unrecovered worker
+// panic is rightly fatal to the process, so the test re-runs its own
+// binary as a child that runs the panicking sweep and reads what the
+// child's sink printed before it died.
+func TestMonitorSeesWorkerPanic(t *testing.T) {
+	if os.Getenv(panicChildEnv) != "" {
+		Live.Enable(&panicReporter{})
+		ok := func() (int, error) { return 1, nil }
+		boom := func() (int, error) { panic("cell exploded") }
+		RunWithProgress("boom", []Cell[int]{
+			{Key: Key{Experiment: "boom", Benchmark: "a"}, Run: ok},
+			{Key: Key{Experiment: "boom", Benchmark: "b"}, Run: boom},
+			{Key: Key{Experiment: "boom", Benchmark: "c"}, Run: ok},
+		}, 1, nil)
+		t.Fatal("the sweep returned after a cell panicked")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMonitorSeesWorkerPanic$")
+	cmd.Env = append(os.Environ(), panicChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("the child survived a cell panic:\n%s", out)
+	}
+	if !strings.Contains(string(out), `worker-panic key="boom/b" recovered=cell exploded`) {
+		t.Errorf("the sink did not receive the panicked cell's key:\n%s", out)
 	}
 }

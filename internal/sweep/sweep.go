@@ -18,8 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dbisim/internal/perfstat"
 )
 
 // Key identifies one cell of an experiment's run matrix. Unused
@@ -77,7 +75,7 @@ type Outcome[T any] struct {
 
 // RunWithProgress executes the cells on `workers` goroutines (0 or
 // less means GOMAXPROCS) and returns their outcomes in input order.
-// label names the sweep on the live monitor (/sweep, the flight
+// label names the sweep to the live monitor's sink (/sweep, the flight
 // recorder): the experiment id, or "all" for a run of every one.
 // After the first failure no new cells are started; cells already in
 // flight finish, and the error of the earliest-indexed failed cell is
@@ -96,12 +94,15 @@ func RunWithProgress[T any](label string, cells []Cell[T], workers int, progress
 	outs := make([]Outcome[T], len(cells))
 	errs := make([]error, len(cells))
 
-	// One atomic load decides whether this sweep publishes to the live
-	// monitor; disabled, the per-cell path below is untouched.
-	live := Live.begin(label, workers, len(cells))
+	// One atomic load decides whether this sweep reports to a sink;
+	// with none, the per-cell path below makes no call.
+	sink := Live.current()
+	if sink != nil {
+		sink.SweepStart(label, workers, len(cells))
+	}
 
 	var failed atomic.Bool
-	var done atomic.Int64
+	var done, ended atomic.Int64
 	work := make(chan []int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -109,12 +110,13 @@ func RunWithProgress[T any](label string, cells []Cell[T], workers int, progress
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if live {
+			var key string // the in-flight cell's key, when a sink is installed
+			if sink != nil {
 				// Give the ops plane a last look (flight-recorder
 				// flush) before a cell panic takes the process down.
 				defer func() {
 					if r := recover(); r != nil {
-						Live.workerPanic(w, r)
+						sink.WorkerPanic(w, key, r)
 						panic(r)
 					}
 				}()
@@ -124,14 +126,16 @@ func RunWithProgress[T any](label string, cells []Cell[T], workers int, progress
 					if failed.Load() {
 						continue
 					}
-					if live {
-						Live.cellStart(w, cells[i].Key)
+					if sink != nil {
+						key = cells[i].Key.String()
+						sink.CellStart(w, key)
 					}
 					start := time.Now()
 					v, err := cells[i].Run()
 					elapsed := time.Since(start)
-					if live {
-						Live.cellEnd(w, elapsed, err)
+					if sink != nil {
+						ended.Add(1)
+						sink.CellEnd(w, key, elapsed, err)
 					}
 					if err != nil {
 						errs[i] = err
@@ -139,7 +143,6 @@ func RunWithProgress[T any](label string, cells []Cell[T], workers int, progress
 						continue
 					}
 					outs[i] = Outcome[T]{Key: cells[i].Key, Value: v, Elapsed: elapsed}
-					perfstat.CellDone(1)
 					if progress != nil {
 						progress(int(done.Add(1)), len(cells))
 					}
@@ -152,8 +155,8 @@ func RunWithProgress[T any](label string, cells []Cell[T], workers int, progress
 	}
 	close(work)
 	wg.Wait()
-	if live {
-		Live.end()
+	if sink != nil {
+		sink.SweepEnd(label, int(ended.Load()))
 	}
 
 	for i, err := range errs {
